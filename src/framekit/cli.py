@@ -4,7 +4,10 @@ Every command emits one report document (text by default, JSON with
 --format json) carrying the tool version, the invoked command line, input
 file digests, structured results, and every seed that fed randomness.
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse
-error, 3 semantic input error, 4 generation failure.
+error, 3 semantic input error, 4 generation failure.  ``verify`` runs
+the checks of ``theorems.THEOREMS`` that apply to the input kind; a check
+whose hypothesis fails on the pair gives a gated verdict, which counts as
+no failure (exit 0 when nothing else fails), never an error exit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import (
 from .fileio import FrameFileError, file_digest, load_structure, write_structure
 from .frames import Frame, is_riesz_basis, optimal_frame_bounds, redundancy_bounds
 from .fusion import (
-    full_space,
     fusion_frame_bounds,
     fusion_redundancy_bounds,
     is_orthonormal_fusion_basis,
@@ -40,20 +42,6 @@ from .perturb import (
     generate_perturbed_fusion,
 )
 from . import theorems
-
-FRAME_THEOREMS = (
-    "perturbed_frame_bounds",
-    "normalized_perturbation",
-    "redundancy_perturbation",
-    "riesz_redundancy",
-    "angle_sum_frames",
-)
-FUSION_THEOREMS = (
-    "fusion_perturbed_bounds",
-    "fusion_redundancy_perturbation",
-    "angle_sum_fusion",
-)
-
 
 class _UsageError(Exception):
     """Invalid argument values caught after argparse (exit 2)."""
@@ -163,71 +151,28 @@ def cmd_perturb(args, command: str) -> int:
     return 0
 
 
-def _verdicts_for_pair(a, b, selected: str) -> tuple[list, dict]:
-    if isinstance(a, Frame):
-        applicable = FRAME_THEOREMS
-    else:
-        applicable = FUSION_THEOREMS
-    if selected != "all" and selected not in applicable:
-        raise DimensionError(
-            f'theorem "{selected}" does not apply to kind '
-            f'"{ "frame" if isinstance(a, Frame) else "fusion" }"'
-        )
-    wanted = applicable if selected == "all" else (selected,)
-    ambient = full_space(a.dim)
-    verdicts = []
-    extras: dict[str, object] = {}
-    for tid in wanted:
-        if tid == "perturbed_frame_bounds":
-            verdicts.append(theorems.verify_perturbed_frame_bounds(a, b))
-        elif tid == "normalized_perturbation":
-            try:
-                verdicts.append(theorems.verify_normalized_perturbation(a, b))
-            except PreconditionError as exc:
-                if selected != "all":
-                    raise
-                verdicts.append(
-                    theorems.TheoremVerdict(
-                        theorem_id=tid,
-                        hypotheses_met=False,
-                        predicted={},
-                        observed={},
-                        inequality_pass=True,
-                        equality_residuals={},
-                        notes=f"gate failed: {exc}",
-                    )
-                )
-        elif tid == "redundancy_perturbation":
-            verdicts.append(theorems.verify_redundancy_perturbation(a, b))
-        elif tid == "riesz_redundancy":
-            verdicts.append(theorems.verify_riesz_redundancy(a))
-        elif tid == "fusion_perturbed_bounds":
-            verdicts.append(theorems.verify_fusion_perturbed_bounds(a, b))
-        elif tid == "fusion_redundancy_perturbation":
-            extras["weights_normalized"] = True
-            verdicts.append(
-                theorems.verify_fusion_redundancy_perturbation(
-                    a.with_unit_weights(), b.with_unit_weights()
-                )
-            )
-        else:
-            verdicts.append(theorems.verify_angle_sums(a, ambient))
-    return verdicts, extras
-
-
 def cmd_verify(args, command: str) -> int:
     a = load_structure(args.original)
     b = load_structure(args.perturbed)
     if type(a) is not type(b):
         raise DimensionError("original and perturbed files have different kinds")
-    verdicts, extras = _verdicts_for_pair(a, b, args.theorem)
+    rows = [t for t in theorems.THEOREMS if isinstance(a, t.kind)]
+    if args.theorem != "all":
+        rows = [t for t in rows if t.id == args.theorem]
+        if not rows:
+            raise DimensionError(
+                f'theorem "{args.theorem}" does not apply to kind '
+                f'"{ "frame" if isinstance(a, Frame) else "fusion" }"'
+            )
+    verdicts = [t.run(a, b) for t in rows]
     results = {
         "verdicts": [v.to_dict() for v in verdicts],
         "stated_equality_residuals": {
             v.theorem_id: dict(v.equality_residuals) for v in verdicts
         },
-        **extras,
     }
+    if any(t.unit_weights for t in rows):
+        results["weights_normalized"] = True
     failures = sum(1 for v in verdicts if v.hypotheses_met and not v.inequality_pass)
     results["inequality_failures"] = failures
     inputs = {"original": args.original, "perturbed": args.perturbed}
@@ -258,7 +203,7 @@ def cmd_angles(args, command: str) -> int:
         "gap_link_residual": abs(direct - report.gap),
     }
     inputs = {"input_a": args.input_a, "input_b": args.input_b}
-    _emit(_make_report(command, inputs, results, {"gap_seed": 0}), args.format)
+    _emit(_make_report(command, inputs, results, {}), args.format)
     return 0
 
 

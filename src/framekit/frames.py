@@ -188,26 +188,32 @@ def redundancy_bounds(f: Frame) -> RedundancyProfile:
     return profile_from_extremes(eigs[0], eigs[-1], f.count / f.dim)
 
 
+def _sphere_extremes(columns: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
+    """Observed (min, max) of ||x @ columns||^2 over seeded Gaussian
+    directions x normalized onto the unit sphere of R^n (``columns`` is
+    n-by-m).  Deterministic per seed."""
+    if samples < 1:
+        raise PreconditionError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    lo, hi = np.inf, -np.inf
+    remaining = samples
+    while remaining > 0:
+        block = min(remaining, 32768)
+        x = rng.standard_normal((block, columns.shape[0]))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        coeffs = x @ columns
+        vals = np.einsum("ij,ij->i", coeffs, coeffs)
+        lo = min(lo, float(vals.min()))
+        hi = max(hi, float(vals.max()))
+        remaining -= block
+    return lo, hi
+
+
 def redundancy_oracle(f: Frame, samples: int, seed: int) -> tuple[float, float]:
     """Observed (min, max) of the redundancy function on sampled unit vectors.
 
     Samples Gaussian directions, normalizes them onto the sphere, and
     evaluates the redundancy function directly.  Deterministic per seed.
     """
-    if samples < 1:
-        raise PreconditionError(f"samples must be >= 1, got {samples}")
     norms = _require_no_zero_vectors(f)
-    unit = f.vectors / norms[:, None]
-    rng = np.random.default_rng(seed)
-    lo, hi = np.inf, -np.inf
-    remaining = samples
-    while remaining > 0:
-        block = min(remaining, 32768)
-        x = rng.standard_normal((block, f.dim))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        coeffs = x @ unit.T
-        vals = np.einsum("ij,ij->i", coeffs, coeffs)
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-        remaining -= block
-    return lo, hi
+    return _sphere_extremes((f.vectors / norms[:, None]).T, samples, seed)

@@ -18,6 +18,7 @@ from .frames import (
     BoundsReport,
     RedundancyProfile,
     UNIT_NORM_TOL,
+    _sphere_extremes,
     bounds_from_extremes,
     profile_from_extremes,
 )
@@ -201,20 +202,6 @@ def is_orthonormal_fusion_basis(ff: FusionFrame, tol: float = BASIS_TOL) -> bool
 
 def fusion_redundancy_oracle(ff: FusionFrame, samples: int, seed: int) -> tuple[float, float]:
     """Observed (min, max) of the fusion redundancy function on sampled unit vectors."""
-    if samples < 1:
-        raise PreconditionError(f"samples must be >= 1, got {samples}")
     # Stacking all bases lets one matmul evaluate the whole projector sum.
     stacked = np.hstack([s.basis for s, _ in ff.members])
-    rng = np.random.default_rng(seed)
-    lo, hi = np.inf, -np.inf
-    remaining = samples
-    while remaining > 0:
-        block = min(remaining, 32768)
-        x = rng.standard_normal((block, ff.dim))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        coeffs = x @ stacked
-        vals = np.einsum("ij,ij->i", coeffs, coeffs)
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-        remaining -= block
-    return lo, hi
+    return _sphere_extremes(stacked, samples, seed)

@@ -29,14 +29,9 @@ class PerturbationReport:
 
     mu: float
     per_index_norms: tuple[float, ...]
-    symmetric_check: float
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "per_index_norms": list(self.per_index_norms),
-            "symmetric_check": self.symmetric_check,
-        }
+        return {"mu": self.mu, "per_index_norms": list(self.per_index_norms)}
 
 
 @dataclass(frozen=True)
@@ -75,9 +70,8 @@ def frame_perturbation_mu(phi: Frame, psi: Frame) -> PerturbationReport:
         )
     diff = synthesis_matrix(phi) - synthesis_matrix(psi)
     mu = linalg.operator_norm(diff)
-    sym = abs(mu - linalg.operator_norm(-diff))
     per_index = tuple(float(x) for x in np.linalg.norm(diff, axis=0))
-    return PerturbationReport(mu=mu, per_index_norms=per_index, symmetric_check=sym)
+    return PerturbationReport(mu=mu, per_index_norms=per_index)
 
 
 def _weighted_projector_blocks(w: FusionFrame, v: FusionFrame) -> list[np.ndarray]:
@@ -98,9 +92,8 @@ def fusion_perturbation_mu(w: FusionFrame, v: FusionFrame) -> PerturbationReport
     blocks = _weighted_projector_blocks(w, v)
     concat = np.hstack(blocks)
     mu = linalg.operator_norm(concat)
-    sym = abs(mu - linalg.operator_norm(-concat))
     per_index = tuple(linalg.operator_norm(b) for b in blocks)
-    return PerturbationReport(mu=mu, per_index_norms=per_index, symmetric_check=sym)
+    return PerturbationReport(mu=mu, per_index_norms=per_index)
 
 
 def check_lambda_perturbation(
@@ -203,10 +196,13 @@ def generate_perturbed_frame(
 
     In the default mode a Gaussian offset is rescaled so the measured
     constant equals the target to machine precision.  In norm-preserving
-    mode every vector is rotated inside its own sphere (so norms are kept
-    bit-for-bit) and a bisection on the common rotation scale lands the
-    measured constant within 5% of the target whenever it is reachable;
-    the achieved value never exceeds 1.05 * target.
+    mode every vector is rotated inside its own sphere and a bisection on
+    the common rotation scale lands the measured constant within 5% of
+    the target whenever it is reachable; the achieved value never exceeds
+    1.05 * target.  The rotation keeps norms up to rounding only: they
+    typically drift by about 1e-14 relative, and by up to 1.6e-12 on the
+    instances seen so far, far inside the 1e-9 equal-norms gate of the
+    verifiers that consume such pairs.
     """
     if not target_mu > 0:
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")

@@ -4,15 +4,21 @@ Each ``verify_*`` function measures everything from its inputs alone (no
 trusted metadata), gates on the theorem's hypotheses, asserts the
 inequality consequences with a fixed absolute slack, and reports the
 residuals of the stronger equality claims as data instead of asserting
-them.  ``run_random_suite`` drives all checks over seeded random
-instances; every instance is reproducible bit-for-bit from the suite
-seed and its index via ``replay_instance``.
+them.  A hypothesis that fails on well-formed input yields a gated
+verdict, never an exception; only malformed input raises (mismatched
+shapes, or non-unit weights where the statement concerns unit-weight
+fusion frames).  ``THEOREMS`` lists every statement once, in report
+order, and is the only list the suite, ``replay_instance`` and
+``framekit verify`` read.  ``run_random_suite`` drives all checks over
+seeded random instances; every instance is reproducible bit-for-bit
+from the suite seed and its index via ``replay_instance``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,17 +51,6 @@ from .perturb import (
 INEQ_SLACK = 1e-9
 # Tolerance for exact identities (gap link).
 IDENTITY_TOL = 1e-10
-
-THEOREM_IDS = (
-    "perturbed_frame_bounds",
-    "normalized_perturbation",
-    "redundancy_perturbation",
-    "riesz_redundancy",
-    "fusion_perturbed_bounds",
-    "fusion_redundancy_perturbation",
-    "angle_sum_frames",
-    "angle_sum_fusion",
-)
 
 
 @dataclass(frozen=True)
@@ -148,8 +143,9 @@ def verify_normalized_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
     norms_psi = psi.norms()
     worst = float(np.max(np.abs(norms_phi - norms_psi)))
     if worst > 1e-9:
-        raise PreconditionError(
-            f"vector norms differ by {worst:.3e}; the lemma needs equal norms"
+        return _gated(
+            "normalized_perturbation",
+            f"gate failed: vector norms differ by {worst:.3e}; the lemma needs equal norms",
         )
     mu = frame_perturbation_mu(phi, psi).mu
     mu_normalized = frame_perturbation_mu(normalize_frame(phi), normalize_frame(psi)).mu
@@ -365,6 +361,48 @@ def verify_angle_sums(frame_or_fusion, wprime: Subspace) -> TheoremVerdict:
 
 
 # ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+
+class Theorem(NamedTuple):
+    """One checked statement: ``check(a, b)`` verifies it on an
+    (original, perturbed) pair of ``kind``.  With ``unit_weights`` set,
+    both fusion frames have their weights replaced by one first, since the
+    statement concerns unit-weight fusion frames only."""
+
+    id: str
+    kind: type
+    check: Callable[[object, object], TheoremVerdict]
+    unit_weights: bool = False
+
+    def run(self, a, b) -> TheoremVerdict:
+        if self.unit_weights:
+            a, b = a.with_unit_weights(), b.with_unit_weights()
+        return self.check(a, b)
+
+
+# Report order.  Each check looks its verifier up by module name when
+# called, so a wrapper installed on that name (a tracer, say) sees the call.
+THEOREMS = (
+    Theorem("perturbed_frame_bounds", Frame, lambda a, b: verify_perturbed_frame_bounds(a, b)),
+    Theorem("normalized_perturbation", Frame, lambda a, b: verify_normalized_perturbation(a, b)),
+    Theorem("redundancy_perturbation", Frame, lambda a, b: verify_redundancy_perturbation(a, b)),
+    Theorem("riesz_redundancy", Frame, lambda a, b: verify_riesz_redundancy(a)),
+    Theorem("fusion_perturbed_bounds", FusionFrame, lambda a, b: verify_fusion_perturbed_bounds(a, b)),
+    Theorem(
+        "fusion_redundancy_perturbation",
+        FusionFrame,
+        lambda a, b: verify_fusion_redundancy_perturbation(a, b),
+        unit_weights=True,
+    ),
+    Theorem("angle_sum_frames", Frame, lambda a, b: verify_angle_sums(a, full_space(a.dim))),
+    Theorem("angle_sum_fusion", FusionFrame, lambda a, b: verify_angle_sums(a, full_space(a.dim))),
+)
+THEOREM_IDS = tuple(t.id for t in THEOREMS)
+
+
+# ---------------------------------------------------------------------------
 # Randomized suite
 # ---------------------------------------------------------------------------
 
@@ -546,12 +584,9 @@ def replay_instance(config: SuiteConfig, index: int) -> dict[str, TheoremVerdict
     count = int(rng.integers(max(dim, clo), chi + 1))
     frac = float(rng.uniform(*config.mu_fraction_range))
 
-    verdicts: dict[str, TheoremVerdict] = {}
-
     phi = random_frame(rng, dim, count)
     target = frac * math.sqrt(optimal_frame_bounds(phi).lower)
     psi, _ = generate_perturbed_frame(phi, target, seed=child_seed())
-    verdicts["perturbed_frame_bounds"] = verify_perturbed_frame_bounds(phi, psi)
 
     # Equal-norms pair: perturb a rescaled unit-norm copy inside its own
     # spheres so every hypothesis gate holds by construction.
@@ -561,28 +596,29 @@ def replay_instance(config: SuiteConfig, index: int) -> dict[str, TheoremVerdict
     psi_eq, _ = generate_perturbed_frame(
         phi_eq, target_eq, seed=child_seed(), norm_preserving=True
     )
-    verdicts["normalized_perturbation"] = verify_normalized_perturbation(phi_eq, psi_eq)
-    verdicts["redundancy_perturbation"] = verify_redundancy_perturbation(phi_eq, psi_eq)
 
-    verdicts["riesz_redundancy"] = verify_riesz_redundancy(random_orthogonal_basis(rng, dim))
+    basis = random_orthogonal_basis(rng, dim)
 
     fusion_count = int(rng.integers(max(2, clo), chi + 1))
     weighted = random_fusion_frame(rng, dim, fusion_count)
     target_f = frac * math.sqrt(fusion_frame_bounds(weighted).lower) / math.sqrt(fusion_count)
     perturbed_f, _ = generate_perturbed_fusion(weighted, target_f, seed=child_seed())
-    verdicts["fusion_perturbed_bounds"] = verify_fusion_perturbed_bounds(weighted, perturbed_f)
 
     unit = weighted.with_unit_weights()
     target_u = frac * math.sqrt(fusion_redundancy_bounds(unit).lower) / math.sqrt(fusion_count)
     perturbed_u, _ = generate_perturbed_fusion(unit, target_u, seed=child_seed())
-    verdicts["fusion_redundancy_perturbation"] = verify_fusion_redundancy_perturbation(
-        unit, perturbed_u
-    )
 
-    ambient = full_space(dim)
-    verdicts["angle_sum_frames"] = verify_angle_sums(phi, ambient)
-    verdicts["angle_sum_fusion"] = verify_angle_sums(unit, ambient)
-    return verdicts
+    pairs = {
+        "perturbed_frame_bounds": (phi, psi),
+        "normalized_perturbation": (phi_eq, psi_eq),
+        "redundancy_perturbation": (phi_eq, psi_eq),
+        "riesz_redundancy": (basis, basis),
+        "fusion_perturbed_bounds": (weighted, perturbed_f),
+        "fusion_redundancy_perturbation": (unit, perturbed_u),
+        "angle_sum_frames": (phi, psi),
+        "angle_sum_fusion": (unit, perturbed_u),
+    }
+    return {t.id: t.run(*pairs[t.id]) for t in THEOREMS}
 
 
 def run_random_suite(config: SuiteConfig) -> SuiteReport:

@@ -98,6 +98,19 @@ class TestGapDirect:
         for v, w in random_pairs(61, 500):
             assert abs(gap_direct(v, w) - cosine_angles(v, w).gap) <= 1e-10
 
+    def test_sampled_distances_stay_below_spectral_gap(self):
+        # The spectral value is a maximum over the unit sphere of V, so no
+        # sampled unit vector of V may lie farther from W.
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            dim = int(rng.integers(2, 7))
+            v, w = random_subspace(rng, dim), random_subspace(rng, dim)
+            coeffs = rng.standard_normal((512, v.dim))
+            coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+            x = coeffs @ v.basis.T
+            dist = np.linalg.norm(x - (x @ w.basis) @ w.basis.T, axis=1)
+            assert dist.max() <= gap_direct(v, w) + 1e-9
+
 
 class TestRsRelation:
     def test_same_subspace(self):

@@ -6,9 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from framekit import Frame, normalize_frame
-from framekit.cli import main
+from framekit import (
+    Frame,
+    FusionFrame,
+    generate_perturbed_frame,
+    generate_perturbed_fusion,
+    normalize_frame,
+    optimal_frame_bounds,
+)
+from framekit.cli import build_parser, main
 from framekit.fileio import load_structure, write_structure
+from framekit.theorems import THEOREMS, random_fusion_frame
 
 
 def write_json(path, doc):
@@ -26,6 +34,26 @@ def run_json(capsys, argv):
 def onb_file(tmp_path):
     doc = {"dim": 2, "kind": "frame", "vectors": [[1.0, 0.0], [0.0, 1.0]]}
     return write_json(tmp_path / "onb.json", doc)
+
+
+@pytest.fixture(scope="module")
+def verify_pairs(tmp_path_factory):
+    """One (original, perturbed) file pair per kind on which every
+    hypothesis holds."""
+    rng = np.random.default_rng(90)
+    root = tmp_path_factory.mktemp("pairs")
+    phi = Frame(1.5 * normalize_frame(Frame(rng.standard_normal((3, 3)))).vectors)
+    target = 0.3 * math.sqrt(optimal_frame_bounds(phi).lower)
+    psi, _ = generate_perturbed_frame(phi, target, seed=91, norm_preserving=True)
+    w = random_fusion_frame(rng, 3, 4)
+    v, _ = generate_perturbed_fusion(w, 0.05, seed=92)
+    pairs = {}
+    for kind, a, b in ((Frame, phi, psi), (FusionFrame, w, v)):
+        paths = (root / f"{kind.__name__}-a.json", root / f"{kind.__name__}-b.json")
+        write_structure(paths[0], a)
+        write_structure(paths[1], b)
+        pairs[kind] = tuple(map(str, paths))
+    return pairs
 
 
 @pytest.fixture
@@ -195,6 +223,39 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", onb_file, onb_file, "--theorem", "nope"])
         assert err.value.code == 2
+
+    def test_unequal_norms_gate_normalized_perturbation(self, capsys, tmp_path, onb_file):
+        longer = write_json(
+            tmp_path / "longer.json",
+            {"dim": 2, "kind": "frame", "vectors": [[2.0, 0.0], [0.0, 1.0]]},
+        )
+        code, doc = run_json(
+            capsys,
+            ["verify", onb_file, longer, "--theorem", "normalized_perturbation", "--format", "json"],
+        )
+        assert code == 0
+        (verdict,) = doc["results"]["verdicts"]
+        assert verdict["hypotheses_met"] is False
+        assert verdict["notes"] == (
+            "gate failed: vector norms differ by 1.000e+00; the lemma needs equal norms"
+        )
+
+    def test_theorem_choices_follow_registry(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        option = next(a for a in sub.choices["verify"]._actions if a.dest == "theorem")
+        assert tuple(option.choices) == ("all", *(t.id for t in THEOREMS))
+
+    @pytest.mark.parametrize("theorem", THEOREMS, ids=lambda t: t.id)
+    def test_single_theorem_matches_full_battery(self, capsys, verify_pairs, theorem):
+        original, perturbed = verify_pairs[theorem.kind]
+        _, full = run_json(capsys, ["verify", original, perturbed, "--format", "json"])
+        _, single = run_json(
+            capsys, ["verify", original, perturbed, "--theorem", theorem.id, "--format", "json"]
+        )
+        (verdict,) = single["results"]["verdicts"]
+        assert verdict["theorem_id"] == theorem.id
+        assert verdict in full["results"]["verdicts"]
+        assert ("weights_normalized" in single["results"]) == theorem.unit_weights
 
     def test_full_battery_on_perturbed_pair(self, capsys, tmp_path):
         rng = np.random.default_rng(81)

@@ -56,7 +56,6 @@ class TestFramePerturbationMu:
         a = frame_perturbation_mu(phi, psi)
         b = frame_perturbation_mu(psi, phi)
         assert abs(a.mu - b.mu) <= 1e-12
-        assert a.symmetric_check <= 1e-12
 
     def test_constant_satisfies_the_definition(self):
         rng = np.random.default_rng(42)

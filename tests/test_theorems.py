@@ -29,7 +29,12 @@ from framekit import (
     vector_span,
 )
 from framekit.errors import PreconditionError
-from framekit.theorems import THEOREM_IDS, random_fusion_frame, random_orthogonal_basis
+from framekit.theorems import (
+    THEOREM_IDS,
+    THEOREMS,
+    random_fusion_frame,
+    random_orthogonal_basis,
+)
 
 
 def unit_fusion(rng, dim, count):
@@ -126,11 +131,13 @@ class TestNormalizedPerturbation:
         assert verdict.equality_residuals["excess"] > 0
         assert verdict.inequality_pass  # the scaled bound still holds
 
-    def test_norm_mismatch_raises(self):
-        with pytest.raises(PreconditionError):
-            verify_normalized_perturbation(
-                Frame([[1.0, 0.0]]), Frame([[2.0, 0.0]])
-            )
+    def test_norm_mismatch_gates(self):
+        verdict = verify_normalized_perturbation(Frame([[1.0, 0.0]]), Frame([[2.0, 0.0]]))
+        assert not verdict.hypotheses_met
+        assert verdict.margin is None
+        assert verdict.notes == (
+            "gate failed: vector norms differ by 1.000e+00; the lemma needs equal norms"
+        )
 
 
 class TestRedundancyPerturbation:
@@ -321,6 +328,13 @@ class TestSuite:
         assert {k: v.to_dict() for k, v in first.items()} == {
             k: v.to_dict() for k, v in second.items()
         }
+
+    def test_suite_and_replay_follow_registry_order(self):
+        ids = tuple(t.id for t in THEOREMS)
+        assert THEOREM_IDS == ids
+        config = SuiteConfig(instances=2, seed=3)
+        assert tuple(run_random_suite(config).to_dict()["tallies"]) == ids
+        assert tuple(replay_instance(config, 1)) == ids
 
     def test_suite_report_is_deterministic(self):
         config = SuiteConfig(instances=10, seed=99)
