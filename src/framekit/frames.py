@@ -99,7 +99,8 @@ class RedundancyProfile:
 
 
 def bounds_from_extremes(low: float, high: float, rank_tol: float = linalg.RANK_TOL) -> BoundsReport:
-    """Build a BoundsReport from extreme operator eigenvalues (clamped at 0)."""
+    """Build a BoundsReport from extreme operator eigenvalues (clamped at 0);
+    framehood is decided relative to scale, as ``low > rank_tol * high``."""
     low = max(0.0, float(low))
     high = max(0.0, float(high))
     tight = abs(high - low) <= TIGHT_TOL * max(1.0, high)
@@ -107,7 +108,7 @@ def bounds_from_extremes(low: float, high: float, rank_tol: float = linalg.RANK_
     return BoundsReport(
         lower=low,
         upper=high,
-        is_frame=low > rank_tol,
+        is_frame=low > rank_tol * high,
         is_tight=tight,
         is_parseval=parseval,
     )
@@ -146,7 +147,7 @@ def is_riesz_basis(f: Frame, tol: float = linalg.RANK_TOL) -> bool:
     """True iff the frame has exactly n vectors and they are invertible."""
     if f.count != f.dim:
         return False
-    return optimal_frame_bounds(f).lower > tol
+    return optimal_frame_bounds(f, tol).is_frame
 
 
 def _require_no_zero_vectors(f: Frame) -> np.ndarray:

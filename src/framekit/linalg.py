@@ -73,7 +73,8 @@ def orthonormalize(vectors, tol: float = RANK_TOL, dim: int | None = None) -> tu
     """Orthonormal basis for the span of ``vectors`` via modified Gram-Schmidt.
 
     A vector is dropped when its residual after projecting out previously
-    accepted columns has norm <= tol * (1 + its norm).  A second projection
+    accepted columns has norm <= tol times the largest input norm, so the
+    rank does not change when the input is rescaled.  A second projection
     pass keeps the basis orthonormal to ~1e-15 even for nearly dependent
     inputs.
 
@@ -95,16 +96,17 @@ def orthonormalize(vectors, tol: float = RANK_TOL, dim: int | None = None) -> tu
             dim = 0
         return np.zeros((dim, 0)), 0
     n = vecs[0].shape[0]
+    vecs = [as_vector(v, n) for v in vecs]
+    cutoff = tol * max(np.linalg.norm(v) for v in vecs)
     cols: list[np.ndarray] = []
     for v in vecs:
-        v = as_vector(v, n)
         r = v.copy()
         for q in cols:
             r -= (q @ r) * q
         for q in cols:  # re-orthogonalization pass
             r -= (q @ r) * q
         norm = np.linalg.norm(r)
-        if norm <= tol * (1.0 + np.linalg.norm(v)):
+        if norm <= cutoff:
             continue
         cols.append(r / norm)
     if not cols:

@@ -188,6 +188,59 @@ def check_lambda_perturbation(
     )
 
 
+def _horizontal(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``g`` with its component in the column span of orthonormal ``u``
+    removed; the second pass leaves a residual at rounding level."""
+    g = g - u @ (u.mT @ g)
+    return g - u @ (u.mT @ g)
+
+
+def _geodesic(bases, tangents):
+    """Grassmann geodesics ``t -> U V cos(S t) V^T + Q sin(S t) V^T``
+    through each basis ``U`` along its horizontal tangent ``H = Q S V^T``
+    (Edelman, Arias & Smith 1998); a stack of equal-shape bases counts
+    as one entry.
+
+    The principal angles between ``span U`` and the point at ``t`` are
+    ``t * S`` while ``t * max(S) <= pi/2``, so ``||P - Q(t)|| =
+    sin(t * max(S))`` there.  Returns the path and each ``max(S)``.
+    """
+    factors = []
+    for u, h in zip(bases, tangents):
+        q, s, vt = np.linalg.svd(h, full_matrices=False)
+        factors.append((u @ vt.mT, q, s[..., None, :], vt))
+
+    def path(t: float) -> list[np.ndarray]:
+        return [(uv * np.cos(s * t) + q * np.sin(s * t)) @ vt for uv, q, s, vt in factors]
+
+    return path, [s[..., 0, 0] for _, _, s, _ in factors]
+
+
+def _bisect(measure, hi: float, target_mu: float):
+    """Bisect the step ``t`` in [0, hi] until ``measure(t) = (perturbed,
+    constant)`` lands within TARGET_WINDOW of ``target_mu``.
+
+    The constant is 0 at ``t = 0``.  When it is at most
+    ``(1 + TARGET_WINDOW) * target_mu`` at ``hi``, that end is returned
+    as is, reachable or not; otherwise the result never exceeds that
+    bound either.
+    """
+    result = measure(hi)
+    if result[1] <= (1.0 + TARGET_WINDOW) * target_mu:
+        return result
+    lo = 0.0
+    for _ in range(BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        result = measure(mid)
+        if abs(result[1] - target_mu) <= TARGET_WINDOW * target_mu:
+            return result
+        if result[1] > target_mu:
+            hi = mid
+        else:
+            lo = mid
+    return measure(lo)  # measured below target, therefore within the guarantee
+
+
 def generate_perturbed_frame(
     phi: Frame, target_mu: float, seed: int, norm_preserving: bool = False
 ) -> tuple[Frame, float]:
@@ -196,13 +249,13 @@ def generate_perturbed_frame(
 
     In the default mode a Gaussian offset is rescaled so the measured
     constant equals the target to machine precision.  In norm-preserving
-    mode every vector is rotated inside its own sphere and a bisection on
-    the common rotation scale lands the measured constant within 5% of
-    the target whenever it is reachable; the achieved value never exceeds
-    1.05 * target.  The rotation keeps norms up to rounding only: they
-    typically drift by about 1e-14 relative, and by up to 1.6e-12 on the
-    instances seen so far, far inside the 1e-9 equal-norms gate of the
-    verifiers that consume such pairs.
+    mode every vector turns inside its own sphere along a great circle,
+    the one-dimensional case of the subspace geodesics of
+    ``generate_perturbed_fusion``, and a bisection on the common step
+    lands the measured constant within 5% of the target whenever it is
+    reachable; the achieved value never exceeds 1.05 * target.  Each
+    turning direction is projected off its vector twice, so norms move
+    by rounding only (about 1e-16 relative).
     """
     if not target_mu > 0:
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")
@@ -218,126 +271,63 @@ def generate_perturbed_frame(
         return psi, frame_perturbation_mu(phi, psi).mu
 
     if phi.dim < 2:
-        raise GenerationError(
-            "norm-preserving rotation needs ambient dimension >= 2"
-        )
+        raise GenerationError("norm-preserving rotation needs ambient dimension >= 2")
     norms = phi.norms()
-    units = np.zeros_like(phi.vectors)
-    ortho = np.zeros_like(phi.vectors)
+    # Vectors at or below ZERO_VECTOR_TOL get no tangent and stay as they are.
+    movable = norms > ZERO_VECTOR_TOL
+    lengths = np.where(movable, norms, 1.0)
     angles = rng.uniform(0.1 * np.pi, np.pi, size=phi.count)
-    for i in range(phi.count):
-        if norms[i] <= ZERO_VECTOR_TOL:
-            continue
-        u = phi.vectors[i] / norms[i]
-        units[i] = u
-        g = rng.standard_normal(phi.dim)
-        g -= (g @ u) * u
-        while np.linalg.norm(g) < 1e-8:
-            g = rng.standard_normal(phi.dim)
-            g -= (g @ u) * u
-        ortho[i] = g / np.linalg.norm(g)
+    units = (phi.vectors / lengths[:, None])[:, :, None]
+    g = _horizontal(units[movable], rng.standard_normal((np.count_nonzero(movable), phi.dim, 1)))
+    tangents = np.zeros_like(units)
+    tangents[movable] = (angles[movable] / np.linalg.norm(g, axis=(1, 2)))[:, None, None] * g
+    path, _ = _geodesic([units], [tangents])
 
-    def rotated(scale: float) -> Frame:
-        vecs = phi.vectors.copy()
-        for i in range(phi.count):
-            if norms[i] <= ZERO_VECTOR_TOL:
-                continue
-            a = scale * angles[i]
-            vecs[i] = norms[i] * (np.cos(a) * units[i] + np.sin(a) * ortho[i])
-        return Frame(vecs, labels=phi.labels)
-
-    def measure(scale: float) -> tuple[Frame, float]:
-        psi = rotated(scale)
+    def measure(t: float) -> tuple[Frame, float]:
+        psi = Frame(lengths[:, None] * path(t)[0][:, :, 0], labels=phi.labels)
         return psi, frame_perturbation_mu(phi, psi).mu
 
-    psi_hi, mu_hi = measure(1.0)
-    if mu_hi <= (1.0 + TARGET_WINDOW) * target_mu:
-        return psi_hi, mu_hi
-    lo, hi = 0.0, 1.0
-    best = (Frame(phi.vectors.copy(), labels=phi.labels), 0.0)
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        psi, mu = measure(mid)
-        if abs(mu - target_mu) <= TARGET_WINDOW * target_mu:
-            return psi, mu
-        if mu > target_mu:
-            hi = mid
-        else:
-            lo = mid
-            best = (psi, mu)
-    return best  # measured below target, therefore within the guarantee
-
-
-class _OffsetExhausted(Exception):
-    """Internal: this offset draw cannot reach the target."""
-
-
-def _bisect_fusion_offsets(w, offsets, target_mu):
-    def perturbed(scale: float) -> FusionFrame:
-        members = []
-        for (s, weight), g in zip(w.members, offsets):
-            basis, rank = linalg.orthonormalize((s.basis + scale * g).T)
-            if rank != s.dim:
-                raise _OffsetExhausted(f"rank drop at scale {scale!r}")
-            members.append((Subspace(basis), weight))
-        return FusionFrame(tuple(members))
-
-    def measure(scale: float) -> tuple[FusionFrame, float]:
-        v = perturbed(scale)
-        return v, fusion_perturbation_mu(w, v).mu
-
-    # The perturbed subspaces converge to the spans of the offsets as the
-    # scale grows, so the measurable constant saturates; expansion either
-    # brackets the target or proves this draw cannot reach it.
-    hi = 1.0
-    v_hi, mu_hi = measure(hi)
-    expansions = 0
-    while mu_hi < target_mu:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 40:
-            raise _OffsetExhausted(f"ceiling near {mu_hi:.6g}")
-        v_hi, mu_hi = measure(hi)
-    if mu_hi <= (1.0 + TARGET_WINDOW) * target_mu:
-        return v_hi, mu_hi
-    lo = 0.0
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        v, mu = measure(mid)
-        if abs(mu - target_mu) <= TARGET_WINDOW * target_mu:
-            return v, mu
-        if mu > target_mu:
-            hi = mid
-        else:
-            lo = mid
-    raise GenerationError(
-        f"bisection failed to land within 5% of {target_mu} after "
-        f"{BISECT_MAX_ITER} iterations"
-    )
+    return _bisect(measure, 1.0, target_mu)
 
 
 def generate_perturbed_fusion(
-    w: FusionFrame, target_mu: float, seed: int, max_attempts: int = 20
+    w: FusionFrame, target_mu: float, seed: int
 ) -> tuple[FusionFrame, float]:
-    """Perturb every subspace basis by a scaled Gaussian offset
-    (re-orthonormalized at the same rank, weights copied) and bisect the
-    scale until the measured constant lands within 5% of ``target_mu``.
+    """Move every subspace along a Grassmann geodesic in a seeded random
+    horizontal direction (ranks and weights kept) and bisect the common
+    step until the measured constant lands within 5% of ``target_mu``.
 
-    An offset draw whose reachable ceiling sits below the target (the
-    drawn spans can land close to the originals) is redrawn from the
-    same seeded stream, so results stay deterministic per seed.
+    Member i's own constant is ``w_i sin(t theta_i)`` with ``theta_i``
+    the largest singular value of its tangent (Bjorck & Golub 1973), so
+    at ``t = pi / (2 theta_top)``, with ``top`` the heaviest member that
+    can move, the constant is at least ``w_top``: one bracket holds every
+    target up to that weight.  GenerationError means the target lies
+    above what the bracket reaches, or that every member is the whole
+    space and nothing can move.
     """
     if not target_mu > 0:
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")
     rng = np.random.default_rng(seed)
-    reasons = []
-    for _ in range(max_attempts):
-        offsets = [rng.standard_normal(s.basis.shape) for s, _ in w.members]
-        try:
-            return _bisect_fusion_offsets(w, offsets, target_mu)
-        except _OffsetExhausted as exc:
-            reasons.append(str(exc))
-    raise GenerationError(
-        f"target {target_mu} unreachable in {max_attempts} offset draws "
-        f"(last: {reasons[-1]})"
-    )
+    bases = [s.basis for s in w.subspaces]
+    tangents = []
+    for u in bases:
+        g = rng.standard_normal(u.shape)
+        # A full-space member has no horizontal direction; a zero tangent
+        # keeps it fixed with theta = 0 instead of moving it by rounding.
+        tangents.append(np.zeros_like(g) if u.shape[1] == w.dim else _horizontal(u, g))
+    path, thetas = _geodesic(bases, tangents)
+    movable = [i for i, theta in enumerate(thetas) if theta > 0]
+    if not movable:
+        raise GenerationError("no member can move: every subspace is the whole space")
+    top = max(movable, key=lambda i: w.members[i][1])
+
+    def measure(t: float) -> tuple[FusionFrame, float]:
+        v = FusionFrame(tuple((Subspace(b), wt) for b, (_, wt) in zip(path(t), w.members)))
+        return v, fusion_perturbation_mu(w, v).mu
+
+    v, mu = _bisect(measure, np.pi / (2.0 * thetas[top]), target_mu)
+    if mu < (1.0 - TARGET_WINDOW) * target_mu:
+        raise GenerationError(
+            f"target {target_mu} unreachable: the geodesic bracket reaches {mu:.6g}"
+        )
+    return v, mu

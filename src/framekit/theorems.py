@@ -5,13 +5,12 @@ trusted metadata), gates on the theorem's hypotheses, asserts the
 inequality consequences with a fixed absolute slack, and reports the
 residuals of the stronger equality claims as data instead of asserting
 them.  A hypothesis that fails on well-formed input yields a gated
-verdict, never an exception; only malformed input raises (mismatched
-shapes, or non-unit weights where the statement concerns unit-weight
-fusion frames).  ``THEOREMS`` lists every statement once, in report
-order, and is the only list the suite, ``replay_instance`` and
-``framekit verify`` read.  ``run_random_suite`` drives all checks over
-seeded random instances; every instance is reproducible bit-for-bit
-from the suite seed and its index via ``replay_instance``.
+verdict, never an exception; only mismatched shapes raise.  ``THEOREMS``
+lists every statement once, in report order, and is the only list the
+suite, ``replay_instance`` and ``framekit verify`` read.
+``run_random_suite`` drives all checks over seeded random instances;
+every instance is reproducible bit-for-bit from the suite seed and its
+index via ``replay_instance``.
 """
 
 from __future__ import annotations
@@ -276,14 +275,15 @@ def verify_fusion_perturbed_bounds(w: FusionFrame, v: FusionFrame) -> TheoremVer
 
 def verify_fusion_redundancy_perturbation(w: FusionFrame, v: FusionFrame) -> TheoremVerdict:
     """Fusion redundancy of a unit-weight perturbation, in inequality form."""
+    mu = fusion_perturbation_mu(w, v).mu
     for ff, name in ((w, "first"), (v, "second")):
         off = float(np.max(np.abs(ff.weights - 1.0)))
         if off > 1e-12:
-            raise PreconditionError(
-                f"{name} fusion frame has non-unit weights (off by {off:.3e}); "
-                "normalize weights before this check"
+            return _gated(
+                "fusion_redundancy_perturbation",
+                f"gate failed: {name} fusion frame has non-unit weights "
+                f"(off by {off:.3e}); the statement concerns unit weights",
             )
-    mu = fusion_perturbation_mu(w, v).mu
     r_w = fusion_redundancy_bounds(w)
     root_n = math.sqrt(w.count)
     if not (r_w.lower > 0 and math.sqrt(r_w.lower) - mu * root_n > 0):

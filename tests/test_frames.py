@@ -124,6 +124,11 @@ class TestRieszDetection:
         f = Frame([[1.0, 0.0], [0.0, 1e-14]])
         assert not is_riesz_basis(f, tol=1e-10)
 
+    def test_decision_is_scale_invariant(self):
+        f = Frame(1e-6 * np.eye(3))
+        assert optimal_frame_bounds(f).is_frame
+        assert is_riesz_basis(f)
+
 
 class TestNormalize:
     def test_scales_away(self):

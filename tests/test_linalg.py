@@ -133,6 +133,13 @@ class TestOrthonormalize:
             defect = np.max(np.abs(basis.T @ basis - np.eye(rank)))
             assert defect <= 1e-12
 
+    def test_rank_is_scale_invariant(self):
+        assert linalg.orthonormalize(1e-11 * np.eye(2))[1] == 2
+        vecs = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]])
+        assert linalg.orthonormalize(vecs)[1] == 2
+        for scale in (1e-11, 1e11):
+            assert linalg.orthonormalize(scale * vecs)[1] == 2
+
     def test_empty_input(self):
         basis, rank = linalg.orthonormalize([], dim=3)
         assert rank == 0

@@ -17,7 +17,9 @@ from framekit import (
     synthesis_matrix,
     vector_span,
 )
+from framekit import perturb, theorems
 from framekit.errors import DimensionError, GenerationError, PreconditionError
+from framekit.fusion import full_space
 
 
 def random_fusion(rng, dim, count):
@@ -197,6 +199,21 @@ class TestGeneratePerturbedFrame:
         with pytest.raises(PreconditionError):
             generate_perturbed_frame(Frame(np.eye(2)), 0.0, seed=1)
 
+    def test_norm_preserving_drift_stays_at_rounding_level(self, monkeypatch):
+        # Suite seed 201, instance 941 once drifted by 1.6e-12 relative.
+        pairs = []
+
+        def record(phi, target_mu, seed, norm_preserving=False):
+            out = generate_perturbed_frame(phi, target_mu, seed, norm_preserving)
+            if norm_preserving:
+                pairs.append((phi, out[0]))
+            return out
+
+        monkeypatch.setattr(theorems, "generate_perturbed_frame", record)
+        theorems.replay_instance(theorems.SuiteConfig(seed=201), 941)
+        (phi, psi), = pairs
+        assert np.max(np.abs(psi.norms() / phi.norms() - 1.0)) <= 1e-14
+
     def test_norm_preserving_needs_two_dimensions(self):
         with pytest.raises(GenerationError):
             generate_perturbed_frame(Frame([[1.0]]), 0.1, seed=1, norm_preserving=True)
@@ -231,3 +248,36 @@ class TestGeneratePerturbedFusion:
         w = FusionFrame(((vector_span([1.0, 0.0]), 1.0),))
         with pytest.raises(PreconditionError):
             generate_perturbed_fusion(w, -0.1, seed=1)
+
+    def test_full_space_members_cannot_move(self):
+        w = FusionFrame(((full_space(3), 1.0), (full_space(3), 2.0)))
+        with pytest.raises(GenerationError):
+            generate_perturbed_fusion(w, 0.1, seed=11)
+
+    def test_target_near_top_weight_lands_in_one_bracket(self):
+        rng = np.random.default_rng(53)
+        w = FusionFrame(
+            tuple(
+                (subspace_from_spanning(rng.standard_normal((k, 4))), wt)
+                for k, wt in [(1, 0.5), (3, 2.0), (2, 1.0)]
+            )
+        )
+        target = 0.99 * 2.0
+        v, achieved = generate_perturbed_fusion(w, target, seed=12)
+        assert abs(achieved - target) <= 0.05 * target
+        assert fusion_perturbation_mu(w, v).mu == pytest.approx(achieved, abs=1e-12)
+
+
+class TestGeodesic:
+    def test_projector_gap_is_sine_of_scaled_angle(self):
+        rng = np.random.default_rng(54)
+        for n, k in [(2, 1), (5, 2), (6, 4), (7, 3)]:
+            u = subspace_from_spanning(rng.standard_normal((k, n))).basis
+            h = perturb._horizontal(u, rng.standard_normal((n, k)))
+            path, (theta,) = perturb._geodesic([u], [h])
+            assert theta == pytest.approx(np.linalg.norm(h, 2), rel=1e-12)
+            for t in np.linspace(0.0, np.pi / (2.0 * theta), 7):
+                (y,) = path(t)
+                assert np.max(np.abs(y.T @ y - np.eye(k))) <= 1e-12
+                gap = np.linalg.norm(u @ u.T - y @ y.T, 2)
+                assert gap == pytest.approx(math.sin(t * theta), abs=1e-12)

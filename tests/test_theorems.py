@@ -265,10 +265,15 @@ class TestFusionRedundancyPerturbation:
             assert verdict.hypotheses_met
             assert verdict.inequality_pass, verdict
 
-    def test_non_unit_weights_rejected(self):
+    def test_non_unit_weights_gate(self):
         ff = FusionFrame(((vector_span([1.0, 0.0]), 2.0), (vector_span([0.0, 1.0]), 1.0)))
-        with pytest.raises(PreconditionError):
-            verify_fusion_redundancy_perturbation(ff, ff)
+        verdict = verify_fusion_redundancy_perturbation(ff, ff).to_dict()
+        assert verdict["hypotheses_met"] is False
+        assert verdict["margin"] is None
+        assert verdict["notes"] == (
+            "gate failed: first fusion frame has non-unit weights "
+            "(off by 1.000e+00); the statement concerns unit weights"
+        )
 
 
 class TestAngleSums:
