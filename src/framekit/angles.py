@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError
-from .fusion import Subspace, projection_matrix
+from .fusion import Subspace
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def gap_direct(v: Subspace, w: Subspace) -> float:
     """Largest distance from a unit vector of V to W: the operator norm of
     (I - P_W) restricted to V, computed spectrally."""
     _check_pair(v, w)
-    residual_map = v.basis - projection_matrix(w) @ v.basis
+    residual_map = v.basis - w.basis @ (w.basis.T @ v.basis)
     return min(1.0, linalg.operator_norm(residual_map))
 
 

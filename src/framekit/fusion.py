@@ -191,12 +191,13 @@ def is_orthonormal_fusion_basis(ff: FusionFrame, tol: float = BASIS_TOL) -> bool
     """True iff the subspaces are pairwise orthogonal and tile the whole space."""
     if sum(s.dim for s, _ in ff.members) != ff.dim:
         return False
-    projectors = [projection_matrix(s) for s, _ in ff.members]
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            if linalg.operator_norm(projectors[i] @ projectors[j]) > tol:
+    bases = [s.basis for s, _ in ff.members]
+    for i in range(len(bases)):
+        for j in range(i + 1, len(bases)):
+            # ||U_i^T U_j|| = ||P_i P_j|| for orthonormal bases.
+            if linalg.operator_norm(bases[i].T @ bases[j]) > tol:
                 return False
-    total = sum(projectors)
+    total = sum(projection_matrix(s) for s, _ in ff.members)
     return linalg.operator_norm(total - np.eye(ff.dim)) <= tol
 
 

@@ -1,8 +1,12 @@
 """Dense spectral and factorization primitives.
 
 Matrices are plain float64 numpy arrays. Everything here is pure and
-deterministic; all other modules route their matrix algebra through these
-four functions so tolerances live in one place.
+deterministic.  The six functions below (two input validators, three
+spectra, and the rank-deciding ``orthonormalize``) hold the shared
+tolerances.  Factorizations that decide no rank call ``np.linalg``
+directly: the SVDs in ``perturb._geodesic`` and
+``perturb.check_lambda_perturbation``, the complement basis in ``angles``
+and the random rotation in ``theorems``.
 """
 
 from __future__ import annotations
@@ -70,13 +74,16 @@ def operator_norm(m) -> float:
 
 
 def orthonormalize(vectors, tol: float = RANK_TOL, dim: int | None = None) -> tuple[np.ndarray, int]:
-    """Orthonormal basis for the span of ``vectors`` via modified Gram-Schmidt.
+    """Orthonormal basis for the span of ``vectors`` via Householder QR.
 
-    A vector is dropped when its residual after projecting out previously
-    accepted columns has norm <= tol times the largest input norm, so the
-    rank does not change when the input is rescaled.  A second projection
-    pass keeps the basis orthonormal to ~1e-15 even for nearly dependent
-    inputs.
+    The vectors are taken greedily in input order: one is dropped when its
+    residual against the vectors already kept has norm <= tol times the
+    largest input norm, so the rank does not change when the input is
+    rescaled.  That residual is ``|R_jj|`` in the QR factorization of the
+    kept columns; a column failing the rule is dropped and the rest is
+    factored again, so full-rank input takes one QR.  Columns are signed
+    so that ``diag R > 0``, which makes the basis the modified
+    Gram-Schmidt basis of the kept vectors, up to rounding.
 
     Parameters
     ----------
@@ -90,26 +97,20 @@ def orthonormalize(vectors, tol: float = RANK_TOL, dim: int | None = None) -> tu
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
-        if dim is None:
-            dim = 0
-        return np.zeros((dim, 0)), 0
-    n = vecs[0].shape[0]
-    vecs = [as_vector(v, n) for v in vecs]
-    cutoff = tol * max(np.linalg.norm(v) for v in vecs)
-    cols: list[np.ndarray] = []
-    for v in vecs:
-        r = v.copy()
-        for q in cols:
-            r -= (q @ r) * q
-        for q in cols:  # re-orthogonalization pass
-            r -= (q @ r) * q
-        norm = np.linalg.norm(r)
-        if norm <= cutoff:
-            continue
-        cols.append(r / norm)
-    if not cols:
-        return np.zeros((n, 0)), 0
-    basis = np.column_stack(cols)
-    return basis, basis.shape[1]
+    if len(vectors) == 0:
+        return np.zeros((dim or 0, 0)), 0
+    try:
+        rows = np.asarray(vectors, dtype=float)
+    except ValueError as exc:
+        raise DimensionError(f"vectors must have equal lengths ({exc})") from None
+    cols = as_matrix(rows).T
+    cutoff = tol * np.max(np.linalg.norm(cols, axis=0))
+    keep = list(range(cols.shape[1]))
+    while keep:
+        q, r = np.linalg.qr(cols[:, keep])
+        diag = np.diagonal(r)
+        short = np.flatnonzero(np.abs(diag) <= cutoff)
+        if not short.size:
+            return q * np.sign(diag), q.shape[1]
+        del keep[short[0]]
+    return np.zeros((cols.shape[0], 0)), 0

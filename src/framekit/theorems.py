@@ -40,8 +40,8 @@ from .fusion import (
     vector_span,
 )
 from .perturb import (
+    _fusion_constant,
     frame_perturbation_mu,
-    fusion_perturbation_mu,
     generate_perturbed_frame,
     generate_perturbed_fusion,
 )
@@ -245,7 +245,7 @@ def verify_riesz_redundancy(phi: Frame) -> TheoremVerdict:
 def verify_fusion_perturbed_bounds(w: FusionFrame, v: FusionFrame) -> TheoremVerdict:
     """Perturbed fusion frames keep framehood with bounds adjusted by the
     measured constant times the square root of the member count."""
-    mu = fusion_perturbation_mu(w, v).mu
+    mu = _fusion_constant(w, v)
     base = fusion_frame_bounds(w)
     root_n = math.sqrt(w.count)
     if not (base.is_frame and math.sqrt(base.lower) - mu * root_n > 0):
@@ -275,7 +275,7 @@ def verify_fusion_perturbed_bounds(w: FusionFrame, v: FusionFrame) -> TheoremVer
 
 def verify_fusion_redundancy_perturbation(w: FusionFrame, v: FusionFrame) -> TheoremVerdict:
     """Fusion redundancy of a unit-weight perturbation, in inequality form."""
-    mu = fusion_perturbation_mu(w, v).mu
+    mu = _fusion_constant(w, v)
     for ff, name in ((w, "first"), (v, "second")):
         off = float(np.max(np.abs(ff.weights - 1.0)))
         if off > 1e-12:

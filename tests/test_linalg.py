@@ -102,7 +102,57 @@ class TestOperatorNorm:
             assert np.all(np.linalg.norm(u @ m.T, axis=1) <= top + 1e-9)
 
 
+def reference_mgs(vectors, tol=linalg.RANK_TOL):
+    """Modified Gram-Schmidt with one re-orthogonalization pass, taking the
+    vectors in order and dropping one whose residual is at most ``tol``
+    times the largest input norm."""
+    vecs = np.asarray(vectors, dtype=float)
+    cutoff = tol * max(np.linalg.norm(v) for v in vecs)
+    cols = []
+    for v in vecs:
+        r = v.copy()
+        for _ in range(2):
+            for q in cols:
+                r -= (q @ r) * q
+        norm = np.linalg.norm(r)
+        if norm > cutoff:
+            cols.append(r / norm)
+    return np.column_stack(cols) if cols else np.zeros((vecs.shape[1], 0))
+
+
+def case_vectors(rng, case, n):
+    """Input vectors in R^n for one ``orthonormalize`` case."""
+    if case == "wide":
+        return rng.standard_normal((n + int(rng.integers(1, 5)), n))
+    if case == "duplicate":
+        # Axis vectors: the column QR builds at the duplicate is arbitrary
+        # and may line up with a later axis.
+        vecs = rng.permutation(np.eye(n))[: n - 1] * rng.uniform(0.5, 2.0, (n - 1, 1))
+        return np.insert(vecs, 1, vecs[0], axis=0)
+    vecs = rng.standard_normal((n - 1, n))
+    if case == "full_rank":
+        return vecs
+    # A combination of vectors 0 and 1: dropped when it follows both, and
+    # it drops vector 1 when it comes first.
+    where = {"dependent_first": 0, "dependent_middle": (n - 1) // 2, "dependent_last": n - 1}[case]
+    return np.insert(vecs, where, rng.standard_normal(2) @ vecs[:2], axis=0)
+
+
 class TestOrthonormalize:
+    @pytest.mark.parametrize(
+        "case",
+        ["full_rank", "dependent_first", "dependent_middle", "dependent_last", "duplicate", "wide"],
+    )
+    @pytest.mark.parametrize("scale", [1.0, 1e-11, 1e11])
+    def test_matches_reference_gram_schmidt(self, case, scale):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            vecs = scale * case_vectors(rng, case, int(rng.integers(3, 9)))
+            ref = reference_mgs(vecs)
+            basis, rank = linalg.orthonormalize(vecs)
+            assert rank == ref.shape[1]
+            assert np.max(np.abs(basis - ref)) <= 1e-12
+
     def test_drops_duplicates(self):
         e1 = [1.0, 0.0, 0.0]
         e2 = [0.0, 1.0, 0.0]

@@ -1,5 +1,6 @@
 """Tests for perturbation measurement and instance generation."""
 
+import json
 import math
 
 import numpy as np
@@ -17,8 +18,9 @@ from framekit import (
     synthesis_matrix,
     vector_span,
 )
-from framekit import perturb, theorems
+from framekit import cli, linalg, perturb, theorems
 from framekit.errors import DimensionError, GenerationError, PreconditionError
+from framekit.fileio import load_structure, write_structure
 from framekit.fusion import full_space
 
 
@@ -108,6 +110,39 @@ class TestFusionPerturbationMu:
         w = random_fusion(rng, 4, 3)
         v = random_fusion(rng, 4, 3)
         assert abs(fusion_perturbation_mu(w, v).mu - fusion_perturbation_mu(v, w).mu) <= 1e-12
+
+
+    def test_constant_matches_svd_of_concatenation(self):
+        rng = np.random.default_rng(55)
+        for _ in range(50):
+            dim = int(rng.integers(2, 9))
+            count = int(rng.integers(1, 7))
+            members = []
+            for _ in range(2 * count):
+                rank = int(rng.integers(1, dim + 1))
+                sub = subspace_from_spanning(rng.standard_normal((rank, dim)))
+                members.append((sub, float(rng.uniform(0.2, 3.0))))
+            w = FusionFrame(tuple(members[:count]))
+            v = FusionFrame(tuple(members[count:]))
+            blocks = [
+                ww * ws.basis @ ws.basis.T - vw * vs.basis @ vs.basis.T
+                for (ws, ww), (vs, vw) in zip(w.members, v.members)
+            ]
+            reference = np.linalg.svd(np.hstack(blocks), compute_uv=False)[0]
+            mu = fusion_perturbation_mu(w, v).mu
+            assert mu == perturb._fusion_constant(w, v)
+            assert abs(mu - reference) <= 1e-12 * reference
+
+    def test_cli_achieved_mu_is_the_reported_constant(self, tmp_path, capsys):
+        rng = np.random.default_rng(56)
+        w = theorems.random_fusion_frame(rng, 5, 4)
+        src, out = tmp_path / "w.json", tmp_path / "v.json"
+        write_structure(src, w)
+        argv = ["perturb", str(src), "--mu", "0.2", "--seed", "4", "--out", str(out),
+                "--format", "json"]
+        assert cli.main(argv) == 0
+        achieved = json.loads(capsys.readouterr().out)["results"]["achieved_mu"]
+        assert achieved == fusion_perturbation_mu(w, load_structure(out)).mu
 
 
 class TestLambdaPerturbation:
@@ -253,6 +288,18 @@ class TestGeneratePerturbedFusion:
         w = FusionFrame(((full_space(3), 1.0), (full_space(3), 2.0)))
         with pytest.raises(GenerationError):
             generate_perturbed_fusion(w, 0.1, seed=11)
+
+    def test_bisection_takes_no_singular_values(self, monkeypatch):
+        # Each bisection step needs the constant only; per-member norms
+        # (one SVD each) belong to the public report alone.
+        calls = []
+        svd = linalg.singular_values
+        monkeypatch.setattr(linalg, "singular_values", lambda m: calls.append(1) or svd(m))
+        rng = np.random.default_rng(57)
+        w = theorems.random_fusion_frame(rng, 6, 8)
+        _, achieved = generate_perturbed_fusion(w, 0.3, seed=13)
+        assert abs(achieved - 0.3) <= 0.05 * 0.3
+        assert calls == []
 
     def test_target_near_top_weight_lands_in_one_bracket(self):
         rng = np.random.default_rng(53)
