@@ -28,12 +28,7 @@ from .errors import (
 )
 from .fileio import FrameFileError, file_digest, load_structure, write_structure
 from .frames import Frame, is_riesz_basis, optimal_frame_bounds, redundancy_bounds
-from .fusion import (
-    fusion_frame_bounds,
-    fusion_redundancy_bounds,
-    is_orthonormal_fusion_basis,
-    subspace_from_spanning,
-)
+from .fusion import is_orthonormal_fusion_basis, subspace_from_spanning
 from .angles import check_rs_relation, cosine_angles, gap_direct
 from .perturb import (
     frame_perturbation_mu,
@@ -115,11 +110,11 @@ def cmd_analyze(args, command: str) -> int:
             "kind": "fusion",
             "dim": obj.dim,
             "count": obj.count,
-            "ranks": [s.dim for s in obj.subspaces],
-            "bounds": fusion_frame_bounds(obj).to_dict(),
+            "ranks": list(obj.ranks),
+            "bounds": optimal_frame_bounds(obj).to_dict(),
             "uniform_weights": bool(abs(weights - weights[0]).max() <= 1e-12),
             "orthonormal_fusion_basis": is_orthonormal_fusion_basis(obj),
-            "redundancy": fusion_redundancy_bounds(obj).to_dict(),
+            "redundancy": redundancy_bounds(obj).to_dict(),
         }
     _emit(_make_report(command, {"input": args.input}, results, {}), args.format)
     return 0

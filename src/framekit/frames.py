@@ -1,27 +1,39 @@
 """Frames in R^n: operators, optimal bounds, Riesz detection, redundancy.
 
-A frame is an ordered list of N vectors spanning (or not) an n-dimensional
-real space.  Optimal bounds are the extreme eigenvalues of the frame
-operator; the lower/upper redundancy are the optimal bounds of the
-normalized (unit-vector) version, and the sampling oracle cross-checks
-that spectral shortcut against the sphere sup/inf it stands for.
+A frame of N vectors in R^n is the fusion frame of the vectors' spans,
+weighted by their norms.  Both kinds hold the same n-by-K column stacks:
+``synthesis_columns`` (the vectors, or ``[w_1 U_1 ... w_N U_N]``),
+``unit_columns`` (the normalized vectors, or ``[U_1 ... U_N]``) and the
+block widths ``ranks`` (1 per vector).  The operator ``T T^T``, its
+optimal bounds, the redundancy (the extreme eigenvalues of ``U U^T``)
+and its sampling oracle are written once against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, DimensionError, PreconditionError
 
-# A vector below this norm has no well-defined span.
+if TYPE_CHECKING:
+    from .fusion import FusionFrame
+
+# A vector whose norm is at most this fraction of the largest norm in its
+# frame counts as zero: it has no well-defined span.
 ZERO_VECTOR_TOL = 1e-12
 # Relative tolerance for "the two bounds coincide" flags.
 TIGHT_TOL = 1e-9
 # How far from the unit sphere a redundancy query point may sit.
 UNIT_NORM_TOL = 1e-9
+
+
+def _nonzero(norms: np.ndarray) -> np.ndarray:
+    """Mask of the norms above ZERO_VECTOR_TOL times the largest one."""
+    return norms > ZERO_VECTOR_TOL * np.max(norms)
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,27 @@ class Frame:
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.vectors, axis=1)
+
+    @property
+    def synthesis_columns(self) -> np.ndarray:
+        """The n-by-N matrix whose column i is vector i (read-only view)."""
+        return self.vectors.T
+
+    @property
+    def unit_columns(self) -> np.ndarray:
+        """The normalized vectors as columns; DegenerateInputError names
+        the first zero vector."""
+        norms = self.norms()
+        zero = np.flatnonzero(~_nonzero(norms))
+        if zero.size:
+            raise DegenerateInputError(
+                f"vector {zero[0]} has norm {norms[zero[0]]:.3e}; spans of zero vectors are undefined"
+            )
+        return (self.vectors / norms[:, None]).T
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return (1,) * self.count
 
 
 @dataclass(frozen=True)
@@ -123,7 +156,7 @@ def profile_from_extremes(low: float, high: float, mean: float) -> RedundancyPro
 
 def synthesis_matrix(f: Frame) -> np.ndarray:
     """The n-by-N matrix whose column i is vector i (maps coefficients to sums)."""
-    return f.vectors.T.copy()
+    return f.synthesis_columns.copy()
 
 
 def analysis_apply(f: Frame, x) -> np.ndarray:
@@ -132,13 +165,15 @@ def analysis_apply(f: Frame, x) -> np.ndarray:
     return f.vectors @ x
 
 
-def frame_operator(f: Frame) -> np.ndarray:
-    """Sum of outer products v_i v_i^T (synthesis composed with analysis)."""
-    return f.vectors.T @ f.vectors
+def frame_operator(f: Frame | FusionFrame) -> np.ndarray:
+    """``T T^T`` for the synthesis columns ``T``: the sum of ``v_i v_i^T``
+    for a frame, of ``w_i^2 P_i`` for a fusion frame."""
+    t = f.synthesis_columns
+    return t @ t.T
 
 
-def optimal_frame_bounds(f: Frame, rank_tol: float = linalg.RANK_TOL) -> BoundsReport:
-    """Optimal bounds: the extreme eigenvalues of the frame operator."""
+def optimal_frame_bounds(f: Frame | FusionFrame, rank_tol: float = linalg.RANK_TOL) -> BoundsReport:
+    """Optimal bounds: the extreme eigenvalues of the operator."""
     eigs = linalg.hermitian_eigenvalues(frame_operator(f))
     return bounds_from_extremes(eigs[0], eigs[-1], rank_tol)
 
@@ -150,71 +185,50 @@ def is_riesz_basis(f: Frame, tol: float = linalg.RANK_TOL) -> bool:
     return optimal_frame_bounds(f, tol).is_frame
 
 
-def _require_no_zero_vectors(f: Frame) -> np.ndarray:
-    norms = f.norms()
-    bad = np.nonzero(norms <= ZERO_VECTOR_TOL)[0]
-    if bad.size:
-        raise DegenerateInputError(
-            f"vector {bad[0]} has norm {norms[bad[0]]:.3e}; spans of zero vectors are undefined"
-        )
-    return norms
-
-
 def normalize_frame(f: Frame) -> Frame:
     """Rescale every vector to unit norm (errors on zero vectors)."""
-    norms = _require_no_zero_vectors(f)
-    return Frame(f.vectors / norms[:, None], labels=f.labels)
+    return Frame(f.unit_columns.T, labels=f.labels)
 
 
-def redundancy_at(f: Frame, x) -> float:
-    """Redundancy function at a unit vector: sum of squared projections
-    of x onto the spans of the frame vectors."""
+def redundancy_at(f: Frame | FusionFrame, x) -> float:
+    """Redundancy function at a unit vector: the sum of squared norms of
+    the projections of x onto the members' spans (weights not applied)."""
     x = linalg.as_vector(x, f.dim)
     nx = np.linalg.norm(x)
     if abs(nx - 1.0) > UNIT_NORM_TOL:
         raise PreconditionError(f"redundancy is defined on the unit sphere; got norm {nx!r}")
-    norms = _require_no_zero_vectors(f)
-    coeffs = (f.vectors @ x) / norms
+    coeffs = x @ f.unit_columns
     return float(coeffs @ coeffs)
 
 
-def redundancy_bounds(f: Frame) -> RedundancyProfile:
-    """Lower/upper redundancy: optimal bounds of the normalized frame.
+def redundancy_bounds(f: Frame | FusionFrame) -> RedundancyProfile:
+    """Lower/upper redundancy: the extreme eigenvalues of ``U U^T`` for the
+    unit columns ``U``, with mean ``K / n``.  ``redundancy_oracle``
+    provides the independent check."""
+    u = f.unit_columns
+    eigs = linalg.hermitian_eigenvalues(u @ u.T)
+    return profile_from_extremes(eigs[0], eigs[-1], u.shape[1] / f.dim)
 
-    The redundancy function is the quadratic form of the normalized
-    frame operator, so its sphere inf/sup are that operator's extreme
-    eigenvalues; ``redundancy_oracle`` provides the independent check.
+
+def redundancy_oracle(f: Frame | FusionFrame, samples: int, seed: int) -> tuple[float, float]:
+    """Observed (min, max) of the redundancy function on sampled unit vectors.
+
+    Samples seeded Gaussian directions, normalizes them onto the sphere,
+    and evaluates the redundancy function directly.  Deterministic per seed.
     """
-    eigs = linalg.hermitian_eigenvalues(frame_operator(normalize_frame(f)))
-    return profile_from_extremes(eigs[0], eigs[-1], f.count / f.dim)
-
-
-def _sphere_extremes(columns: np.ndarray, samples: int, seed: int) -> tuple[float, float]:
-    """Observed (min, max) of ||x @ columns||^2 over seeded Gaussian
-    directions x normalized onto the unit sphere of R^n (``columns`` is
-    n-by-m).  Deterministic per seed."""
     if samples < 1:
         raise PreconditionError(f"samples must be >= 1, got {samples}")
+    u = f.unit_columns
     rng = np.random.default_rng(seed)
     lo, hi = np.inf, -np.inf
     remaining = samples
     while remaining > 0:
         block = min(remaining, 32768)
-        x = rng.standard_normal((block, columns.shape[0]))
+        x = rng.standard_normal((block, f.dim))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        coeffs = x @ columns
+        coeffs = x @ u
         vals = np.einsum("ij,ij->i", coeffs, coeffs)
         lo = min(lo, float(vals.min()))
         hi = max(hi, float(vals.max()))
         remaining -= block
     return lo, hi
-
-
-def redundancy_oracle(f: Frame, samples: int, seed: int) -> tuple[float, float]:
-    """Observed (min, max) of the redundancy function on sampled unit vectors.
-
-    Samples Gaussian directions, normalizes them onto the sphere, and
-    evaluates the redundancy function directly.  Deterministic per seed.
-    """
-    norms = _require_no_zero_vectors(f)
-    return _sphere_extremes((f.vectors / norms[:, None]).T, samples, seed)

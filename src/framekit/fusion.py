@@ -1,9 +1,12 @@
 """Fusion frames: weighted subspaces, projections, bounds, redundancy.
 
 Subspaces are stored as orthonormal bases (rank explicit, projector
-invariants checkable); orthogonal projectors are derived on demand.
-Fusion redundancy sums bare projections and ignores the weights, so the
-profile is computed from the unit-weight projector sum.
+invariants checkable); orthogonal projectors are derived on demand.  A
+fusion frame exposes the column stacks of ``frames.Frame``, so the
+operator, bounds and redundancy are the functions of ``frames``; the
+``fusion_*`` names below are aliases for them.  Fusion redundancy sums
+bare projections and ignores the weights: it is read off the stacked
+bases ``[U_1 ... U_N]``.
 """
 
 from __future__ import annotations
@@ -15,12 +18,11 @@ import numpy as np
 from . import linalg
 from .errors import DegenerateInputError, DimensionError, PreconditionError
 from .frames import (
-    BoundsReport,
-    RedundancyProfile,
-    UNIT_NORM_TOL,
-    _sphere_extremes,
-    bounds_from_extremes,
-    profile_from_extremes,
+    frame_operator,
+    optimal_frame_bounds,
+    redundancy_at,
+    redundancy_bounds,
+    redundancy_oracle,
 )
 
 # Orthonormality defect admitted in a stored basis.
@@ -97,6 +99,20 @@ class FusionFrame:
     def with_unit_weights(self) -> "FusionFrame":
         return FusionFrame(tuple((s, 1.0) for s, _ in self.members))
 
+    @property
+    def synthesis_columns(self) -> np.ndarray:
+        """``[w_1 U_1 ... w_N U_N]``: n-by-K, K the sum of the ranks."""
+        return np.hstack([w * s.basis for s, w in self.members])
+
+    @property
+    def unit_columns(self) -> np.ndarray:
+        """``[U_1 ... U_N]``: the stacked orthonormal bases."""
+        return np.hstack([s.basis for s, _ in self.members])
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return tuple(s.dim for s, _ in self.members)
+
 
 def subspace_from_spanning(vectors, tol: float = linalg.RANK_TOL) -> Subspace:
     """Subspace spanned by arbitrary vectors; rank is decided at ``tol``."""
@@ -115,7 +131,7 @@ def vector_span(vec) -> Subspace:
     """One-dimensional span of a nonzero vector."""
     v = linalg.as_vector(vec)
     norm = np.linalg.norm(v)
-    if norm <= 1e-12:
+    if norm == 0:
         raise DegenerateInputError("cannot span a zero vector")
     return Subspace((v / norm)[:, None])
 
@@ -125,19 +141,11 @@ def projection_matrix(s: Subspace) -> np.ndarray:
     return s.basis @ s.basis.T
 
 
-def fusion_frame_operator(ff: FusionFrame) -> np.ndarray:
-    """Weighted projector sum: sum of w_i^2 P_i."""
-    n = ff.dim
-    op = np.zeros((n, n))
-    for s, w in ff.members:
-        op += (w * w) * projection_matrix(s)
-    return op
-
-
-def fusion_frame_bounds(ff: FusionFrame, rank_tol: float = linalg.RANK_TOL) -> BoundsReport:
-    """Optimal fusion bounds: extreme eigenvalues of the fusion frame operator."""
-    eigs = linalg.hermitian_eigenvalues(fusion_frame_operator(ff))
-    return bounds_from_extremes(eigs[0], eigs[-1], rank_tol)
+fusion_frame_operator = frame_operator
+fusion_frame_bounds = optimal_frame_bounds
+fusion_redundancy_at = redundancy_at
+fusion_redundancy_bounds = redundancy_bounds
+fusion_redundancy_oracle = redundancy_oracle
 
 
 def fusion_synthesis_apply(ff: FusionFrame, parts) -> np.ndarray:
@@ -163,46 +171,10 @@ def fusion_analysis_apply(ff: FusionFrame, x) -> list[np.ndarray]:
     return [w * (s.basis @ (s.basis.T @ x)) for s, w in ff.members]
 
 
-def fusion_redundancy_at(ff: FusionFrame, x) -> float:
-    """Redundancy function at a unit vector: sum of squared projection norms.
-
-    Weights are deliberately not applied; the definition sums bare
-    projections.
-    """
-    x = linalg.as_vector(x, ff.dim)
-    nx = np.linalg.norm(x)
-    if abs(nx - 1.0) > UNIT_NORM_TOL:
-        raise PreconditionError(f"redundancy is defined on the unit sphere; got norm {nx!r}")
-    total = 0.0
-    for s, _ in ff.members:
-        c = s.basis.T @ x
-        total += float(c @ c)
-    return total
-
-
-def fusion_redundancy_bounds(ff: FusionFrame) -> RedundancyProfile:
-    """Lower/upper redundancy: extreme eigenvalues of the unit-weight projector sum."""
-    eigs = linalg.hermitian_eigenvalues(fusion_frame_operator(ff.with_unit_weights()))
-    mean = sum(s.dim for s, _ in ff.members) / ff.dim
-    return profile_from_extremes(eigs[0], eigs[-1], mean)
-
-
 def is_orthonormal_fusion_basis(ff: FusionFrame, tol: float = BASIS_TOL) -> bool:
-    """True iff the subspaces are pairwise orthogonal and tile the whole space."""
-    if sum(s.dim for s, _ in ff.members) != ff.dim:
+    """True iff the subspaces are pairwise orthogonal and tile the whole
+    space: K = n and the stacked bases form an orthogonal matrix."""
+    u = ff.unit_columns
+    if u.shape[1] != ff.dim:
         return False
-    bases = [s.basis for s, _ in ff.members]
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            # ||U_i^T U_j|| = ||P_i P_j|| for orthonormal bases.
-            if linalg.operator_norm(bases[i].T @ bases[j]) > tol:
-                return False
-    total = sum(projection_matrix(s) for s, _ in ff.members)
-    return linalg.operator_norm(total - np.eye(ff.dim)) <= tol
-
-
-def fusion_redundancy_oracle(ff: FusionFrame, samples: int, seed: int) -> tuple[float, float]:
-    """Observed (min, max) of the fusion redundancy function on sampled unit vectors."""
-    # Stacking all bases lets one matmul evaluate the whole projector sum.
-    stacked = np.hstack([s.basis for s, _ in ff.members])
-    return _sphere_extremes(stacked, samples, seed)
+    return linalg.operator_norm(u.T @ u - np.eye(ff.dim)) <= tol

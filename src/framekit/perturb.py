@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
-from .frames import Frame, ZERO_VECTOR_TOL, synthesis_matrix
+from .frames import Frame, _nonzero, synthesis_matrix
 from .fusion import FusionFrame, Subspace, projection_matrix
 
 # Relative window the bisection-based generators must land in.
@@ -75,35 +75,43 @@ def frame_perturbation_mu(phi: Frame, psi: Frame) -> PerturbationReport:
     return PerturbationReport(mu=mu, per_index_norms=per_index)
 
 
-def _weighted_projector_blocks(w: FusionFrame, v: FusionFrame) -> list[np.ndarray]:
+def _weighted_projectors(bases, weights):
+    """``w_i U_i U_i^T`` for each orthonormal basis ``U_i`` and weight
+    ``w_i``, one at a time."""
+    return (w * (b @ b.T) for b, w in zip(bases, weights))
+
+
+def _projector_pairs(w: FusionFrame, v: FusionFrame) -> tuple[list, list]:
     if w.dim != v.dim or w.count != v.count:
         raise DimensionError(
             f"fusion frames have shapes {(w.count, w.dim)} vs {(v.count, v.dim)}"
         )
-    return [
-        ww * projection_matrix(ws) - vw * projection_matrix(vs)
-        for (ws, ww), (vs, vw) in zip(w.members, v.members)
-    ]
+    return tuple(
+        list(_weighted_projectors([s.basis for s in ff.subspaces], ff.weights)) for ff in (w, v)
+    )
+
+
+def _constant(p: list[np.ndarray], q) -> float:
+    """Operator norm of ``C = [p_1 - q_1 ... p_N - q_N]`` (n-by-n blocks),
+    taken as the root of the top eigenvalue of the n-by-n ``C C^T``."""
+    n = len(p[0])
+    c = np.empty((n, n * len(p)))
+    for i, (a, b) in enumerate(zip(p, q)):
+        np.subtract(a, b, out=c[:, i * n : (i + 1) * n])
+    return math.sqrt(max(0.0, float(linalg.hermitian_eigenvalues(c @ c.T)[-1])))
 
 
 def _fusion_constant(w: FusionFrame, v: FusionFrame) -> float:
-    """Operator norm of the concatenation ``C = [D_1 ... D_N]`` of the
-    weighted-projector differences ``D_i = w_i P_i - v_i Q_i``.
-
-    ``||C||^2`` is the top eigenvalue of ``C C^T = sum D_i^2``, so one
-    GEMM and one n-by-n eigensolve replace an SVD of the n-by-Nn ``C``.
-    """
-    c = np.hstack(_weighted_projector_blocks(w, v))
-    return math.sqrt(max(0.0, float(linalg.hermitian_eigenvalues(c @ c.T)[-1])))
+    return _constant(*_projector_pairs(w, v))
 
 
 def fusion_perturbation_mu(w: FusionFrame, v: FusionFrame) -> PerturbationReport:
     """Least constant bounding the synthesis-operator difference of two
     fusion frames, taken on the product of ambient-space copies (the
     blockwise weighted-projector difference)."""
-    mu = _fusion_constant(w, v)
-    per_index = tuple(linalg.operator_norm(b) for b in _weighted_projector_blocks(w, v))
-    return PerturbationReport(mu=mu, per_index_norms=per_index)
+    p, q = _projector_pairs(w, v)
+    per_index = tuple(linalg.operator_norm(a - b) for a, b in zip(p, q))
+    return PerturbationReport(mu=_constant(p, q), per_index_norms=per_index)
 
 
 def check_lambda_perturbation(
@@ -226,19 +234,28 @@ def _geodesic(bases, tangents):
     return path, [s[..., 0, 0] for _, _, s, _ in factors]
 
 
-def _bisect(measure, hi: float, target_mu: float):
-    """Bisect the step ``t`` in [0, hi] until ``measure(t) = (perturbed,
-    constant)`` lands within TARGET_WINDOW of ``target_mu``.
+def _bisect(measure, ends, target_mu: float):
+    """Bisect the step ``t`` until ``measure(t) = (perturbed, constant)``
+    lands within TARGET_WINDOW of ``target_mu``.
 
-    The constant is 0 at ``t = 0``.  When it is at most
-    ``(1 + TARGET_WINDOW) * target_mu`` at ``hi``, that end is returned
-    as is, reachable or not; otherwise the result never exceeds that
-    bound either.
+    The constant is 0 at ``t = 0``.  The bracket ends at the first of the
+    increasing ``ends`` whose constant is not below the window, and starts
+    at the end before it (or 0); when every end stays below the window,
+    the target is out of reach and GenerationError is raised.  The result
+    never exceeds ``(1 + TARGET_WINDOW) * target_mu``.
     """
-    result = measure(hi)
+    lo = 0.0
+    for hi in ends:
+        result = measure(hi)
+        if result[1] >= (1.0 - TARGET_WINDOW) * target_mu:
+            break
+        lo = hi
+    else:
+        raise GenerationError(
+            f"target {target_mu} unreachable: the geodesic bracket reaches {result[1]:.6g}"
+        )
     if result[1] <= (1.0 + TARGET_WINDOW) * target_mu:
         return result
-    lo = 0.0
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         result = measure(mid)
@@ -262,10 +279,13 @@ def generate_perturbed_frame(
     mode every vector turns inside its own sphere along a great circle,
     the one-dimensional case of the subspace geodesics of
     ``generate_perturbed_fusion``, and a bisection on the common step
-    lands the measured constant within 5% of the target whenever it is
-    reachable; the achieved value never exceeds 1.05 * target.  Each
-    turning direction is projected off its vector twice, so norms move
-    by rounding only (about 1e-16 relative).
+    lands the measured constant within 5% of the target.  The step runs
+    to 1, or, when the constant there falls short, on to the step that
+    turns the vector with the largest angle by pi; GenerationError means
+    the target lies above what both reach.  Each turning
+    direction is projected off its vector twice, so norms move by
+    rounding only (about 1e-16 relative).  Zero vectors (see
+    ``frames.ZERO_VECTOR_TOL``) stay as they are.
     """
     if not target_mu > 0:
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")
@@ -283,8 +303,7 @@ def generate_perturbed_frame(
     if phi.dim < 2:
         raise GenerationError("norm-preserving rotation needs ambient dimension >= 2")
     norms = phi.norms()
-    # Vectors at or below ZERO_VECTOR_TOL get no tangent and stay as they are.
-    movable = norms > ZERO_VECTOR_TOL
+    movable = _nonzero(norms)
     lengths = np.where(movable, norms, 1.0)
     angles = rng.uniform(0.1 * np.pi, np.pi, size=phi.count)
     units = (phi.vectors / lengths[:, None])[:, :, None]
@@ -297,7 +316,9 @@ def generate_perturbed_frame(
         psi = Frame(lengths[:, None] * path(t)[0][:, :, 0], labels=phi.labels)
         return psi, frame_perturbation_mu(phi, psi).mu
 
-    return _bisect(measure, 1.0, target_mu)
+    # At the second end the vector with the largest angle has turned by
+    # pi, so its own difference is twice its norm.
+    return _bisect(measure, (1.0, np.pi / angles.max()), target_mu)
 
 
 def generate_perturbed_fusion(
@@ -319,6 +340,7 @@ def generate_perturbed_fusion(
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")
     rng = np.random.default_rng(seed)
     bases = [s.basis for s in w.subspaces]
+    weights = w.weights
     tangents = []
     for u in bases:
         g = rng.standard_normal(u.shape)
@@ -329,15 +351,12 @@ def generate_perturbed_fusion(
     movable = [i for i, theta in enumerate(thetas) if theta > 0]
     if not movable:
         raise GenerationError("no member can move: every subspace is the whole space")
-    top = max(movable, key=lambda i: w.members[i][1])
+    top = max(movable, key=lambda i: weights[i])
+    fixed = list(_weighted_projectors(bases, weights))
 
-    def measure(t: float) -> tuple[FusionFrame, float]:
-        v = FusionFrame(tuple((Subspace(b), wt) for b, (_, wt) in zip(path(t), w.members)))
-        return v, _fusion_constant(w, v)
+    def measure(t: float) -> tuple[list[np.ndarray], float]:
+        moved = path(t)
+        return moved, _constant(fixed, _weighted_projectors(moved, weights))
 
-    v, mu = _bisect(measure, np.pi / (2.0 * thetas[top]), target_mu)
-    if mu < (1.0 - TARGET_WINDOW) * target_mu:
-        raise GenerationError(
-            f"target {target_mu} unreachable: the geodesic bracket reaches {mu:.6g}"
-        )
-    return v, mu
+    moved, mu = _bisect(measure, (np.pi / (2.0 * thetas[top]),), target_mu)
+    return FusionFrame(tuple((Subspace(b), wt) for b, wt in zip(moved, weights))), mu

@@ -30,15 +30,7 @@ from .frames import (
     is_riesz_basis,
     redundancy_bounds,
 )
-from .fusion import (
-    FusionFrame,
-    Subspace,
-    full_space,
-    fusion_frame_bounds,
-    fusion_redundancy_bounds,
-    subspace_from_spanning,
-    vector_span,
-)
+from .fusion import FusionFrame, Subspace, full_space, subspace_from_spanning
 from .perturb import (
     _fusion_constant,
     frame_perturbation_mu,
@@ -224,8 +216,8 @@ def verify_riesz_redundancy(phi: Frame) -> TheoremVerdict:
         return _gated("riesz_redundancy", "gate failed: input is not a Riesz basis")
     profile = redundancy_bounds(phi)
     worst = max(abs(profile.lower - 1.0), abs(profile.upper - 1.0))
-    unit = normalize_frame(phi).vectors
-    gram = unit @ unit.T
+    unit = phi.unit_columns
+    gram = unit.T @ unit
     ortho_defect = float(np.max(np.abs(gram - np.eye(phi.count))))
     return TheoremVerdict(
         theorem_id="riesz_redundancy",
@@ -246,7 +238,7 @@ def verify_fusion_perturbed_bounds(w: FusionFrame, v: FusionFrame) -> TheoremVer
     """Perturbed fusion frames keep framehood with bounds adjusted by the
     measured constant times the square root of the member count."""
     mu = _fusion_constant(w, v)
-    base = fusion_frame_bounds(w)
+    base = optimal_frame_bounds(w)
     root_n = math.sqrt(w.count)
     if not (base.is_frame and math.sqrt(base.lower) - mu * root_n > 0):
         return _gated(
@@ -256,7 +248,7 @@ def verify_fusion_perturbed_bounds(w: FusionFrame, v: FusionFrame) -> TheoremVer
         )
     pred_lower = (math.sqrt(base.lower) - mu * root_n) ** 2
     pred_upper = (math.sqrt(base.upper) + mu * root_n) ** 2
-    obs = fusion_frame_bounds(v)
+    obs = optimal_frame_bounds(v)
     margin = min(obs.lower - pred_lower, pred_upper - obs.upper)
     return TheoremVerdict(
         theorem_id="fusion_perturbed_bounds",
@@ -284,7 +276,7 @@ def verify_fusion_redundancy_perturbation(w: FusionFrame, v: FusionFrame) -> The
                 f"gate failed: {name} fusion frame has non-unit weights "
                 f"(off by {off:.3e}); the statement concerns unit weights",
             )
-    r_w = fusion_redundancy_bounds(w)
+    r_w = redundancy_bounds(w)
     root_n = math.sqrt(w.count)
     if not (r_w.lower > 0 and math.sqrt(r_w.lower) - mu * root_n > 0):
         return _gated(
@@ -292,7 +284,7 @@ def verify_fusion_redundancy_perturbation(w: FusionFrame, v: FusionFrame) -> The
             f"gate failed: sqrt(lower redundancy)-mu*sqrt(N) = "
             f"{math.sqrt(r_w.lower) - mu * root_n:.6g} <= 0",
         )
-    r_v = fusion_redundancy_bounds(v)
+    r_v = redundancy_bounds(v)
     pred_lower = (math.sqrt(r_w.lower) - mu * root_n) ** 2
     pred_upper = (math.sqrt(r_w.upper) + mu * root_n) ** 2
     margin = min(r_v.lower - pred_lower, pred_upper - r_v.upper)
@@ -311,30 +303,28 @@ def verify_fusion_redundancy_perturbation(w: FusionFrame, v: FusionFrame) -> The
     )
 
 
-def verify_angle_sums(frame_or_fusion, wprime: Subspace) -> TheoremVerdict:
+def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) -> TheoremVerdict:
     """Compare spectral redundancies with the angle-sum expressions at a
     reference subspace, asserting only the gap/cosine link per member.
 
-    The redundancy equalities are reported as residuals: at the only
-    subspace containing the whole unit sphere (the full space) the
-    angle sums evaluate to 0 and N, which generically differ from the
-    spectral redundancies.
+    The members are the blocks of the unit columns: the vectors' spans of
+    a frame, the subspaces of a fusion frame.  The redundancy equalities
+    are reported as residuals: at the only subspace containing the whole
+    unit sphere (the full space) the angle sums evaluate to 0 and N, which
+    generically differ from the spectral redundancies.
     """
-    if isinstance(frame_or_fusion, Frame):
-        theorem_id = "angle_sum_frames"
-        subs = [vector_span(vec) for vec in frame_or_fusion.vectors]
-        profile = redundancy_bounds(frame_or_fusion)
-    elif isinstance(frame_or_fusion, FusionFrame):
-        theorem_id = "angle_sum_fusion"
-        subs = list(frame_or_fusion.subspaces)
-        profile = fusion_redundancy_bounds(frame_or_fusion)
-    else:
+    ids = {Frame: "angle_sum_frames", FusionFrame: "angle_sum_fusion"}
+    theorem_id = ids.get(type(frame_or_fusion))
+    if theorem_id is None:
         raise TypeError(f"expected Frame or FusionFrame, got {type(frame_or_fusion)}")
-    if wprime.ambient_dim != subs[0].ambient_dim:
+    if wprime.ambient_dim != frame_or_fusion.dim:
         raise DimensionError(
             f"reference subspace lives in R^{wprime.ambient_dim}, "
-            f"members in R^{subs[0].ambient_dim}"
+            f"members in R^{frame_or_fusion.dim}"
         )
+    offsets = np.cumsum(frame_or_fusion.ranks)[:-1]
+    subs = [Subspace(b) for b in np.split(frame_or_fusion.unit_columns, offsets, axis=1)]
+    profile = redundancy_bounds(frame_or_fusion)
     sum_r2, sum_s2 = redundancy_angle_sums(subs, wprime)
     gap_worst = 0.0
     for sub in subs:
@@ -559,7 +549,7 @@ def random_fusion_frame(
             weight = 1.0 if unit_weights else float(rng.uniform(*weight_range))
             members.append((sub, weight))
         ff = FusionFrame(tuple(members))
-        if fusion_frame_bounds(ff).lower >= min_lower:
+        if optimal_frame_bounds(ff).lower >= min_lower:
             return ff
     raise GenerationError(
         f"no fusion frame with lower bound >= {min_lower} in {max_tries} draws "
@@ -591,7 +581,7 @@ def replay_instance(config: SuiteConfig, index: int) -> dict[str, TheoremVerdict
     # Equal-norms pair: perturb a rescaled unit-norm copy inside its own
     # spheres so every hypothesis gate holds by construction.
     scale = float(rng.uniform(0.5, 2.0))
-    phi_eq = Frame(scale * normalize_frame(phi).vectors)
+    phi_eq = Frame(scale * phi.unit_columns.T)
     target_eq = frac * scale * math.sqrt(redundancy_bounds(phi).lower)
     psi_eq, _ = generate_perturbed_frame(
         phi_eq, target_eq, seed=child_seed(), norm_preserving=True
@@ -601,11 +591,11 @@ def replay_instance(config: SuiteConfig, index: int) -> dict[str, TheoremVerdict
 
     fusion_count = int(rng.integers(max(2, clo), chi + 1))
     weighted = random_fusion_frame(rng, dim, fusion_count)
-    target_f = frac * math.sqrt(fusion_frame_bounds(weighted).lower) / math.sqrt(fusion_count)
+    target_f = frac * math.sqrt(optimal_frame_bounds(weighted).lower) / math.sqrt(fusion_count)
     perturbed_f, _ = generate_perturbed_fusion(weighted, target_f, seed=child_seed())
 
     unit = weighted.with_unit_weights()
-    target_u = frac * math.sqrt(fusion_redundancy_bounds(unit).lower) / math.sqrt(fusion_count)
+    target_u = frac * math.sqrt(redundancy_bounds(unit).lower) / math.sqrt(fusion_count)
     perturbed_u, _ = generate_perturbed_fusion(unit, target_u, seed=child_seed())
 
     pairs = {

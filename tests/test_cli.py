@@ -148,6 +148,18 @@ class TestPerturb:
         perturbed = load_structure(out)
         assert np.allclose(perturbed.norms(), frame.norms(), atol=1e-12)
 
+    def test_unreachable_norm_preserving_target_exits_4(self, capsys, tmp_path):
+        # Turning {e1, e2, e1+e2} inside their spheres reaches about 3.6.
+        src = write_json(
+            tmp_path / "three.json",
+            {"dim": 2, "kind": "frame", "vectors": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]},
+        )
+        out = tmp_path / "out.json"
+        code = main(["perturb", src, "--mu", "100", "--norm-preserving", "--out", str(out)])
+        assert code == 4
+        assert "unreachable" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fusion_input(self, capsys, tmp_path):
         doc = {
             "dim": 2,

@@ -86,6 +86,13 @@ class TestFrameOperator:
     def test_mercedes_is_tight(self):
         assert np.allclose(frame_operator(mercedes_frame()), 1.5 * np.eye(2), atol=1e-12)
 
+    def test_is_the_synthesis_columns_times_their_transpose(self):
+        rng = np.random.default_rng(13)
+        f = Frame(rng.standard_normal((7, 4)))
+        assert np.shares_memory(f.synthesis_columns, f.vectors)
+        assert np.array_equal(frame_operator(f), f.vectors.T @ f.vectors)
+        assert f.ranks == (1,) * 7
+
     def test_symmetric_psd_on_random_frames(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
@@ -148,6 +155,15 @@ class TestNormalize:
         with pytest.raises(DegenerateInputError, match="vector 1"):
             normalize_frame(Frame([[1.0, 0.0], [0.0, 0.0]]))
 
+    def test_zero_vector_rule_is_relative_to_largest_norm(self):
+        with pytest.raises(DegenerateInputError, match="vector 1"):
+            normalize_frame(Frame([[1e3, 0.0], [0.0, 1e-10]]))
+        tiny = normalize_frame(Frame([[1e-20, 0.0], [0.0, 1e-20]]))
+        assert np.array_equal(tiny.vectors, np.eye(2))
+
+    def test_unit_columns(self):
+        assert np.array_equal(Frame([[3.0, 4.0], [0.0, -2.0]]).unit_columns, [[0.6, 0.0], [0.8, -1.0]])
+
 
 class TestRedundancyFunction:
     def test_onb_value(self):
@@ -188,6 +204,13 @@ class TestRedundancyBounds:
         prof = redundancy_bounds(mercedes_frame())
         assert (prof.lower, prof.upper) == pytest.approx((1.5, 1.5), abs=1e-12)
         assert prof.uniform
+
+    def test_invariant_under_tiny_scale(self):
+        rng = np.random.default_rng(14)
+        f = Frame(rng.standard_normal((6, 3)))
+        a, b = redundancy_bounds(f), redundancy_bounds(Frame(1e-13 * f.vectors))
+        assert (b.lower, b.upper) == pytest.approx((a.lower, a.upper), rel=1e-12)
+        assert b.mean == a.mean
 
     def test_normalized_trace_equals_count(self):
         rng = np.random.default_rng(12)

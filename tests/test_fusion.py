@@ -74,6 +74,13 @@ class TestSubspaceFromSpanning:
             subspace_from_spanning([[0.0, 0.0, 0.0]])
 
 
+class TestVectorSpan:
+    def test_only_the_zero_vector_is_rejected(self):
+        assert np.array_equal(vector_span([1e-13, 0.0]).basis, [[1.0], [0.0]])
+        with pytest.raises(DegenerateInputError):
+            vector_span([0.0, 0.0])
+
+
 class TestProjectionMatrix:
     def test_axis(self):
         assert np.allclose(projection_matrix(axis_span(2, 0)), [[1, 0], [0, 0]])
@@ -105,6 +112,19 @@ class TestFusionOperator:
     def test_single_full_member(self):
         ff = FusionFrame(((full_space(3), 1.0),))
         assert np.allclose(fusion_frame_operator(ff), np.eye(3))
+
+    def test_matches_weighted_projector_sum(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            ff = random_fusion(rng, 5, 4, weights=list(rng.uniform(0.5, 2.0, 4)))
+            loop = sum(w * w * projection_matrix(s) for s, w in ff.members)
+            assert np.allclose(fusion_frame_operator(ff), loop, rtol=0.0, atol=1e-12)
+
+    def test_column_stacks(self):
+        ff = FusionFrame(((full_space(2), 2.0), (axis_span(2, 1), 0.5)))
+        assert np.array_equal(ff.synthesis_columns, [[2.0, 0.0, 0.0], [0.0, 2.0, 0.5]])
+        assert np.array_equal(ff.unit_columns, [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+        assert ff.ranks == (2, 1)
 
     def test_trace_counts_dimensions(self):
         rng = np.random.default_rng(22)
@@ -255,6 +275,15 @@ class TestOrthonormalFusionBasis:
 
     def test_not_spanning_fails(self):
         ff = FusionFrame(((axis_span(2, 0), 1.0),))
+        assert not is_orthonormal_fusion_basis(ff)
+
+    def test_rotated_partition(self):
+        q = np.linalg.qr(np.random.default_rng(24).standard_normal((5, 5)))[0]
+        ff = FusionFrame(tuple((Subspace(q[:, a:b]), 1.0) for a, b in [(0, 2), (2, 3), (3, 5)]))
+        assert is_orthonormal_fusion_basis(ff)
+
+    def test_oblique_lines_fail(self):
+        ff = FusionFrame(((axis_span(2, 0), 1.0), (vector_span([1.0, 1e-6]), 1.0)))
         assert not is_orthonormal_fusion_basis(ff)
 
 

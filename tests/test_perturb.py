@@ -9,6 +9,7 @@ import pytest
 from framekit import (
     Frame,
     FusionFrame,
+    Subspace,
     check_lambda_perturbation,
     frame_perturbation_mu,
     fusion_perturbation_mu,
@@ -249,6 +250,34 @@ class TestGeneratePerturbedFrame:
         (phi, psi), = pairs
         assert np.max(np.abs(psi.norms() / phi.norms() - 1.0)) <= 1e-14
 
+    def test_norm_preserving_unreachable_target_errors(self):
+        phi = Frame([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(GenerationError, match="unreachable"):
+            generate_perturbed_frame(phi, 100.0, seed=42, norm_preserving=True)
+
+    def test_norm_preserving_extends_a_short_bracket(self, monkeypatch):
+        # Suite seed 23, instance 3780: at step 1 the turns of this basis
+        # reach 0.88 of the target; the second bracket end lands it.
+        pairs = []
+
+        def record(phi, target_mu, seed, norm_preserving=False):
+            out = generate_perturbed_frame(phi, target_mu, seed, norm_preserving)
+            if norm_preserving:
+                pairs.append((target_mu, out[1]))
+            return out
+
+        monkeypatch.setattr(theorems, "generate_perturbed_frame", record)
+        theorems.replay_instance(theorems.SuiteConfig(seed=23), 3780)
+        (target, achieved), = pairs
+        assert abs(achieved - target) <= 0.05 * target
+
+    def test_norm_preserving_keeps_relatively_zero_vectors(self):
+        # 1e-10 is below ZERO_VECTOR_TOL times the largest norm, 1e3.
+        phi = Frame([[1e3, 0.0], [0.0, 1e3], [1e-10, 0.0]])
+        psi, _ = generate_perturbed_frame(phi, 10.0, seed=3, norm_preserving=True)
+        assert np.array_equal(psi.vectors[2], phi.vectors[2])
+        assert np.allclose(psi.norms(), phi.norms(), rtol=1e-14, atol=0.0)
+
     def test_norm_preserving_needs_two_dimensions(self):
         with pytest.raises(GenerationError):
             generate_perturbed_frame(Frame([[1.0]]), 0.1, seed=1, norm_preserving=True)
@@ -300,6 +329,18 @@ class TestGeneratePerturbedFusion:
         _, achieved = generate_perturbed_fusion(w, 0.3, seed=13)
         assert abs(achieved - 0.3) <= 0.05 * 0.3
         assert calls == []
+
+    def test_generation_builds_one_subspace_per_member(self, monkeypatch):
+        # Bisection steps measure raw geodesic bases; only the step the
+        # generator lands on becomes a FusionFrame.
+        built = []
+        post_init = Subspace.__post_init__
+        rng = np.random.default_rng(58)
+        w = theorems.random_fusion_frame(rng, 6, 8)
+        monkeypatch.setattr(Subspace, "__post_init__", lambda s: built.append(1) or post_init(s))
+        _, achieved = generate_perturbed_fusion(w, 0.3, seed=14)
+        assert abs(achieved - 0.3) <= 0.05 * 0.3
+        assert len(built) == 8
 
     def test_target_near_top_weight_lands_in_one_bracket(self):
         rng = np.random.default_rng(53)
