@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .errors import DimensionError
 from .fusion import Subspace
 
@@ -30,21 +29,29 @@ class AngleReport:
         return {"r": self.r, "s": self.s, "theta": self.theta, "gap": self.gap}
 
 
-def _inf_sup_cos(vbasis: np.ndarray, wbasis: np.ndarray) -> tuple[float, float]:
+def _inf_sup_cos(vbasis: np.ndarray, wbasis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Extreme values of ||P_W f|| over unit f in V, from orthonormal bases.
 
-    Accepts a zero-column W (the trivial subspace), where both extremes
-    vanish.
+    ``wbasis`` is a stack ``(..., n, k)`` of bases (one SVD), and the
+    extremes arrays of its shape.  A zero-column W (the trivial
+    subspace) gives zeros.
     """
-    if wbasis.shape[1] == 0:
-        return 0.0, 0.0
-    sv = linalg.singular_values(wbasis.T @ vbasis)
-    sup = min(1.0, float(sv[0]))
-    if vbasis.shape[1] > wbasis.shape[1]:
-        inf = 0.0  # the restricted projection has a kernel
+    shape = wbasis.shape[:-2]
+    if wbasis.shape[-1] == 0:
+        return np.zeros(shape), np.zeros(shape)
+    sv = np.linalg.svd(wbasis.mT @ vbasis, compute_uv=False)
+    sup = np.minimum(1.0, sv[..., 0])
+    if vbasis.shape[-1] > wbasis.shape[-1]:
+        inf = np.zeros(shape)  # the restricted projection has a kernel
     else:
-        inf = min(1.0, max(0.0, float(sv[-1])))
+        inf = np.minimum(1.0, np.maximum(0.0, sv[..., -1]))
     return inf, sup
+
+
+def _gap(vbasis: np.ndarray, wbasis: np.ndarray) -> np.ndarray:
+    """Norm of (I - P_W) on V, capped at 1, per W of a stack (one SVD)."""
+    residual_map = vbasis - wbasis @ (wbasis.mT @ vbasis)
+    return np.minimum(1.0, np.linalg.svd(residual_map, compute_uv=False)[..., 0])
 
 
 def _check_pair(v: Subspace, w: Subspace) -> None:
@@ -64,7 +71,7 @@ def cosine_angles(v: Subspace, w: Subspace) -> AngleReport:
     """Infimum and supremum cosine of the angle from V to W, with the
     derived angle and gap."""
     _check_pair(v, w)
-    r, s = _inf_sup_cos(v.basis, w.basis)
+    r, s = (float(x[0]) for x in _inf_sup_cos(v.basis, w.basis[None]))
     theta = float(np.arccos(np.clip(r, 0.0, 1.0)))
     gap = float(np.sqrt(max(0.0, 1.0 - r * r)))
     return AngleReport(r=r, s=s, theta=theta, gap=gap)
@@ -74,16 +81,15 @@ def gap_direct(v: Subspace, w: Subspace) -> float:
     """Largest distance from a unit vector of V to W: the operator norm of
     (I - P_W) restricted to V, computed spectrally."""
     _check_pair(v, w)
-    residual_map = v.basis - w.basis @ (w.basis.T @ v.basis)
-    return min(1.0, linalg.operator_norm(residual_map))
+    return float(_gap(v.basis, w.basis[None])[0])
 
 
 def check_rs_relation(v: Subspace, w: Subspace) -> float:
     """Residual of the complement identity linking the infimum cosine to
     the supremum cosine against the orthogonal complement."""
     _check_pair(v, w)
-    r = _inf_sup_cos(v.basis, w.basis)[0]
-    s_comp = _inf_sup_cos(v.basis, orthogonal_complement(w))[1]
+    r = float(_inf_sup_cos(v.basis, w.basis[None])[0][0])
+    s_comp = float(_inf_sup_cos(v.basis, orthogonal_complement(w)[None])[1][0])
     return abs(r - float(np.sqrt(max(0.0, 1.0 - s_comp * s_comp))))
 
 

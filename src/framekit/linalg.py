@@ -4,7 +4,9 @@ Matrices are plain float64 numpy arrays. Everything here is pure and
 deterministic.  The six functions below (two input validators, three
 spectra, and the rank-deciding ``orthonormalize``) hold the shared
 tolerances.  Factorizations that decide no rank call ``np.linalg``
-directly: the SVDs in ``perturb._geodesic`` and
+directly: the stacked SVDs of ``perturb._GeodesicPath`` (one per rank
+chunk of tangents) and of ``angles._inf_sup_cos`` and ``angles._gap`` (one
+per stack of member bases), the SVDs in
 ``perturb.check_lambda_perturbation``, the complement basis in ``angles``
 and the random rotation in ``theorems``.
 """

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
-from .frames import Frame, _nonzero, synthesis_matrix
+from .frames import Frame, _nonzero, _rank_stacks, synthesis_matrix
 from .fusion import FusionFrame, Subspace, projection_matrix
 
 # Relative window the bisection-based generators must land in.
@@ -91,14 +91,18 @@ def _projector_pairs(w: FusionFrame, v: FusionFrame) -> tuple[list, list]:
     )
 
 
+def _gram_norm(c: np.ndarray) -> float:
+    """Operator norm of a wide matrix, from the eigenvalues of ``c c^T``."""
+    return math.sqrt(max(0.0, float(linalg.hermitian_eigenvalues(c @ c.T)[-1])))
+
+
 def _constant(p: list[np.ndarray], q) -> float:
-    """Operator norm of ``C = [p_1 - q_1 ... p_N - q_N]`` (n-by-n blocks),
-    taken as the root of the top eigenvalue of the n-by-n ``C C^T``."""
+    """Operator norm of ``C = [p_1 - q_1 ... p_N - q_N]`` (n-by-n blocks)."""
     n = len(p[0])
     c = np.empty((n, n * len(p)))
     for i, (a, b) in enumerate(zip(p, q)):
         np.subtract(a, b, out=c[:, i * n : (i + 1) * n])
-    return math.sqrt(max(0.0, float(linalg.hermitian_eigenvalues(c @ c.T)[-1])))
+    return _gram_norm(c)
 
 
 def _fusion_constant(w: FusionFrame, v: FusionFrame) -> float:
@@ -213,30 +217,81 @@ def _horizontal(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - u @ (u.mT @ g)
 
 
-def _geodesic(bases, tangents):
+class _GeodesicPath:
     """Grassmann geodesics ``t -> U V cos(S t) V^T + Q sin(S t) V^T``
-    through each basis ``U`` along its horizontal tangent ``H = Q S V^T``
-    (Edelman, Arias & Smith 1998); a stack of equal-shape bases counts
-    as one entry.
+    through member bases ``U`` along horizontal tangents ``H = Q S V^T``
+    (Edelman, Arias & Smith 1998), one stacked SVD per rank chunk.
 
-    The principal angles between ``span U`` and the point at ``t`` are
-    ``t * S`` while ``t * max(S) <= pi/2``, so ``||P - Q(t)|| =
-    sin(t * max(S))`` there.  Returns the path and each ``max(S)``.
+    ``path(t)`` lists the moved bases, ``columns(t)`` stacks them n-by-K.
+    ``g`` (n-by-2K) is the only copy of each member's ``[U V, Q]``;
+    ``angles`` and ``owner`` give the ``S`` entry and member of each of
+    its columns.  ``Q`` is orthogonal to ``U``, so ``P - P(t)`` is
+    ``sin(tS)`` times a reflection on ``[U V, Q]`` and, at every ``t``,
+    ``sum_i w_i^2 (P_i - P_i(t))^2 = g diag(w^2 sin^2(t angles)) g^T``.
     """
-    factors = []
-    for u, h in zip(bases, tangents):
-        q, s, vt = np.linalg.svd(h, full_matrices=False)
-        factors.append((u @ vt.mT, q, s[..., None, :], vt))
 
-    def path(t: float) -> list[np.ndarray]:
-        return [(uv * np.cos(s * t) + q * np.sin(s * t)) @ vt for uv, q, s, vt in factors]
+    def __init__(self, bases, tangents):
+        ranks = [b.shape[1] for b in bases]
+        n, width = bases[0].shape[0], sum(ranks)
+        self.g = np.empty((n, 2 * width))
+        self.angles = np.empty(2 * width)
+        self.owner = np.empty(2 * width, dtype=int)
+        self.thetas = np.empty(len(ranks))
+        self._offsets = np.cumsum(ranks)[:-1]
+        self._factors = []
+        start = 0
+        for members, cols, (u, h) in _rank_stacks(
+            ranks, np.concatenate(bases, axis=1), np.concatenate(tangents, axis=1)
+        ):
+            m, _, k = u.shape
+            q, s, vt = np.linalg.svd(h, full_matrices=False)
+            stop = start + 2 * m * k
+            pair = self.g[:, start:stop].reshape(n, m, 2, k).transpose(2, 1, 0, 3)
+            np.matmul(u, vt.mT, out=pair[0])
+            pair[1] = q
+            spectrum = self.angles[start:stop].reshape(m, 2, k)
+            spectrum[...] = s[:, None, :]
+            self.owner[start:stop] = np.repeat(members, 2 * k)
+            self.thetas[members] = s[:, 0]
+            self._factors.append((cols, pair[0], pair[1], spectrum[:, :1], vt))
+            start = stop
 
-    return path, [s[..., 0, 0] for _, _, s, _ in factors]
+    def columns(self, t: float) -> np.ndarray:
+        out = np.empty((self.g.shape[0], len(self.angles) // 2))
+        for cols, uv, q, s, vt in self._factors:
+            moved = (uv * np.cos(s * t) + q * np.sin(s * t)) @ vt
+            out[:, cols] = moved.transpose(1, 0, 2).reshape(len(out), -1)
+        return out
+
+    def __call__(self, t: float) -> list[np.ndarray]:
+        return np.split(self.columns(t), self._offsets, axis=1)
+
+    def fusion_constant(self, weights):
+        """``t ->`` the fusion constant from the start to step ``t`` by the
+        closed form, scaling ``g`` into one buffer."""
+        column_weights = weights[self.owner]
+        scaled = np.empty_like(self.g)
+
+        def constant(t: float) -> float:
+            np.multiply(self.g, column_weights * np.sin(t * self.angles), out=scaled)
+            return _gram_norm(scaled)
+
+        return constant
 
 
-def _bisect(measure, ends, target_mu: float):
-    """Bisect the step ``t`` until ``measure(t) = (perturbed, constant)``
-    lands within TARGET_WINDOW of ``target_mu``.
+def _geodesic(bases, tangents) -> tuple[_GeodesicPath, np.ndarray]:
+    """The path through ``bases`` and each member's ``theta = max(S)``.
+    The principal angles between ``span U`` and the point at ``t`` are
+    ``t * S`` while ``t * theta <= pi/2``, so ``||P - Q(t)|| =
+    sin(t * theta)`` there."""
+    path = _GeodesicPath(bases, tangents)
+    return path, path.thetas
+
+
+def _bisect(measure, ends, target_mu: float) -> tuple[float, float]:
+    """Bisect the step ``t`` until the constant ``measure(t)`` lands
+    within TARGET_WINDOW of ``target_mu``; returns the step and its
+    constant.
 
     The constant is 0 at ``t = 0``.  The bracket ends at the first of the
     increasing ``ends`` whose constant is not below the window, and starts
@@ -246,26 +301,26 @@ def _bisect(measure, ends, target_mu: float):
     """
     lo = 0.0
     for hi in ends:
-        result = measure(hi)
-        if result[1] >= (1.0 - TARGET_WINDOW) * target_mu:
+        mu = measure(hi)
+        if mu >= (1.0 - TARGET_WINDOW) * target_mu:
             break
         lo = hi
     else:
         raise GenerationError(
-            f"target {target_mu} unreachable: the geodesic bracket reaches {result[1]:.6g}"
+            f"target {target_mu} unreachable: the geodesic bracket reaches {mu:.6g}"
         )
-    if result[1] <= (1.0 + TARGET_WINDOW) * target_mu:
-        return result
+    if mu <= (1.0 + TARGET_WINDOW) * target_mu:
+        return hi, mu
     for _ in range(BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        result = measure(mid)
-        if abs(result[1] - target_mu) <= TARGET_WINDOW * target_mu:
-            return result
-        if result[1] > target_mu:
+        mu = measure(mid)
+        if abs(mu - target_mu) <= TARGET_WINDOW * target_mu:
+            return mid, mu
+        if mu > target_mu:
             hi = mid
         else:
             lo = mid
-    return measure(lo)  # measured below target, therefore within the guarantee
+    return lo, measure(lo)  # measured below target, therefore within the guarantee
 
 
 def generate_perturbed_frame(
@@ -282,7 +337,8 @@ def generate_perturbed_frame(
     lands the measured constant within 5% of the target.  The step runs
     to 1, or, when the constant there falls short, on to the step that
     turns the vector with the largest angle by pi; GenerationError means
-    the target lies above what both reach.  Each turning
+    the target lies above what both reach; steps measure raw arrays and
+    one Frame is built where the bisection lands.  Each turning
     direction is projected off its vector twice, so norms move by
     rounding only (about 1e-16 relative).  Zero vectors (see
     ``frames.ZERO_VECTOR_TOL``) stay as they are.
@@ -310,15 +366,17 @@ def generate_perturbed_frame(
     g = _horizontal(units[movable], rng.standard_normal((np.count_nonzero(movable), phi.dim, 1)))
     tangents = np.zeros_like(units)
     tangents[movable] = (angles[movable] / np.linalg.norm(g, axis=(1, 2)))[:, None, None] * g
-    path, _ = _geodesic([units], [tangents])
+    path, _ = _geodesic(units, tangents)
+    synthesis = phi.synthesis_columns
 
-    def measure(t: float) -> tuple[Frame, float]:
-        psi = Frame(lengths[:, None] * path(t)[0][:, :, 0], labels=phi.labels)
-        return psi, frame_perturbation_mu(phi, psi).mu
+    # The same n-by-N difference that frame_perturbation_mu measures.
+    def measure(t: float) -> float:
+        return linalg.operator_norm(synthesis - path.columns(t) * lengths)
 
     # At the second end the vector with the largest angle has turned by
     # pi, so its own difference is twice its norm.
-    return _bisect(measure, (1.0, np.pi / angles.max()), target_mu)
+    t, mu = _bisect(measure, (1.0, np.pi / angles.max()), target_mu)
+    return Frame((path.columns(t) * lengths).T, labels=phi.labels), mu
 
 
 def generate_perturbed_fusion(
@@ -334,29 +392,27 @@ def generate_perturbed_fusion(
     can move, the constant is at least ``w_top``: one bracket holds every
     target up to that weight.  GenerationError means the target lies
     above what the bracket reaches, or that every member is the whole
-    space and nothing can move.
+    space and nothing can move.  Steps take the closed form; the landing
+    step alone is moved and remeasured as ``fusion_perturbation_mu`` does.
     """
     if not target_mu > 0:
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")
     rng = np.random.default_rng(seed)
     bases = [s.basis for s in w.subspaces]
     weights = w.weights
-    tangents = []
-    for u in bases:
+
+    def tangent(u):
         g = rng.standard_normal(u.shape)
         # A full-space member has no horizontal direction; a zero tangent
         # keeps it fixed with theta = 0 instead of moving it by rounding.
-        tangents.append(np.zeros_like(g) if u.shape[1] == w.dim else _horizontal(u, g))
-    path, thetas = _geodesic(bases, tangents)
+        return np.zeros_like(g) if u.shape[1] == w.dim else _horizontal(u, g)
+
+    path, thetas = _geodesic(bases, [tangent(u) for u in bases])
     movable = [i for i, theta in enumerate(thetas) if theta > 0]
     if not movable:
         raise GenerationError("no member can move: every subspace is the whole space")
     top = max(movable, key=lambda i: weights[i])
-    fixed = list(_weighted_projectors(bases, weights))
-
-    def measure(t: float) -> tuple[list[np.ndarray], float]:
-        moved = path(t)
-        return moved, _constant(fixed, _weighted_projectors(moved, weights))
-
-    moved, mu = _bisect(measure, (np.pi / (2.0 * thetas[top]),), target_mu)
-    return FusionFrame(tuple((Subspace(b), wt) for b, wt in zip(moved, weights))), mu
+    t, _ = _bisect(path.fusion_constant(weights), (np.pi / (2.0 * thetas[top]),), target_mu)
+    v = FusionFrame(tuple((Subspace(b), wt) for b, wt in zip(path(t), weights)))
+    moved = _weighted_projectors([s.basis for s in v.subspaces], weights)
+    return v, _constant(list(_weighted_projectors(bases, weights)), moved)

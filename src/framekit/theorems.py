@@ -21,10 +21,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .angles import cosine_angles, gap_direct, redundancy_angle_sums
+from .angles import _gap, _inf_sup_cos
 from .errors import DimensionError, GenerationError, PreconditionError
 from .frames import (
     Frame,
+    _rank_stacks,
     normalize_frame,
     optimal_frame_bounds,
     is_riesz_basis,
@@ -308,7 +309,8 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
     reference subspace, asserting only the gap/cosine link per member.
 
     The members are the blocks of the unit columns: the vectors' spans of
-    a frame, the subspaces of a fusion frame.  The redundancy equalities
+    a frame, the subspaces of a fusion frame; each rank chunk takes one
+    stacked SVD for cosines and one for gaps.  The redundancy equalities
     are reported as residuals: at the only subspace containing the whole
     unit sphere (the full space) the angle sums evaluate to 0 and N, which
     generically differ from the spectral redundancies.
@@ -322,15 +324,18 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
             f"reference subspace lives in R^{wprime.ambient_dim}, "
             f"members in R^{frame_or_fusion.dim}"
         )
-    offsets = np.cumsum(frame_or_fusion.ranks)[:-1]
-    subs = [Subspace(b) for b in np.split(frame_or_fusion.unit_columns, offsets, axis=1)]
+    ranks = frame_or_fusion.ranks
+    r, s, gap = np.empty(len(ranks)), np.empty(len(ranks)), np.empty(len(ranks))
+    for members, _, (blocks,) in _rank_stacks(ranks, frame_or_fusion.unit_columns):
+        r[members], s[members] = _inf_sup_cos(wprime.basis, blocks)
+        gap[members] = _gap(wprime.basis, blocks)
     profile = redundancy_bounds(frame_or_fusion)
-    sum_r2, sum_s2 = redundancy_angle_sums(subs, wprime)
-    gap_worst = 0.0
-    for sub in subs:
-        r = cosine_angles(wprime, sub).r
-        delta = gap_direct(wprime, sub)
-        gap_worst = max(gap_worst, abs(delta - math.sqrt(max(0.0, 1.0 - r * r))))
+    # Summed in member order, as redundancy_angle_sums sums.
+    sum_r2 = sum_s2 = gap_worst = 0.0
+    for ri, si, delta in zip(r.tolist(), s.tolist(), gap.tolist()):
+        sum_r2 += ri * ri
+        sum_s2 += si * si
+        gap_worst = max(gap_worst, abs(delta - math.sqrt(max(0.0, 1.0 - ri * ri))))
     return TheoremVerdict(
         theorem_id=theorem_id,
         hypotheses_met=True,

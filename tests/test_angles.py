@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from framekit import (
+    Frame,
+    Subspace,
+    angles,
     check_rs_relation,
     cosine_angles,
     full_space,
@@ -16,6 +19,8 @@ from framekit import (
     vector_span,
 )
 from framekit.errors import DimensionError
+from framekit.frames import _rank_stacks
+from framekit.theorems import random_fusion_frame
 
 
 def random_subspace(rng, dim, rank=None):
@@ -158,3 +163,61 @@ class TestAngleSums:
             w = random_subspace(rng, dim)
             rep = cosine_angles(full_space(dim), w)
             assert rep.s == pytest.approx(1.0, abs=1e-12)
+
+
+def member_subspaces(structure):
+    """The member subspaces of a frame or fusion frame, one at a time."""
+    offsets = np.cumsum(structure.ranks)[:-1]
+    return [Subspace(b) for b in np.split(structure.unit_columns, offsets, axis=1)]
+
+
+class TestStackedKernels:
+    """The rank-stacked kernels behind ``verify_angle_sums`` give every
+    member the bits of the pairwise ``cosine_angles`` and ``gap_direct``."""
+
+    @staticmethod
+    def assert_matches_pairwise(structure, reference):
+        members = member_subspaces(structure)
+        seen = []
+        chunks = 0
+        for indices, _, (blocks,) in _rank_stacks(structure.ranks, structure.unit_columns):
+            r, s = angles._inf_sup_cos(reference.basis, blocks)
+            gap = angles._gap(reference.basis, blocks)
+            for j, i in enumerate(indices):
+                report = cosine_angles(reference, members[i])
+                assert r[j] == report.r and s[j] == report.s
+                assert gap[j] == gap_direct(reference, members[i])
+            seen.extend(indices.tolist())
+            chunks += 1
+        assert sorted(seen) == list(range(len(members)))
+        return chunks
+
+    @staticmethod
+    def references(rng, dim):
+        return {
+            "full": full_space(dim),
+            "line": vector_span(rng.standard_normal(dim)),
+            "middle": random_subspace(rng, dim, dim // 2),
+        }
+
+    @pytest.mark.parametrize("reference", ["full", "line", "middle"])
+    def test_frames(self, reference):
+        rng = np.random.default_rng(70)
+        for dim, count in [(2, 3), (4, 9), (6, 12)]:
+            f = Frame(rng.standard_normal((count, dim)))
+            self.assert_matches_pairwise(f, self.references(rng, dim)[reference])
+
+    @pytest.mark.parametrize("reference", ["full", "line", "middle"])
+    def test_mixed_rank_fusion_frames(self, reference):
+        rng = np.random.default_rng(71)
+        for dim, count in [(3, 4), (5, 10), (7, 14)]:
+            ff = random_fusion_frame(rng, dim, count)
+            assert len(set(ff.ranks)) > 1
+            self.assert_matches_pairwise(ff, self.references(rng, dim)[reference])
+
+    def test_rank_group_larger_than_one_chunk(self):
+        # 600 lines in R^10 need two chunks of at most 327.
+        rng = np.random.default_rng(72)
+        f = Frame(rng.standard_normal((600, 10)))
+        for reference in self.references(rng, 10).values():
+            assert self.assert_matches_pairwise(f, reference) == 2

@@ -22,6 +22,7 @@ from framekit import (
 from framekit import cli, linalg, perturb, theorems
 from framekit.errors import DimensionError, GenerationError, PreconditionError
 from framekit.fileio import load_structure, write_structure
+from framekit.frames import _rank_stacks
 from framekit.fusion import full_space
 
 
@@ -278,6 +279,19 @@ class TestGeneratePerturbedFrame:
         assert np.array_equal(psi.vectors[2], phi.vectors[2])
         assert np.allclose(psi.norms(), phi.norms(), rtol=1e-14, atol=0.0)
 
+    def test_norm_preserving_builds_one_frame(self, monkeypatch):
+        # Bisection steps measure raw arrays; only the step the generator
+        # lands on becomes a Frame.
+        rng = np.random.default_rng(61)
+        phi = Frame(rng.standard_normal((9, 4)))
+        built = []
+        post_init = Frame.__post_init__
+        monkeypatch.setattr(Frame, "__post_init__", lambda f: built.append(1) or post_init(f))
+        psi, achieved = generate_perturbed_frame(phi, 0.3, seed=17, norm_preserving=True)
+        assert len(built) == 1
+        monkeypatch.undo()
+        assert achieved == frame_perturbation_mu(phi, psi).mu
+
     def test_norm_preserving_needs_two_dimensions(self):
         with pytest.raises(GenerationError):
             generate_perturbed_frame(Frame([[1.0]]), 0.1, seed=1, norm_preserving=True)
@@ -342,6 +356,33 @@ class TestGeneratePerturbedFusion:
         assert abs(achieved - 0.3) <= 0.05 * 0.3
         assert len(built) == 8
 
+    def test_generation_moves_the_bases_once(self, monkeypatch):
+        # Bisection steps take the closed form; only the landing step
+        # evaluates the geodesic path.
+        calls = []
+        call = perturb._GeodesicPath.__call__
+        monkeypatch.setattr(
+            perturb._GeodesicPath, "__call__", lambda self, t: calls.append(t) or call(self, t)
+        )
+        rng = np.random.default_rng(59)
+        w = theorems.random_fusion_frame(rng, 6, 8)
+        _, achieved = generate_perturbed_fusion(w, 0.3, seed=15)
+        assert abs(achieved - 0.3) <= 0.05 * 0.3
+        assert len(calls) == 1
+
+    def test_generation_takes_one_svd_per_rank_chunk(self, monkeypatch):
+        # The tangents of each rank chunk are factored by one stacked SVD.
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        rng = np.random.default_rng(60)
+        w = theorems.random_fusion_frame(rng, 6, 12)
+        chunks = list(_rank_stacks(w.ranks, w.unit_columns))
+        assert len(chunks) < w.count
+        _, achieved = generate_perturbed_fusion(w, 0.3, seed=16)
+        assert abs(achieved - 0.3) <= 0.05 * 0.3
+        assert len(calls) == len(chunks)
+
     def test_target_near_top_weight_lands_in_one_bracket(self):
         rng = np.random.default_rng(53)
         w = FusionFrame(
@@ -369,3 +410,45 @@ class TestGeodesic:
                 assert np.max(np.abs(y.T @ y - np.eye(k))) <= 1e-12
                 gap = np.linalg.norm(u @ u.T - y @ y.T, 2)
                 assert gap == pytest.approx(math.sin(t * theta), abs=1e-12)
+
+    def test_stacked_geodesic_matches_each_member_alone(self):
+        # Equal-rank members share one stacked SVD; each must come out
+        # bit for bit as its own single-member geodesic.
+        rng = np.random.default_rng(65)
+        n = 6
+        bases = [
+            subspace_from_spanning(rng.standard_normal((k, n))).basis
+            for k in (2, 1, 3, 2, 1, 2, 5, 3, 1)
+        ]
+        tangents = [perturb._horizontal(u, rng.standard_normal(u.shape)) for u in bases]
+        path, thetas = perturb._geodesic(bases, tangents)
+        for i, (u, h) in enumerate(zip(bases, tangents)):
+            alone, (theta,) = perturb._geodesic([u], [h])
+            assert thetas[i] == theta
+            for t in (0.0, 0.3, 1.0, 0.5 * np.pi / theta, 2.7):
+                assert np.array_equal(path(t)[i], alone(t)[0])
+
+    def test_closed_form_constant_matches_measured_constant(self):
+        # sum_i w_i^2 (P_i - P_i(t))^2 = g diag(w^2 sin^2(t angles)) g^T
+        # holds at every step, past pi / (2 theta) too, because each Q_i
+        # is orthogonal to U_i; a full-space member stays fixed.  The
+        # floor covers steps where every member has come back round and
+        # both routes read rounding noise (about 1e-16).
+        rng = np.random.default_rng(66)
+        n = 5
+        bases = [
+            subspace_from_spanning(rng.standard_normal((k, n))).basis
+            for k in (1, 3, 2, 3, 1, 5, 4, 2)
+        ]
+        weights = rng.uniform(0.5, 2.0, size=len(bases))
+        tangents = [
+            np.zeros_like(u) if u.shape[1] == n else perturb._horizontal(u, rng.standard_normal(u.shape))
+            for u in bases
+        ]
+        path, thetas = perturb._geodesic(bases, tangents)
+        closed = path.fusion_constant(weights)
+        fixed = list(perturb._weighted_projectors(bases, weights))
+        assert closed(0.0) == 0.0
+        for t in np.linspace(0.0, np.pi / min(thetas[thetas > 0]), 13)[1:]:
+            measured = perturb._constant(fixed, perturb._weighted_projectors(path(t), weights))
+            assert abs(closed(t) - measured) <= 1e-13 * max(measured, 1e-3)

@@ -8,14 +8,18 @@ import pytest
 from framekit import (
     Frame,
     FusionFrame,
+    Subspace,
     SuiteConfig,
+    cosine_angles,
     full_space,
     fusion_frame_bounds,
     fusion_redundancy_bounds,
+    gap_direct,
     generate_perturbed_frame,
     generate_perturbed_fusion,
     normalize_frame,
     optimal_frame_bounds,
+    redundancy_angle_sums,
     redundancy_bounds,
     replay_instance,
     run_random_suite,
@@ -29,6 +33,7 @@ from framekit import (
     vector_span,
 )
 from framekit.errors import PreconditionError
+from framekit.frames import _rank_stacks
 from framekit.theorems import (
     THEOREM_IDS,
     THEOREMS,
@@ -306,6 +311,45 @@ class TestAngleSums:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             verify_angle_sums([[1.0, 0.0]], full_space(2))
+
+    @pytest.mark.parametrize("kind", ["frame", "fusion"])
+    def test_matches_the_pairwise_sums_bit_for_bit(self, kind):
+        # The per-member loop over the pairwise functions is the
+        # reference: sums in member order, each member's cosines once.
+        rng = np.random.default_rng(26)
+        for dim in (2, 4, 6):
+            if kind == "frame":
+                structure = Frame(rng.standard_normal((2 * dim + 1, dim)))
+            else:
+                structure = unit_fusion(rng, dim, 2 * dim)
+            offsets = np.cumsum(structure.ranks)[:-1]
+            subs = [Subspace(b) for b in np.split(structure.unit_columns, offsets, axis=1)]
+            for reference in (full_space(dim), vector_span(rng.standard_normal(dim))):
+                verdict = verify_angle_sums(structure, reference)
+                sum_r2, sum_s2 = redundancy_angle_sums(subs, reference)
+                gap_worst = 0.0
+                for sub in subs:
+                    r = cosine_angles(reference, sub).r
+                    delta = gap_direct(reference, sub)
+                    gap_worst = max(gap_worst, abs(delta - math.sqrt(max(0.0, 1.0 - r * r))))
+                assert verdict.predicted == {"lower": sum_r2, "upper": sum_s2}
+                assert verdict.observed["gap_link_worst"] == gap_worst
+
+    def test_takes_two_svds_per_rank_chunk(self, monkeypatch):
+        # One stacked SVD for the cosines and one for the gaps of each
+        # rank chunk, however many members the chunk holds.
+        rng = np.random.default_rng(27)
+        ff = unit_fusion(rng, 5, 12)
+        chunks = len(list(_rank_stacks(ff.ranks, ff.unit_columns)))
+        assert chunks < ff.count
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        verify_angle_sums(ff, full_space(5))
+        assert len(calls) == 2 * chunks
+        calls.clear()
+        verify_angle_sums(Frame(rng.standard_normal((30, 5))), vector_span(rng.standard_normal(5)))
+        assert len(calls) == 2
 
 
 class TestSuite:
