@@ -29,22 +29,18 @@ from .fusion import (
     FusionFrame,
     Subspace,
     full_space,
-    fusion_analysis_apply,
     fusion_frame_bounds,
     fusion_frame_operator,
     fusion_redundancy_at,
     fusion_redundancy_bounds,
     fusion_redundancy_oracle,
-    fusion_synthesis_apply,
     is_orthonormal_fusion_basis,
     projection_matrix,
     subspace_from_spanning,
     vector_span,
 )
 from .perturb import (
-    LambdaPerturbationVerdict,
     PerturbationReport,
-    check_lambda_perturbation,
     frame_perturbation_mu,
     fusion_perturbation_mu,
     generate_perturbed_frame,

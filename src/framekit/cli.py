@@ -112,7 +112,7 @@ def cmd_analyze(args, command: str) -> int:
             "count": obj.count,
             "ranks": list(obj.ranks),
             "bounds": optimal_frame_bounds(obj).to_dict(),
-            "uniform_weights": bool(abs(weights - weights[0]).max() <= 1e-12),
+            "uniform_weights": bool(abs(weights - weights[0]).max() <= 1e-12 * weights.max()),
             "orthonormal_fusion_basis": is_orthonormal_fusion_basis(obj),
             "redundancy": redundancy_bounds(obj).to_dict(),
         }

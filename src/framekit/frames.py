@@ -161,7 +161,7 @@ def bounds_from_extremes(low: float, high: float, rank_tol: float = linalg.RANK_
     framehood is decided relative to scale, as ``low > rank_tol * high``."""
     low = max(0.0, float(low))
     high = max(0.0, float(high))
-    tight = abs(high - low) <= TIGHT_TOL * max(1.0, high)
+    tight = abs(high - low) <= TIGHT_TOL * high
     parseval = tight and abs(low - 1.0) <= TIGHT_TOL and abs(high - 1.0) <= TIGHT_TOL
     return BoundsReport(
         lower=low,
@@ -175,7 +175,7 @@ def bounds_from_extremes(low: float, high: float, rank_tol: float = linalg.RANK_
 def profile_from_extremes(low: float, high: float, mean: float) -> RedundancyProfile:
     low = max(0.0, float(low))
     high = max(0.0, float(high))
-    uniform = abs(high - low) <= TIGHT_TOL * max(1.0, high)
+    uniform = abs(high - low) <= TIGHT_TOL * high
     return RedundancyProfile(lower=low, upper=high, uniform=uniform, mean=float(mean))
 
 

@@ -27,8 +27,6 @@ from .frames import (
 
 # Orthonormality defect admitted in a stored basis.
 BASIS_TOL = 1e-10
-# Relative tolerance for "this part lies in its subspace".
-MEMBERSHIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -146,29 +144,6 @@ fusion_frame_bounds = optimal_frame_bounds
 fusion_redundancy_at = redundancy_at
 fusion_redundancy_bounds = redundancy_bounds
 fusion_redundancy_oracle = redundancy_oracle
-
-
-def fusion_synthesis_apply(ff: FusionFrame, parts) -> np.ndarray:
-    """Weighted sum of parts, each required to lie in its own subspace."""
-    if len(parts) != ff.count:
-        raise DimensionError(f"expected {ff.count} parts, got {len(parts)}")
-    out = np.zeros(ff.dim)
-    for i, ((s, w), p) in enumerate(zip(ff.members, parts)):
-        p = linalg.as_vector(p, ff.dim)
-        resid = p - s.basis @ (s.basis.T @ p)
-        if np.linalg.norm(resid) > MEMBERSHIP_TOL * (1.0 + np.linalg.norm(p)):
-            raise PreconditionError(
-                f"part {i} does not lie in its subspace "
-                f"(residual {np.linalg.norm(resid):.3e})"
-            )
-        out += w * p
-    return out
-
-
-def fusion_analysis_apply(ff: FusionFrame, x) -> list[np.ndarray]:
-    """Weighted projections of x onto each subspace."""
-    x = linalg.as_vector(x, ff.dim)
-    return [w * (s.basis @ (s.basis.T @ x)) for s, w in ff.members]
 
 
 def is_orthonormal_fusion_basis(ff: FusionFrame, tol: float = BASIS_TOL) -> bool:

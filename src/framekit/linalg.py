@@ -6,9 +6,8 @@ spectra, and the rank-deciding ``orthonormalize``) hold the shared
 tolerances.  Factorizations that decide no rank call ``np.linalg``
 directly: the stacked SVDs of ``perturb._GeodesicPath`` (one per rank
 chunk of tangents) and of ``angles._inf_sup_cos`` and ``angles._gap`` (one
-per stack of member bases), the SVDs in
-``perturb.check_lambda_perturbation``, the complement basis in ``angles``
-and the random rotation in ``theorems``.
+per stack of member bases), the complement basis in ``angles`` and the
+random rotation in ``theorems``.
 """
 
 from __future__ import annotations

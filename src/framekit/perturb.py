@@ -16,8 +16,8 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
-from .frames import Frame, _nonzero, _rank_stacks, synthesis_matrix
-from .fusion import FusionFrame, Subspace, projection_matrix
+from .frames import Frame, _nonzero, _rank_stacks
+from .fusion import FusionFrame, Subspace
 
 # Relative window the bisection-based generators must land in.
 TARGET_WINDOW = 0.05
@@ -35,60 +35,19 @@ class PerturbationReport:
         return {"mu": self.mu, "per_index_norms": list(self.per_index_norms)}
 
 
-@dataclass(frozen=True)
-class LambdaPerturbationVerdict:
-    """Outcome of checking the mixed projector-difference inequality."""
-
-    lambda1: float
-    lambda2: float
-    epsilon: float
-    holds_exact: bool | None
-    holds_on_samples: bool
-    worst_margin: float
-    counterexample: np.ndarray | None
-    counterexample_index: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "epsilon": self.epsilon,
-            "holds_exact": self.holds_exact,
-            "holds_on_samples": self.holds_on_samples,
-            "worst_margin": self.worst_margin,
-            "counterexample": None
-            if self.counterexample is None
-            else list(self.counterexample),
-            "counterexample_index": self.counterexample_index,
-        }
-
-
 def frame_perturbation_mu(phi: Frame, psi: Frame) -> PerturbationReport:
-    """Least constant bounding ||sum c_i (phi_i - psi_i)|| / ||c||."""
+    """Least constant bounding ||sum c_i (phi_i - psi_i)|| / ||c||.
+
+    The difference is formed C-ordered: the column norms are summed in
+    memory order, so the layout fixes the bits of ``per_index_norms``."""
     if phi.dim != psi.dim or phi.count != psi.count:
         raise DimensionError(
             f"frames have shapes {(phi.count, phi.dim)} vs {(psi.count, psi.dim)}"
         )
-    diff = synthesis_matrix(phi) - synthesis_matrix(psi)
+    diff = np.subtract(phi.synthesis_columns, psi.synthesis_columns, order="C")
     mu = linalg.operator_norm(diff)
     per_index = tuple(float(x) for x in np.linalg.norm(diff, axis=0))
     return PerturbationReport(mu=mu, per_index_norms=per_index)
-
-
-def _weighted_projectors(bases, weights):
-    """``w_i U_i U_i^T`` for each orthonormal basis ``U_i`` and weight
-    ``w_i``, one at a time."""
-    return (w * (b @ b.T) for b, w in zip(bases, weights))
-
-
-def _projector_pairs(w: FusionFrame, v: FusionFrame) -> tuple[list, list]:
-    if w.dim != v.dim or w.count != v.count:
-        raise DimensionError(
-            f"fusion frames have shapes {(w.count, w.dim)} vs {(v.count, v.dim)}"
-        )
-    return tuple(
-        list(_weighted_projectors([s.basis for s in ff.subspaces], ff.weights)) for ff in (w, v)
-    )
 
 
 def _gram_norm(c: np.ndarray) -> float:
@@ -96,118 +55,32 @@ def _gram_norm(c: np.ndarray) -> float:
     return math.sqrt(max(0.0, float(linalg.hermitian_eigenvalues(c @ c.T)[-1])))
 
 
-def _constant(p: list[np.ndarray], q) -> float:
-    """Operator norm of ``C = [p_1 - q_1 ... p_N - q_N]`` (n-by-n blocks)."""
-    n = len(p[0])
-    c = np.empty((n, n * len(p)))
-    for i, (a, b) in enumerate(zip(p, q)):
-        np.subtract(a, b, out=c[:, i * n : (i + 1) * n])
-    return _gram_norm(c)
+def _projector_differences(w: FusionFrame, v: FusionFrame) -> np.ndarray:
+    """``C = [w_1 P_1 - v_1 Q_1 ... w_N P_N - v_N Q_N]``, n-by-Nn, filled
+    block by block into one buffer."""
+    if w.dim != v.dim or w.count != v.count:
+        raise DimensionError(
+            f"fusion frames have shapes {(w.count, w.dim)} vs {(v.count, v.dim)}"
+        )
+    n = w.dim
+    c = np.empty((n, n * w.count))
+    for i, ((s, a), (t, b)) in enumerate(zip(w.members, v.members)):
+        block = c[:, i * n : (i + 1) * n]
+        np.subtract(a * (s.basis @ s.basis.T), b * (t.basis @ t.basis.T), out=block)
+    return c
 
 
 def _fusion_constant(w: FusionFrame, v: FusionFrame) -> float:
-    return _constant(*_projector_pairs(w, v))
+    return _gram_norm(_projector_differences(w, v))
 
 
 def fusion_perturbation_mu(w: FusionFrame, v: FusionFrame) -> PerturbationReport:
     """Least constant bounding the synthesis-operator difference of two
     fusion frames, taken on the product of ambient-space copies (the
     blockwise weighted-projector difference)."""
-    p, q = _projector_pairs(w, v)
-    per_index = tuple(linalg.operator_norm(a - b) for a, b in zip(p, q))
-    return PerturbationReport(mu=_constant(p, q), per_index_norms=per_index)
-
-
-def check_lambda_perturbation(
-    w,
-    v,
-    lambda1: float,
-    lambda2: float,
-    epsilon: float,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> LambdaPerturbationVerdict:
-    """Check the mixed inequality
-    ||(P_i - Q_i) f|| <= lambda1 ||P_i f|| + lambda2 ||Q_i f|| + epsilon ||f||
-    for two subspace families.
-
-    With lambda1 = lambda2 = 0 the check reduces exactly to comparing each
-    ||P_i - Q_i|| against epsilon and the verdict is exact.  Otherwise the
-    inequality is sampled on seeded unit vectors plus the top singular
-    direction of each projector difference (the analytic worst case for
-    the left-hand side).
-    """
-    w = list(w)
-    v = list(v)
-    if len(w) != len(v) or not w:
-        raise DimensionError(f"families have lengths {len(w)} vs {len(v)}")
-    n = w[0].ambient_dim
-    for s in (*w, *v):
-        if s.ambient_dim != n:
-            raise DimensionError("families live in different ambient spaces")
-    if not (0 <= lambda1 < 1 and 0 <= lambda2 < 1):
-        raise PreconditionError("lambda parameters must lie in [0, 1)")
-    if not epsilon > 0:
-        raise PreconditionError(f"epsilon must be positive, got {epsilon}")
-    if samples < 1:
-        raise PreconditionError(f"samples must be >= 1, got {samples}")
-
-    projs = [(projection_matrix(a), projection_matrix(b)) for a, b in zip(w, v)]
-    diffs = [p - q for p, q in projs]
-    top_dirs = []
-    norms = []
-    for d in diffs:
-        u_, s_, vt = np.linalg.svd(d)
-        norms.append(float(s_[0]) if s_.size else 0.0)
-        top_dirs.append(vt[0])
-
-    exact = None
-    if lambda1 == 0.0 and lambda2 == 0.0:
-        worst_i = int(np.argmax(norms))
-        margin = epsilon - norms[worst_i]
-        exact = norms[worst_i] <= epsilon
-        return LambdaPerturbationVerdict(
-            lambda1=lambda1,
-            lambda2=lambda2,
-            epsilon=epsilon,
-            holds_exact=exact,
-            holds_on_samples=exact,
-            worst_margin=float(margin),
-            counterexample=None if exact else top_dirs[worst_i],
-            counterexample_index=None if exact else worst_i,
-        )
-
-    rng = np.random.default_rng(seed)
-    worst_margin = np.inf
-    counterexample = None
-    counterexample_index = None
-    for i, ((p, q), d) in enumerate(zip(projs, diffs)):
-        cand = rng.standard_normal((samples, n))
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        cand = np.vstack([top_dirs[i], cand])
-        lhs = np.linalg.norm(cand @ d.T, axis=1)
-        rhs = (
-            lambda1 * np.linalg.norm(cand @ p.T, axis=1)
-            + lambda2 * np.linalg.norm(cand @ q.T, axis=1)
-            + epsilon
-        )
-        margins = rhs - lhs
-        j = int(np.argmin(margins))
-        if margins[j] < worst_margin:
-            worst_margin = float(margins[j])
-            if margins[j] < 0:
-                counterexample = cand[j].copy()
-                counterexample_index = i
-    return LambdaPerturbationVerdict(
-        lambda1=lambda1,
-        lambda2=lambda2,
-        epsilon=epsilon,
-        holds_exact=exact,
-        holds_on_samples=worst_margin >= 0,
-        worst_margin=worst_margin,
-        counterexample=counterexample,
-        counterexample_index=counterexample_index,
-    )
+    c = _projector_differences(w, v)
+    per_index = tuple(linalg.operator_norm(block) for block in np.split(c, w.count, axis=1))
+    return PerturbationReport(mu=_gram_norm(c), per_index_norms=per_index)
 
 
 def _horizontal(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -223,6 +96,9 @@ class _GeodesicPath:
     (Edelman, Arias & Smith 1998), one stacked SVD per rank chunk.
 
     ``path(t)`` lists the moved bases, ``columns(t)`` stacks them n-by-K.
+    ``thetas`` holds each member's ``theta = max(S)``: the principal
+    angles between ``span U`` and the point at ``t`` are ``t * S`` while
+    ``t * theta <= pi/2``, so ``||P - P(t)|| = sin(t * theta)`` there.
     ``g`` (n-by-2K) is the only copy of each member's ``[U V, Q]``;
     ``angles`` and ``owner`` give the ``S`` entry and member of each of
     its columns.  ``Q`` is orthogonal to ``U``, so ``P - P(t)`` is
@@ -277,15 +153,6 @@ class _GeodesicPath:
             return _gram_norm(scaled)
 
         return constant
-
-
-def _geodesic(bases, tangents) -> tuple[_GeodesicPath, np.ndarray]:
-    """The path through ``bases`` and each member's ``theta = max(S)``.
-    The principal angles between ``span U`` and the point at ``t`` are
-    ``t * S`` while ``t * theta <= pi/2``, so ``||P - Q(t)|| =
-    sin(t * theta)`` there."""
-    path = _GeodesicPath(bases, tangents)
-    return path, path.thetas
 
 
 def _bisect(measure, ends, target_mu: float) -> tuple[float, float]:
@@ -366,7 +233,7 @@ def generate_perturbed_frame(
     g = _horizontal(units[movable], rng.standard_normal((np.count_nonzero(movable), phi.dim, 1)))
     tangents = np.zeros_like(units)
     tangents[movable] = (angles[movable] / np.linalg.norm(g, axis=(1, 2)))[:, None, None] * g
-    path, _ = _geodesic(units, tangents)
+    path = _GeodesicPath(units, tangents)
     synthesis = phi.synthesis_columns
 
     # The same n-by-N difference that frame_perturbation_mu measures.
@@ -407,12 +274,12 @@ def generate_perturbed_fusion(
         # keeps it fixed with theta = 0 instead of moving it by rounding.
         return np.zeros_like(g) if u.shape[1] == w.dim else _horizontal(u, g)
 
-    path, thetas = _geodesic(bases, [tangent(u) for u in bases])
+    path = _GeodesicPath(bases, [tangent(u) for u in bases])
+    thetas = path.thetas
     movable = [i for i, theta in enumerate(thetas) if theta > 0]
     if not movable:
         raise GenerationError("no member can move: every subspace is the whole space")
     top = max(movable, key=lambda i: weights[i])
     t, _ = _bisect(path.fusion_constant(weights), (np.pi / (2.0 * thetas[top]),), target_mu)
     v = FusionFrame(tuple((Subspace(b), wt) for b, wt in zip(path(t), weights)))
-    moved = _weighted_projectors([s.basis for s in v.subspaces], weights)
-    return v, _constant(list(_weighted_projectors(bases, weights)), moved)
+    return v, _fusion_constant(w, v)

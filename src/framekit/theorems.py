@@ -129,17 +129,14 @@ def verify_normalized_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
     provable scaled bound, the original constant over the smallest
     vector norm.
     """
-    if phi.dim != psi.dim or phi.count != psi.count:
-        raise DimensionError("frames must share dimension and count")
+    mu = frame_perturbation_mu(phi, psi).mu
     norms_phi = phi.norms()
-    norms_psi = psi.norms()
-    worst = float(np.max(np.abs(norms_phi - norms_psi)))
+    worst = float(np.max(np.abs(norms_phi - psi.norms())))
     if worst > 1e-9:
         return _gated(
             "normalized_perturbation",
             f"gate failed: vector norms differ by {worst:.3e}; the lemma needs equal norms",
         )
-    mu = frame_perturbation_mu(phi, psi).mu
     mu_normalized = frame_perturbation_mu(normalize_frame(phi), normalize_frame(psi)).mu
     min_norm = float(np.min(norms_phi))
     scaled_bound = mu / min_norm
@@ -166,10 +163,8 @@ def verify_redundancy_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
     the exact hypothesis under which the perturbation theorem applies to
     the normalized pair; the stated equalities are recorded as residuals.
     """
-    if phi.dim != psi.dim or phi.count != psi.count:
-        raise DimensionError("frames must share dimension and count")
-    norm_gap = float(np.max(np.abs(phi.norms() - psi.norms())))
     mu = frame_perturbation_mu(phi, psi).mu
+    norm_gap = float(np.max(np.abs(phi.norms() - psi.norms())))
     base = optimal_frame_bounds(phi)
     if norm_gap > 1e-9:
         return _gated(

@@ -98,6 +98,22 @@ class TestAnalyze:
         assert out["results"]["orthonormal_fusion_basis"] is True
         assert out["results"]["bounds"]["is_parseval"] is True
 
+    @pytest.mark.parametrize("c", [1e-13, 1e13])
+    def test_uniform_weights_is_relative_to_scale(self, capsys, tmp_path, c):
+        for weights, uniform in (((c, 2 * c), False), ((c, c), True)):
+            doc = {
+                "dim": 2,
+                "kind": "fusion",
+                "subspaces": [
+                    {"weight": weights[0], "basis": [[1.0, 0.0]]},
+                    {"weight": weights[1], "basis": [[0.0, 1.0]]},
+                ],
+            }
+            path = write_json(tmp_path / "fus.json", doc)
+            code, out = run_json(capsys, ["analyze", path, "--format", "json"])
+            assert code == 0
+            assert out["results"]["uniform_weights"] is uniform
+
     def test_ragged_array_exits_2(self, capsys, tmp_path):
         path = write_json(
             tmp_path / "bad.json",

@@ -8,13 +8,11 @@ from framekit import (
     FusionFrame,
     Subspace,
     full_space,
-    fusion_analysis_apply,
     fusion_frame_bounds,
     fusion_frame_operator,
     fusion_redundancy_at,
     fusion_redundancy_bounds,
     fusion_redundancy_oracle,
-    fusion_synthesis_apply,
     is_orthonormal_fusion_basis,
     projection_matrix,
     redundancy_at,
@@ -158,56 +156,6 @@ class TestFusionBounds:
         skew = coordinate_fusion(3, weights=[1.0, 1.0, 1.1])
         assert not fusion_frame_bounds(skew).is_parseval
         assert np.max(np.abs(fusion_frame_operator(skew) - np.eye(3))) > 1e-9
-
-
-class TestSynthesisAnalysis:
-    def test_zero_parts(self):
-        ff = coordinate_fusion(2)
-        assert np.all(fusion_synthesis_apply(ff, [np.zeros(2), np.zeros(2)]) == 0)
-
-    def test_single_full_member_passes_through(self):
-        ff = FusionFrame(((full_space(3), 1.0),))
-        f = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(fusion_synthesis_apply(ff, [f]), f)
-
-    def test_direct_summation(self):
-        rng = np.random.default_rng(30)
-        ff = random_fusion(rng, 4, 3, weights=[1.5, 0.5, 2.0])
-        parts = [projection_matrix(s) @ rng.standard_normal(4) for s in ff.subspaces]
-        direct = sum(w * p for (s, w), p in zip(ff.members, parts))
-        assert np.allclose(fusion_synthesis_apply(ff, parts), direct, atol=1e-12)
-
-    def test_part_outside_subspace_names_index(self):
-        ff = FusionFrame(((axis_span(2, 0), 1.0), (axis_span(2, 1), 1.0)))
-        with pytest.raises(PreconditionError, match="part 1"):
-            fusion_synthesis_apply(ff, [np.array([1.0, 0.0]), np.array([1.0, 1.0])])
-
-    def test_analysis_of_zero(self):
-        parts = fusion_analysis_apply(coordinate_fusion(2), np.zeros(2))
-        assert all(np.all(p == 0) for p in parts)
-
-    def test_parseval_reconstruction(self):
-        ff = coordinate_fusion(3)
-        x = np.array([0.3, -1.2, 0.7])
-        back = fusion_synthesis_apply(ff, fusion_analysis_apply(ff, x))
-        assert np.allclose(back, x, atol=1e-10)
-
-    def test_composition_matches_operator(self):
-        rng = np.random.default_rng(31)
-        ff = random_fusion(rng, 4, 3, weights=[1.0, 2.0, 0.7])
-        x = rng.standard_normal(4)
-        composed = fusion_synthesis_apply(ff, fusion_analysis_apply(ff, x))
-        assert np.allclose(composed, fusion_frame_operator(ff) @ x, atol=1e-10)
-
-    def test_adjointness_on_random_instances(self):
-        rng = np.random.default_rng(32)
-        for _ in range(100):
-            ff = random_fusion(rng, 4, 3, weights=list(rng.uniform(0.5, 2.0, 3)))
-            parts = [projection_matrix(s) @ rng.standard_normal(4) for s in ff.subspaces]
-            g = rng.standard_normal(4)
-            lhs = fusion_synthesis_apply(ff, parts) @ g
-            rhs = sum(p @ q for p, q in zip(parts, fusion_analysis_apply(ff, g)))
-            assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 class TestFusionRedundancy:

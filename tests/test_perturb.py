@@ -10,7 +10,6 @@ from framekit import (
     Frame,
     FusionFrame,
     Subspace,
-    check_lambda_perturbation,
     frame_perturbation_mu,
     fusion_perturbation_mu,
     generate_perturbed_frame,
@@ -72,6 +71,19 @@ class TestFramePerturbationMu:
         for _ in range(100):
             c = rng.standard_normal(7)
             assert np.linalg.norm(diff @ c) <= mu * np.linalg.norm(c) + 1e-9
+
+    def test_per_index_norms_are_the_column_norms_of_a_c_ordered_difference(self):
+        # np.linalg.norm(axis=0) sums in memory order, so an F-ordered
+        # difference moves the last digit of some column norms.
+        rng = np.random.default_rng(67)
+        for n, count in [(3, 7), (8, 20), (20, 60), (30, 200)]:
+            phi = Frame(rng.standard_normal((count, n)))
+            psi = Frame(rng.standard_normal((count, n)))
+            diff = synthesis_matrix(phi) - synthesis_matrix(psi)
+            assert diff.flags.c_contiguous
+            expected = np.linalg.norm(diff, axis=0)
+            got = np.array(frame_perturbation_mu(phi, psi).per_index_norms)
+            assert got.tobytes() == expected.tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -145,69 +157,6 @@ class TestFusionPerturbationMu:
         assert cli.main(argv) == 0
         achieved = json.loads(capsys.readouterr().out)["results"]["achieved_mu"]
         assert achieved == fusion_perturbation_mu(w, load_structure(out)).mu
-
-
-class TestLambdaPerturbation:
-    def test_identical_families_hold(self):
-        subs = [vector_span([1.0, 0.0]), vector_span([0.0, 1.0])]
-        verdict = check_lambda_perturbation(subs, subs, 0.0, 0.0, 1e-6)
-        assert verdict.holds_exact is True
-        assert verdict.holds_on_samples is True
-
-    def test_exact_reduction_matches_operator_norms(self):
-        rng = np.random.default_rng(47)
-        w = random_fusion(rng, 4, 3)
-        v = random_fusion(rng, 4, 3)
-        rep = fusion_perturbation_mu(w, v)
-        top = max(rep.per_index_norms)
-        ok = check_lambda_perturbation(
-            w.subspaces, v.subspaces, 0.0, 0.0, rep.mu + 1e-12
-        )
-        assert ok.holds_exact is True
-        assert abs((rep.mu - top) - ok.worst_margin) <= 1e-10
-
-    def test_rotated_line_threshold(self):
-        theta = math.radians(30.0)
-        w = [vector_span([1.0, 0.0])]
-        v = [vector_span([math.cos(theta), math.sin(theta)])]
-        sin_theta = math.sin(theta)
-        above = check_lambda_perturbation(w, v, 0.0, 0.0, sin_theta + 1e-9)
-        below = check_lambda_perturbation(w, v, 0.0, 0.0, sin_theta - 1e-6)
-        assert above.holds_exact is True
-        assert below.holds_exact is False
-        assert below.counterexample is not None
-        assert below.counterexample_index == 0
-
-    def test_sampled_mode_with_mixed_terms(self):
-        rng = np.random.default_rng(48)
-        w = random_fusion(rng, 3, 2)
-        v = random_fusion(rng, 3, 2)
-        top = max(fusion_perturbation_mu(w, v).per_index_norms)
-        # generous epsilon: the mixed inequality must hold everywhere
-        verdict = check_lambda_perturbation(
-            w.subspaces, v.subspaces, 0.5, 0.5, top + 0.1, samples=2000, seed=1
-        )
-        assert verdict.holds_exact is None
-        assert verdict.holds_on_samples is True
-        assert verdict.worst_margin >= 0
-
-    def test_sampled_mode_detects_violation_at_top_direction(self):
-        w = [vector_span([1.0, 0.0])]
-        v = [vector_span([0.0, 1.0])]
-        # projections onto W and V vanish along the worst direction of
-        # P-Q only when lambda terms cannot help; epsilon alone is short
-        verdict = check_lambda_perturbation(w, v, 0.1, 0.1, 0.5, samples=100, seed=2)
-        assert verdict.holds_on_samples is False
-        assert verdict.counterexample is not None
-
-    def test_parameter_validation(self):
-        subs = [vector_span([1.0, 0.0])]
-        with pytest.raises(PreconditionError):
-            check_lambda_perturbation(subs, subs, 1.0, 0.0, 0.1)
-        with pytest.raises(PreconditionError):
-            check_lambda_perturbation(subs, subs, 0.0, 0.0, 0.0)
-        with pytest.raises(DimensionError):
-            check_lambda_perturbation(subs, [], 0.0, 0.0, 0.1)
 
 
 class TestGeneratePerturbedFrame:
@@ -403,7 +352,8 @@ class TestGeodesic:
         for n, k in [(2, 1), (5, 2), (6, 4), (7, 3)]:
             u = subspace_from_spanning(rng.standard_normal((k, n))).basis
             h = perturb._horizontal(u, rng.standard_normal((n, k)))
-            path, (theta,) = perturb._geodesic([u], [h])
+            path = perturb._GeodesicPath([u], [h])
+            (theta,) = path.thetas
             assert theta == pytest.approx(np.linalg.norm(h, 2), rel=1e-12)
             for t in np.linspace(0.0, np.pi / (2.0 * theta), 7):
                 (y,) = path(t)
@@ -421,10 +371,11 @@ class TestGeodesic:
             for k in (2, 1, 3, 2, 1, 2, 5, 3, 1)
         ]
         tangents = [perturb._horizontal(u, rng.standard_normal(u.shape)) for u in bases]
-        path, thetas = perturb._geodesic(bases, tangents)
+        path = perturb._GeodesicPath(bases, tangents)
         for i, (u, h) in enumerate(zip(bases, tangents)):
-            alone, (theta,) = perturb._geodesic([u], [h])
-            assert thetas[i] == theta
+            alone = perturb._GeodesicPath([u], [h])
+            (theta,) = alone.thetas
+            assert path.thetas[i] == theta
             for t in (0.0, 0.3, 1.0, 0.5 * np.pi / theta, 2.7):
                 assert np.array_equal(path(t)[i], alone(t)[0])
 
@@ -445,10 +396,12 @@ class TestGeodesic:
             np.zeros_like(u) if u.shape[1] == n else perturb._horizontal(u, rng.standard_normal(u.shape))
             for u in bases
         ]
-        path, thetas = perturb._geodesic(bases, tangents)
+        path = perturb._GeodesicPath(bases, tangents)
         closed = path.fusion_constant(weights)
-        fixed = list(perturb._weighted_projectors(bases, weights))
+        w = FusionFrame(tuple((Subspace(u), wt) for u, wt in zip(bases, weights)))
         assert closed(0.0) == 0.0
+        thetas = path.thetas
         for t in np.linspace(0.0, np.pi / min(thetas[thetas > 0]), 13)[1:]:
-            measured = perturb._constant(fixed, perturb._weighted_projectors(path(t), weights))
+            v = FusionFrame(tuple((Subspace(u), wt) for u, wt in zip(path(t), weights)))
+            measured = perturb._fusion_constant(w, v)
             assert abs(closed(t) - measured) <= 1e-13 * max(measured, 1e-3)

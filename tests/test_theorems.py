@@ -32,7 +32,7 @@ from framekit import (
     verify_riesz_redundancy,
     vector_span,
 )
-from framekit.errors import PreconditionError
+from framekit.errors import DimensionError, PreconditionError
 from framekit.frames import _rank_stacks
 from framekit.theorems import (
     THEOREM_IDS,
@@ -400,3 +400,16 @@ class TestSuite:
         hist = tally["residual_histograms"]["upper"]
         assert sum(hist["counts"]) == tally["passed"]
         assert len(hist["edges"]) == len(hist["counts"]) + 1
+
+
+@pytest.mark.parametrize("row", [t for t in THEOREMS if t.id in (
+    "perturbed_frame_bounds", "normalized_perturbation", "redundancy_perturbation",
+    "fusion_perturbed_bounds", "fusion_redundancy_perturbation")])
+def test_mismatched_shapes_raise(row):
+    if row.kind is Frame:
+        a, b = Frame(np.eye(2)), Frame(np.eye(3))
+    else:
+        a = FusionFrame(((full_space(2), 1.0),))
+        b = FusionFrame(((full_space(2), 1.0), (full_space(2), 1.0)))
+    with pytest.raises(DimensionError, match="have shapes"):
+        row.run(a, b)
