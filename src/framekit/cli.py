@@ -13,6 +13,7 @@ no failure (exit 0 when nothing else fails), never an error exit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -128,21 +129,23 @@ def cmd_perturb(args, command: str) -> int:
         perturbed, achieved = generate_perturbed_frame(
             obj, args.mu, seed=args.seed, norm_preserving=args.norm_preserving
         )
-        report = frame_perturbation_mu(obj, perturbed)
+        constant = frame_perturbation_mu(obj, perturbed)
     else:
         if args.norm_preserving:
             raise _UsageError("--norm-preserving applies only to frame inputs")
         perturbed, achieved = generate_perturbed_fusion(obj, args.mu, seed=args.seed)
-        report = fusion_perturbation_mu(obj, perturbed)
-    write_structure(args.out, perturbed)
+        constant = fusion_perturbation_mu(obj, perturbed)
     results = {
         "target_mu": args.mu,
         "achieved_mu": achieved,
         "norm_preserving": bool(args.norm_preserving),
-        "per_index_norms": list(report.per_index_norms),
+        "per_index_norms": list(constant.per_index_norms),
         "output": str(args.out),
     }
-    _emit(_make_report(command, {"input": args.input}, results, {"seed": args.seed}), args.format)
+    # The input digest is taken before the output is written: --out may be the input.
+    report = _make_report(command, {"input": args.input}, results, {"seed": args.seed})
+    write_structure(args.out, perturbed)
+    _emit(report, args.format)
     return 0
 
 
@@ -296,11 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: built once, since parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     command = "framekit " + " ".join(argv)
     try:
         return args.func(args, command)

@@ -4,18 +4,27 @@ One JSON document per structure.  Numbers round-trip bit-exactly because
 serialization uses Python's shortest-repr decimals (up to 17 significant
 digits) and loading never re-derives entries: a stored fusion basis that
 is already orthonormal is used verbatim.
+
+Loading validates each number grid in one pass over its rows and entry
+types and converts it with one ``np.array`` call; the cell-by-cell walk
+runs only to name the offending cell of a rejected file.  A stored basis
+gets one Gram check, the one ``Subspace`` makes; a basis that fails it is
+taken as a spanning set and orthonormalized.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from .errors import DimensionError, PreconditionError
 from .frames import Frame
-from .fusion import BASIS_TOL, FusionFrame, Subspace, subspace_from_spanning
+from .fusion import FusionFrame, Subspace, subspace_from_spanning
 
 
 class FrameFileError(ValueError):
@@ -26,10 +35,31 @@ class FrameFileError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
+# The exact types of the numbers ``json.loads`` produces (a bool's is bool).
+_JSON_NUMBERS = {int, float}
+
+
+def _as_float(x, location: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise FrameFileError(location, "number outside the float64 range") from None
+
+
 def _require_number_grid(value, location: str, dim: int) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise FrameFileError(location, "expected a non-empty array of arrays")
-    rows = []
+    if all(type(row) is list and len(row) == dim for row in value) and (
+        set(map(type, chain.from_iterable(value))) <= _JSON_NUMBERS
+    ):
+        try:
+            # Each entry gets the bits of float(x), ints beyond 2^53 too.
+            return np.array(value, dtype=float)
+        except OverflowError:
+            pass
+    # Name the first bad row or cell.  A parsed JSON grid that gets here
+    # has one; only a grid built in Python from subclasses of list, int
+    # or float passes the walk.
     for i, row in enumerate(value):
         if not isinstance(row, list):
             raise FrameFileError(f"{location}[{i}]", "expected an array of numbers")
@@ -40,8 +70,8 @@ def _require_number_grid(value, location: str, dim: int) -> np.ndarray:
         for j, x in enumerate(row):
             if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise FrameFileError(f"{location}[{i}][{j}]", "expected a number")
-        rows.append([float(x) for x in row])
-    return np.array(rows)
+            _as_float(x, f"{location}[{i}][{j}]")
+    return np.array(value, dtype=float)
 
 
 def structure_from_dict(doc) -> Frame | FusionFrame:
@@ -86,13 +116,11 @@ def structure_from_dict(doc) -> Frame | FusionFrame:
         basis_rows = _require_number_grid(entry.get("basis"), f"{loc}.basis", dim)
         # Rows are spanning vectors; reuse them verbatim when already
         # orthonormal so write/read round-trips are bit-exact.
-        cols = basis_rows.T
-        gram_defect = np.max(np.abs(cols.T @ cols - np.eye(cols.shape[1])))
-        if cols.shape[1] <= dim and gram_defect <= BASIS_TOL:
-            sub = Subspace(cols)
-        else:
+        try:
+            sub = Subspace(basis_rows.T)
+        except (DimensionError, PreconditionError):
             sub = subspace_from_spanning(basis_rows)
-        members.append((sub, float(weight)))
+        members.append((sub, _as_float(weight, f"{loc}.weight")))
     return FusionFrame(tuple(members))
 
 
@@ -129,6 +157,12 @@ def load_structure(path) -> Frame | FusionFrame:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FrameFileError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except ValueError as exc:
+        # The only other ValueError of json.loads: an integer literal past
+        # Python's limit on the digits of a str-to-int conversion.
+        raise FrameFileError(
+            "$", f"integer literal of more than {sys.get_int_max_str_digits()} digits"
+        ) from exc
     return structure_from_dict(doc)
 
 

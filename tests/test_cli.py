@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import math
 
@@ -14,6 +15,7 @@ from framekit import (
     normalize_frame,
     optimal_frame_bounds,
 )
+from framekit import cli
 from framekit.cli import build_parser, main
 from framekit.fileio import load_structure, write_structure
 from framekit.theorems import THEOREMS, random_fusion_frame
@@ -132,6 +134,14 @@ class TestAnalyze:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
 
+    def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"dim": 2, "kind": "frame", "vectors": [[1.0, 1%s]]}' % ("0" * 400))
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: $.vectors[0][1]: number outside the float64 range\n"
+        )
+
 
 class TestPerturb:
     def test_output_file_remeasures_to_target(self, capsys, onb_file, tmp_path):
@@ -192,6 +202,17 @@ class TestPerturb:
         )
         assert code == 0
         assert abs(rep["results"]["achieved_mu"] - 0.1) <= 0.005
+
+    def test_output_onto_its_input_reports_the_input_digest(self, capsys, tmp_path):
+        src = tmp_path / "f.json"
+        write_structure(src, Frame(np.random.default_rng(82).standard_normal((5, 3))))
+        before = hashlib.sha256(src.read_bytes()).hexdigest()
+        code, doc = run_json(
+            capsys, ["perturb", str(src), "--mu", "0.1", "--out", str(src), "--format", "json"]
+        )
+        assert code == 0
+        assert doc["inputs"]["input"]["sha256"] == before
+        assert hashlib.sha256(src.read_bytes()).hexdigest() != before
 
     def test_negative_mu_exits_2(self, capsys, onb_file, tmp_path):
         code = main(["perturb", onb_file, "--mu", "-1", "--out", str(tmp_path / "x.json")])
@@ -400,3 +421,30 @@ class TestSuite:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch, verify_pairs, tmp_path):
+        original, perturbed = verify_pairs[Frame]
+        out = str(tmp_path / "out.json")
+        sequence = [
+            ["verify", original, perturbed, "--theorem", "perturbed_frame_bounds"],
+            ["verify", original, perturbed],
+            ["perturb", original, "--mu", "0.1", "--norm-preserving", "--out", out],
+            ["perturb", original, "--mu", "0.1", "--out", out],
+            ["analyze", original],
+            ["analyze", original, "--format", "json"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        reused = [run(argv) for argv in sequence]
+        assert cli._parser() is cli._parser()
+        assert "norm_preserving: True" in reused[2][1]
+        assert "norm_preserving: False" in reused[3][1]
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = [run(argv) for argv in sequence]
+        assert reused == fresh
+        assert len({text for _, text in reused}) == len(sequence)

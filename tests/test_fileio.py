@@ -1,11 +1,14 @@
 """Tests for frame-file serialization."""
 
 import json
+import random
+import sys
 
 import numpy as np
 import pytest
 
 from framekit import Frame, FusionFrame, subspace_from_spanning
+from framekit.errors import NumericError
 from framekit.fileio import (
     FrameFileError,
     load_structure,
@@ -135,3 +138,111 @@ class TestDocumentShape:
         write_structure(path, Frame(np.eye(2)))
         doc = json.loads(path.read_text())
         assert doc["kind"] == "frame"
+
+
+def frame_doc(grid):
+    return {"dim": 2, "kind": "frame", "vectors": grid}
+
+
+def fusion_doc(grid):
+    return {
+        "dim": 2,
+        "kind": "fusion",
+        "subspaces": [
+            {"weight": 1.0, "basis": [[1.0, 0.0]]},
+            {"weight": 1.0, "basis": grid},
+        ],
+    }
+
+
+# Where a malformed grid sits: the document around it and its location.
+GRID_PLACES = {
+    "vectors": (frame_doc, "$.vectors"),
+    "basis": (fusion_doc, "$.subspaces[1].basis"),
+}
+
+# Each malformed grid and the rest of its message after the location.
+GRID_ERRORS = {
+    "true entry": ([[1.0, 0.0], [0.5, True]], "[1][1]: expected a number"),
+    "string entry": ([[1.0, 0.0], [0.5, "1.0"]], "[1][1]: expected a number"),
+    "null entry": ([[1.0, 0.0], [0.5, None]], "[1][1]: expected a number"),
+    "array entry": ([[1.0, 0.0], [0.5, [1.0]]], "[1][1]: expected a number"),
+    "ragged row": ([[1.0, 0.0], [1.0]], "[1]: expected 2 entries, got 1"),
+    "non-array row": ([[1.0, 0.0], 3], "[1]: expected an array of numbers"),
+    "empty grid": ([], ": expected a non-empty array of arrays"),
+    "non-array grid": ({"a": 1}, ": expected a non-empty array of arrays"),
+}
+
+
+class TestGridErrors:
+    @pytest.mark.parametrize("place", sorted(GRID_PLACES))
+    @pytest.mark.parametrize("case", list(GRID_ERRORS))
+    def test_message_names_the_row_or_cell(self, place, case):
+        make, location = GRID_PLACES[place]
+        grid, rest = GRID_ERRORS[case]
+        with pytest.raises(FrameFileError) as info:
+            structure_from_dict(make(grid))
+        assert str(info.value) == location + rest
+        assert info.value.location == location + rest.split(":")[0]
+
+    def test_integer_entries_have_the_bits_of_float(self):
+        pick = random.Random(72)
+        rows = [[2**53 + 1, -3], [2**64 + 1, -(2**70) + 5], [0, 2**1023], [1, 0.5]]
+        rows += [[pick.randint(-(2**70), 2**70) for _ in range(2)] for _ in range(300)]
+        vectors = structure_from_dict(frame_doc(rows)).vectors
+        assert vectors.tobytes() == np.array([[float(x) for x in row] for row in rows]).tobytes()
+
+    def test_float_subclass_entries_load_like_floats(self):
+        doc = frame_doc([[np.float64(0.1), 1], [2.5, np.float64(-3.0)]])
+        assert structure_from_dict(doc).vectors.tolist() == [[0.1, 1.0], [2.5, -3.0]]
+
+
+class TestOutOfRangeIntegers:
+    HUGE = 10**400
+
+    def test_vector_entry(self):
+        with pytest.raises(FrameFileError) as info:
+            structure_from_dict(frame_doc([[1.0, 0.0], [0.5, self.HUGE]]))
+        assert str(info.value) == "$.vectors[1][1]: number outside the float64 range"
+
+    def test_basis_entry(self):
+        with pytest.raises(FrameFileError) as info:
+            structure_from_dict(fusion_doc([[-self.HUGE, 0.0]]))
+        assert str(info.value) == (
+            "$.subspaces[1].basis[0][0]: number outside the float64 range"
+        )
+
+    def test_weight(self):
+        doc = {"dim": 1, "kind": "fusion", "subspaces": [{"weight": self.HUGE, "basis": [[1.0]]}]}
+        with pytest.raises(FrameFileError) as info:
+            structure_from_dict(doc)
+        assert str(info.value) == "$.subspaces[0].weight: number outside the float64 range"
+
+    def test_401_digit_literal_in_a_file(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"dim": 2, "kind": "frame", "vectors": [[1.0, 1%s]]}' % ("0" * 400))
+        with pytest.raises(FrameFileError, match=r"^\$\.vectors\[0\]\[1\]: number outside"):
+            load_structure(path)
+
+    def test_literal_past_the_int_digit_limit(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        path.write_text('{"dim": 1, "kind": "frame", "vectors": [[%s]]}' % ("7" * (limit + 1)))
+        with pytest.raises(FrameFileError) as info:
+            load_structure(path)
+        assert str(info.value) == f"$: integer literal of more than {limit} digits"
+
+
+class TestStoredBases:
+    def test_more_rows_than_dim_are_a_spanning_set(self):
+        rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        ff = structure_from_dict({"dim": 2, "kind": "fusion", "subspaces": [{"weight": 1.0, "basis": rows}]})
+        assert ff.subspaces[0].dim == 2
+
+    @pytest.mark.parametrize(
+        "rows", [[[float("nan"), 0.0]], [[1.0, 0.0], [0.0, 1.0], [float("inf"), 1.0]]]
+    )
+    def test_non_finite_basis_raises_numeric_error(self, rows):
+        doc = {"dim": 2, "kind": "fusion", "subspaces": [{"weight": 1.0, "basis": rows}]}
+        with pytest.raises(NumericError, match="^matrix contains non-finite entries$"):
+            structure_from_dict(doc)

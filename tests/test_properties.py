@@ -1,8 +1,8 @@
 """Property tests: a frame is the fusion frame of its spans, bounds scale
 quadratically, redundancy is invariant under scaling and rotation, files
 round-trip bit for bit, the frame constant is symmetric, cosine angles
-are invariant under rotation, and every registry row gives a verdict on
-degenerate inputs.
+are invariant under rotation, every registry row gives a verdict on
+degenerate inputs, and the file loader raises only its own errors.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples.  It still caches the constants it reads from
@@ -28,7 +28,8 @@ from framekit import (
     subspace_from_spanning,
     vector_span,
 )
-from framekit.fileio import load_structure, write_structure
+from framekit.errors import FramekitError
+from framekit.fileio import FrameFileError, load_structure, structure_from_dict, write_structure
 from framekit.theorems import THEOREMS
 
 settings.register_profile("framekit", derandomize=True, database=None, deadline=None)
@@ -228,3 +229,52 @@ def test_registry_gives_verdicts_on_degenerate_frames(f):
 @given(degenerate_fusion_frames())
 def test_registry_gives_verdicts_on_degenerate_fusion_frames(ff):
     assert_every_row_gives_a_verdict(ff)
+
+
+# What json.loads can produce, integers beyond the float range included.
+huge_ints = st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers(-3, 3) | huge_ints
+    | st.floats(-10.0, 10.0) | st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+odd_numbers = huge_ints | st.sampled_from([float("nan"), float("inf")]) | json_values
+
+
+def mostly(strategy, other=json_values):
+    """``strategy``, with about one draw in sixteen taken from ``other`` instead.
+
+    The switch sits on a middle value, since Hypothesis favours the ends
+    of a range."""
+    return st.integers(0, 15).flatmap(lambda k: other if k == 7 else strategy)
+
+
+@st.composite
+def frame_file_documents(draw):
+    """Documents near the frame-file schema, any part of which may be
+    replaced by other JSON."""
+    dim = draw(mostly(st.integers(1, 3)))
+    width = dim if type(dim) is int and 1 <= dim <= 3 else 2
+    entries = mostly(st.integers(-3, 3) | st.floats(-10.0, 10.0), odd_numbers)
+    grid = mostly(st.lists(mostly(st.lists(entries, min_size=width, max_size=width)),
+                           min_size=1, max_size=3))
+    member = mostly(st.fixed_dictionaries({"weight": entries, "basis": grid}))
+    kind = draw(mostly(st.sampled_from(["frame", "fusion"])))
+    doc = {"dim": dim, "kind": kind}
+    # Each kind mostly comes with its own payload.
+    if (kind == "frame") != draw(mostly(st.just(False), st.just(True))):
+        doc["vectors"] = draw(grid)
+    if (kind == "fusion") != draw(mostly(st.just(False), st.just(True))):
+        doc["subspaces"] = draw(mostly(st.lists(member, min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        doc["labels"] = draw(mostly(st.lists(st.text(max_size=2), min_size=1, max_size=3)))
+    return doc
+
+
+@given(frame_file_documents())
+def test_loader_raises_only_its_own_errors(doc):
+    try:
+        structure_from_dict(doc)
+    except (FrameFileError, FramekitError):
+        pass
