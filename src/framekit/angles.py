@@ -13,20 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .frames import _Record
 from .fusion import Subspace
 
 
 @dataclass(frozen=True)
-class AngleReport:
+class AngleReport(_Record):
     """Cosine extremes, angle, and gap between an ordered subspace pair."""
 
     r: float
     s: float
     theta: float
     gap: float
-
-    def to_dict(self) -> dict:
-        return {"r": self.r, "s": self.s, "theta": self.theta, "gap": self.gap}
 
 
 def _inf_sup_cos(vbasis: np.ndarray, wbasis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

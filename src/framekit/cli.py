@@ -13,20 +13,15 @@ no failure (exit 0 when nothing else fails), never an error exit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    DegenerateInputError,
-    DimensionError,
-    FramekitError,
-    GenerationError,
-    NumericError,
-    PreconditionError,
-)
+from .errors import DimensionError, FramekitError, GenerationError, PreconditionError
 from .fileio import FrameFileError, file_digest, load_structure, write_structure
 from .frames import Frame, is_riesz_basis, optimal_frame_bounds, redundancy_bounds
 from .fusion import is_orthonormal_fusion_basis, subspace_from_spanning
@@ -41,6 +36,17 @@ from . import theorems
 
 class _UsageError(Exception):
     """Invalid argument values caught after argparse (exit 2)."""
+
+
+# The exit code of each error class ``main`` reports (first match); an
+# OSError is a file that cannot be read or written.
+_EXIT_CODES = {
+    FrameFileError: 2,
+    _UsageError: 2,
+    OSError: 2,
+    FramekitError: 3,
+    GenerationError: 4,
+}
 
 
 def _fmt(value):
@@ -122,8 +128,10 @@ def cmd_analyze(args, command: str) -> int:
 
 
 def cmd_perturb(args, command: str) -> int:
-    if args.mu <= 0:
+    if not args.mu > 0:
         raise _UsageError(f"--mu must be positive, got {args.mu}")
+    if math.isinf(args.mu):
+        raise _UsageError(f"--mu must be finite, got {args.mu}")
     obj = load_structure(args.input)
     if isinstance(obj, Frame):
         perturbed, achieved = generate_perturbed_frame(
@@ -206,33 +214,28 @@ def cmd_angles(args, command: str) -> int:
 
 
 def _suite_config(args) -> theorems.SuiteConfig:
-    if args.config is not None:
+    if args.config is None:
+        kwargs = {
+            "instances": args.instances,
+            "dim_range": (args.dim_min, args.dim_max),
+            "count_range": (args.count_min, args.count_max),
+            "mu_fraction_range": (args.mu_frac_min, args.mu_frac_max),
+            "seed": args.seed,
+        }
+    else:
         try:
-            doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+            kwargs = json.loads(Path(args.config).read_text())
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers undecodable bytes and overlong integer
+            # literals as well as malformed JSON.
             raise _UsageError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
+        if not isinstance(kwargs, dict):
             raise _UsageError("config must be a JSON object")
-        known = {"instances", "dim_range", "count_range", "mu_fraction_range", "seed"}
-        unknown = set(doc) - known
+        unknown = set(kwargs) - {f.name for f in dataclasses.fields(theorems.SuiteConfig)}
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(doc)
-        for key in ("dim_range", "count_range", "mu_fraction_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        try:
-            return theorems.SuiteConfig(**kwargs)
-        except (PreconditionError, TypeError) as exc:
-            raise _UsageError(str(exc)) from exc
     try:
-        return theorems.SuiteConfig(
-            instances=args.instances,
-            dim_range=(args.dim_min, args.dim_max),
-            count_range=(args.count_min, args.count_max),
-            mu_fraction_range=(args.mu_frac_min, args.mu_frac_max),
-            seed=args.seed,
-        )
+        return theorems.SuiteConfig(**kwargs)
     except PreconditionError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -312,24 +315,9 @@ def main(argv=None) -> int:
     command = "framekit " + " ".join(argv)
     try:
         return args.func(args, command)
-    except FrameFileError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GenerationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (DimensionError, DegenerateInputError, PreconditionError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FramekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entry() -> None:

@@ -152,11 +152,14 @@ def structure_to_dict(obj: Frame | FusionFrame) -> dict:
 
 def load_structure(path) -> Frame | FusionFrame:
     """Load a frame file; FrameFileError on malformed content."""
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FrameFileError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except UnicodeDecodeError as exc:
+        raise FrameFileError(f"byte {exc.start}", f"not {exc.encoding} text: {exc.reason}") from exc
+    except RecursionError:
+        raise FrameFileError("$", "arrays or objects nested too deeply to parse") from None
     except ValueError as exc:
         # The only other ValueError of json.loads: an integer literal past
         # Python's limit on the digits of a str-to-int conversion.

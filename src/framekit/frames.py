@@ -11,7 +11,7 @@ and its sampling oracle are written once against them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -118,8 +118,24 @@ class Frame:
         return (1,) * self.count
 
 
+class _Record:
+    """Report dataclass mixin: ``to_dict`` gives the fields in declaration
+    order, tuples as lists and dicts as copies."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            out[f.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Record):
     """Optimal lower/upper frame bounds plus the derived classification flags."""
 
     lower: float
@@ -128,32 +144,15 @@ class BoundsReport:
     is_tight: bool
     is_parseval: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "is_frame": self.is_frame,
-            "is_tight": self.is_tight,
-            "is_parseval": self.is_parseval,
-        }
-
 
 @dataclass(frozen=True)
-class RedundancyProfile:
+class RedundancyProfile(_Record):
     """Lower/upper redundancy, uniformity flag, and the trace-based mean."""
 
     lower: float
     upper: float
     uniform: bool
     mean: float
-
-    def to_dict(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "uniform": self.uniform,
-            "mean": self.mean,
-        }
 
 
 def bounds_from_extremes(low: float, high: float, rank_tol: float = linalg.RANK_TOL) -> BoundsReport:
@@ -170,13 +169,6 @@ def bounds_from_extremes(low: float, high: float, rank_tol: float = linalg.RANK_
         is_tight=tight,
         is_parseval=parseval,
     )
-
-
-def profile_from_extremes(low: float, high: float, mean: float) -> RedundancyProfile:
-    low = max(0.0, float(low))
-    high = max(0.0, float(high))
-    uniform = abs(high - low) <= TIGHT_TOL * high
-    return RedundancyProfile(lower=low, upper=high, uniform=uniform, mean=float(mean))
 
 
 def synthesis_matrix(f: Frame) -> np.ndarray:
@@ -232,7 +224,10 @@ def redundancy_bounds(f: Frame | FusionFrame) -> RedundancyProfile:
     provides the independent check."""
     u = f.unit_columns
     eigs = linalg.hermitian_eigenvalues(u @ u.T)
-    return profile_from_extremes(eigs[0], eigs[-1], u.shape[1] / f.dim)
+    b = bounds_from_extremes(eigs[0], eigs[-1])
+    return RedundancyProfile(
+        lower=b.lower, upper=b.upper, uniform=b.is_tight, mean=u.shape[1] / f.dim
+    )
 
 
 def redundancy_oracle(f: Frame | FusionFrame, samples: int, seed: int) -> tuple[float, float]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
-from .frames import Frame, _nonzero, _rank_stacks
+from .frames import Frame, _nonzero, _rank_stacks, _Record
 from .fusion import FusionFrame, Subspace
 
 # Relative window the bisection-based generators must land in.
@@ -25,14 +25,11 @@ BISECT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(_Record):
     """Least perturbation constant plus per-index difference norms."""
 
     mu: float
     per_index_norms: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {"mu": self.mu, "per_index_norms": list(self.per_index_norms)}
 
 
 def frame_perturbation_mu(phi: Frame, psi: Frame) -> PerturbationReport:

@@ -16,7 +16,8 @@ index via ``replay_instance``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,6 +27,7 @@ from .errors import DimensionError, GenerationError, PreconditionError
 from .frames import (
     Frame,
     _rank_stacks,
+    _Record,
     normalize_frame,
     optimal_frame_bounds,
     is_riesz_basis,
@@ -46,7 +48,7 @@ IDENTITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(_Record):
     """Outcome of one theorem check on one instance.
 
     ``margin`` is the smallest signed slack among the asserted
@@ -63,29 +65,41 @@ class TheoremVerdict:
     notes: str
     margin: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "hypotheses_met": self.hypotheses_met,
-            "predicted": dict(self.predicted),
-            "observed": dict(self.observed),
-            "inequality_pass": self.inequality_pass,
-            "equality_residuals": dict(self.equality_residuals),
-            "notes": self.notes,
-            "margin": self.margin,
-        }
 
-
-def _gated(theorem_id: str, notes: str, observed: dict[str, float] | None = None) -> TheoremVerdict:
+def _gated(theorem_id: str, notes: str) -> TheoremVerdict:
     return TheoremVerdict(
         theorem_id=theorem_id,
         hypotheses_met=False,
         predicted={},
-        observed=observed or {},
+        observed={},
         inequality_pass=True,
         equality_residuals={},
         notes=notes,
-        margin=None,
+    )
+
+
+def _band(
+    theorem_id: str, predicted: dict, base, obs, c: float, notes: str, sides=("lower", "upper")
+) -> TheoremVerdict:
+    """The statement every perturbation theorem makes: perturbing by the
+    constant ``c`` keeps the perturbed extremes ``obs`` (frame bounds or
+    redundancy) no less than ``(sqrt(base.lower) - c)^2`` and no more than
+    ``(sqrt(base.upper) + c)^2`` for the original extremes ``base``.
+    Asserts ``sides`` in order, appending their predictions to
+    ``predicted``."""
+    bands = {"lower": (math.sqrt(base.lower) - c) ** 2, "upper": (math.sqrt(base.upper) + c) ** 2}
+    slack = {"lower": obs.lower - bands["lower"], "upper": bands["upper"] - obs.upper}
+    predicted.update((side, bands[side]) for side in sides)
+    margin = min(slack[side] for side in sides)
+    return TheoremVerdict(
+        theorem_id=theorem_id,
+        hypotheses_met=True,
+        predicted=predicted,
+        observed={"lower": obs.lower, "upper": obs.upper},
+        inequality_pass=margin >= -INEQ_SLACK,
+        equality_residuals={side: abs(slack[side]) for side in sides},
+        notes=notes,
+        margin=margin,
     )
 
 
@@ -100,22 +114,9 @@ def verify_perturbed_frame_bounds(phi: Frame, psi: Frame) -> TheoremVerdict:
             f"gate failed: mu={mu:.6g} not below sqrt(lower)="
             f"{math.sqrt(base.lower):.6g}",
         )
-    pred_lower = (math.sqrt(base.lower) - mu) ** 2
-    pred_upper = (math.sqrt(base.upper) + mu) ** 2
-    obs = optimal_frame_bounds(psi)
-    margin = min(obs.lower - pred_lower, pred_upper - obs.upper)
-    return TheoremVerdict(
-        theorem_id="perturbed_frame_bounds",
-        hypotheses_met=True,
-        predicted={"mu": mu, "lower": pred_lower, "upper": pred_upper},
-        observed={"lower": obs.lower, "upper": obs.upper},
-        inequality_pass=margin >= -INEQ_SLACK,
-        equality_residuals={
-            "lower": abs(obs.lower - pred_lower),
-            "upper": abs(obs.upper - pred_upper),
-        },
-        notes=f"base bounds ({base.lower:.6g}, {base.upper:.6g})",
-        margin=margin,
+    return _band(
+        "perturbed_frame_bounds", {"mu": mu}, base, optimal_frame_bounds(psi), mu,
+        f"base bounds ({base.lower:.6g}, {base.upper:.6g})",
     )
 
 
@@ -178,31 +179,14 @@ def verify_redundancy_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
         )
     mu_n = frame_perturbation_mu(normalize_frame(phi), normalize_frame(psi)).mu
     r_phi = redundancy_bounds(phi)
-    r_psi = redundancy_bounds(psi)
-    pred_upper = (math.sqrt(r_phi.upper) + mu_n) ** 2
-    residuals = {"upper": abs(r_psi.upper - pred_upper)}
-    predicted = {"mu": mu, "mu_normalized": mu_n, "upper": pred_upper}
-    margins = [pred_upper - r_psi.upper]
     lower_applicable = mu_n < math.sqrt(r_phi.lower)
-    if lower_applicable:
-        pred_lower = (math.sqrt(r_phi.lower) - mu_n) ** 2
-        predicted["lower"] = pred_lower
-        residuals["lower"] = abs(r_psi.lower - pred_lower)
-        margins.append(r_psi.lower - pred_lower)
-    margin = min(margins)
-    return TheoremVerdict(
-        theorem_id="redundancy_perturbation",
-        hypotheses_met=True,
-        predicted=predicted,
-        observed={"lower": r_psi.lower, "upper": r_psi.upper},
-        inequality_pass=margin >= -INEQ_SLACK,
-        equality_residuals=residuals,
-        notes=(
-            f"base redundancy ({r_phi.lower:.6g}, {r_phi.upper:.6g}); "
-            f"original mu {mu:.6g}, normalized mu {mu_n:.6g}"
-            + ("" if lower_applicable else "; lower check skipped (mu too large)")
-        ),
-        margin=margin,
+    return _band(
+        "redundancy_perturbation", {"mu": mu, "mu_normalized": mu_n},
+        r_phi, redundancy_bounds(psi), mu_n,
+        f"base redundancy ({r_phi.lower:.6g}, {r_phi.upper:.6g}); "
+        f"original mu {mu:.6g}, normalized mu {mu_n:.6g}"
+        + ("" if lower_applicable else "; lower check skipped (mu too large)"),
+        sides=("upper", "lower") if lower_applicable else ("upper",),
     )
 
 
@@ -211,7 +195,8 @@ def verify_riesz_redundancy(phi: Frame) -> TheoremVerdict:
     if not is_riesz_basis(phi):
         return _gated("riesz_redundancy", "gate failed: input is not a Riesz basis")
     profile = redundancy_bounds(phi)
-    worst = max(abs(profile.lower - 1.0), abs(profile.upper - 1.0))
+    residuals = {"lower": abs(profile.lower - 1.0), "upper": abs(profile.upper - 1.0)}
+    worst = max(residuals.values())
     unit = phi.unit_columns
     gram = unit.T @ unit
     ortho_defect = float(np.max(np.abs(gram - np.eye(phi.count))))
@@ -221,10 +206,7 @@ def verify_riesz_redundancy(phi: Frame) -> TheoremVerdict:
         predicted={"lower": 1.0, "upper": 1.0},
         observed={"lower": profile.lower, "upper": profile.upper},
         inequality_pass=worst <= INEQ_SLACK,
-        equality_residuals={
-            "lower": abs(profile.lower - 1.0),
-            "upper": abs(profile.upper - 1.0),
-        },
+        equality_residuals=residuals,
         notes=f"orthogonality defect of normalized basis: {ortho_defect:.3e}",
         margin=-worst,
     )
@@ -235,29 +217,15 @@ def verify_fusion_perturbed_bounds(w: FusionFrame, v: FusionFrame) -> TheoremVer
     measured constant times the square root of the member count."""
     mu = _fusion_constant(w, v)
     base = optimal_frame_bounds(w)
-    root_n = math.sqrt(w.count)
-    if not (base.is_frame and math.sqrt(base.lower) - mu * root_n > 0):
+    c = mu * math.sqrt(w.count)
+    if not (base.is_frame and math.sqrt(base.lower) - c > 0):
         return _gated(
             "fusion_perturbed_bounds",
-            f"gate failed: sqrt(lower)-mu*sqrt(N) = "
-            f"{math.sqrt(base.lower) - mu * root_n:.6g} <= 0",
+            f"gate failed: sqrt(lower)-mu*sqrt(N) = {math.sqrt(base.lower) - c:.6g} <= 0",
         )
-    pred_lower = (math.sqrt(base.lower) - mu * root_n) ** 2
-    pred_upper = (math.sqrt(base.upper) + mu * root_n) ** 2
-    obs = optimal_frame_bounds(v)
-    margin = min(obs.lower - pred_lower, pred_upper - obs.upper)
-    return TheoremVerdict(
-        theorem_id="fusion_perturbed_bounds",
-        hypotheses_met=True,
-        predicted={"mu": mu, "lower": pred_lower, "upper": pred_upper},
-        observed={"lower": obs.lower, "upper": obs.upper},
-        inequality_pass=margin >= -INEQ_SLACK,
-        equality_residuals={
-            "lower": abs(obs.lower - pred_lower),
-            "upper": abs(obs.upper - pred_upper),
-        },
-        notes=f"base bounds ({base.lower:.6g}, {base.upper:.6g}), N={w.count}",
-        margin=margin,
+    return _band(
+        "fusion_perturbed_bounds", {"mu": mu}, base, optimal_frame_bounds(v), c,
+        f"base bounds ({base.lower:.6g}, {base.upper:.6g}), N={w.count}",
     )
 
 
@@ -273,29 +241,16 @@ def verify_fusion_redundancy_perturbation(w: FusionFrame, v: FusionFrame) -> The
                 f"(off by {off:.3e}); the statement concerns unit weights",
             )
     r_w = redundancy_bounds(w)
-    root_n = math.sqrt(w.count)
-    if not (r_w.lower > 0 and math.sqrt(r_w.lower) - mu * root_n > 0):
+    c = mu * math.sqrt(w.count)
+    if not math.sqrt(r_w.lower) - c > 0:
         return _gated(
             "fusion_redundancy_perturbation",
             f"gate failed: sqrt(lower redundancy)-mu*sqrt(N) = "
-            f"{math.sqrt(r_w.lower) - mu * root_n:.6g} <= 0",
+            f"{math.sqrt(r_w.lower) - c:.6g} <= 0",
         )
-    r_v = redundancy_bounds(v)
-    pred_lower = (math.sqrt(r_w.lower) - mu * root_n) ** 2
-    pred_upper = (math.sqrt(r_w.upper) + mu * root_n) ** 2
-    margin = min(r_v.lower - pred_lower, pred_upper - r_v.upper)
-    return TheoremVerdict(
-        theorem_id="fusion_redundancy_perturbation",
-        hypotheses_met=True,
-        predicted={"mu": mu, "lower": pred_lower, "upper": pred_upper},
-        observed={"lower": r_v.lower, "upper": r_v.upper},
-        inequality_pass=margin >= -INEQ_SLACK,
-        equality_residuals={
-            "lower": abs(r_v.lower - pred_lower),
-            "upper": abs(r_v.upper - pred_upper),
-        },
-        notes=f"base redundancy ({r_w.lower:.6g}, {r_w.upper:.6g}), N={w.count}",
-        margin=margin,
+    return _band(
+        "fusion_redundancy_perturbation", {"mu": mu}, r_w, redundancy_bounds(v), c,
+        f"base redundancy ({r_w.lower:.6g}, {r_w.upper:.6g}), N={w.count}",
     )
 
 
@@ -398,8 +353,9 @@ THEOREM_IDS = tuple(t.id for t in THEOREMS)
 
 
 @dataclass(frozen=True)
-class SuiteConfig:
-    """Shape of the randomized verification run."""
+class SuiteConfig(_Record):
+    """Shape of the randomized verification run.  Each range is a pair,
+    stored as a tuple so the config stays hashable."""
 
     instances: int = 1000
     dim_range: tuple[int, int] = (2, 6)
@@ -408,6 +364,17 @@ class SuiteConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_range"):
+                if not isinstance(value, (tuple, list)) or len(value) != 2:
+                    raise PreconditionError(f"{f.name} must be a pair, got {value!r}")
+                value = tuple(value)
+                object.__setattr__(self, f.name, value)
+            kind = numbers.Real if f.name == "mu_fraction_range" else numbers.Integral
+            entries = value if isinstance(value, tuple) else (value,)
+            if not all(isinstance(x, kind) and not isinstance(x, bool) for x in entries):
+                raise PreconditionError(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
         if self.instances < 1:
             raise PreconditionError(f"instances must be >= 1, got {self.instances}")
         dlo, dhi = self.dim_range
@@ -427,15 +394,6 @@ class SuiteConfig:
             )
         if self.seed < 0:
             raise PreconditionError(f"seed must be non-negative, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "dim_range": list(self.dim_range),
-            "count_range": list(self.count_range),
-            "mu_fraction_range": list(self.mu_fraction_range),
-            "seed": self.seed,
-        }
 
 
 @dataclass

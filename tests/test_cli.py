@@ -32,6 +32,13 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def one_error_line(capsys):
+    """The stderr of a failed command: exactly one ``error:`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 @pytest.fixture
 def onb_file(tmp_path):
     doc = {"dim": 2, "kind": "frame", "vectors": [[1.0, 0.0], [0.0, 1.0]]}
@@ -122,7 +129,7 @@ class TestAnalyze:
             {"dim": 2, "kind": "frame", "vectors": [[1.0, 0.0], [1.0]]},
         )
         assert main(["analyze", path]) == 2
-        assert "$.vectors[1]" in capsys.readouterr().err
+        assert "$.vectors[1]" in one_error_line(capsys)
 
     def test_zero_vector_redundancy_exits_3(self, capsys, tmp_path):
         path = write_json(
@@ -130,9 +137,11 @@ class TestAnalyze:
             {"dim": 2, "kind": "frame", "vectors": [[1.0, 0.0], [0.0, 0.0]]},
         )
         assert main(["analyze", path]) == 3
+        assert "zero vectors" in one_error_line(capsys)
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 2
+        assert "No such file" in one_error_line(capsys)
 
     def test_integer_beyond_float_range_exits_2(self, capsys, tmp_path):
         path = tmp_path / "big.json"
@@ -183,7 +192,7 @@ class TestPerturb:
         out = tmp_path / "out.json"
         code = main(["perturb", src, "--mu", "100", "--norm-preserving", "--out", str(out)])
         assert code == 4
-        assert "unreachable" in capsys.readouterr().err
+        assert "unreachable" in one_error_line(capsys)
         assert not out.exists()
 
     def test_fusion_input(self, capsys, tmp_path):
@@ -217,6 +226,14 @@ class TestPerturb:
     def test_negative_mu_exits_2(self, capsys, onb_file, tmp_path):
         code = main(["perturb", onb_file, "--mu", "-1", "--out", str(tmp_path / "x.json")])
         assert code == 2
+        assert one_error_line(capsys) == "error: --mu must be positive, got -1.0\n"
+
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_non_finite_mu_exits_2(self, capsys, onb_file, tmp_path, mu):
+        out = tmp_path / "x.json"
+        assert main(["perturb", onb_file, "--mu", mu, "--out", str(out)]) == 2
+        assert "--mu must be" in one_error_line(capsys)
+        assert not out.exists()
 
 
 class TestVerify:
@@ -264,6 +281,7 @@ class TestVerify:
             {"dim": 2, "kind": "fusion", "subspaces": [{"weight": 1.0, "basis": [[1.0, 0.0]]}]},
         )
         assert main(["verify", onb_file, fusion]) == 3
+        assert "different kinds" in one_error_line(capsys)
 
     def test_inapplicable_theorem_exits_3(self, capsys, onb_file):
         assert main(["verify", onb_file, onb_file, "--theorem", "fusion_perturbed_bounds"]) == 3
@@ -414,6 +432,25 @@ class TestSuite:
         cfg = write_json(tmp_path / "cfg.json", {"instances": 3, "bogus": 1})
         assert main(["suite", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim_range": 5},
+            {"dim_range": [2, 3, 4]},
+            {"instances": 1.5},
+            {"seed": 1.5},
+            {"instances": True},
+            {"dim_range": [2.5, 4]},
+        ],
+        ids=["scalar-range", "triple-range", "float-instances", "float-seed", "bool-instances",
+             "float-dims"],
+    )
+    def test_wrongly_typed_config_value_exits_2(self, capsys, tmp_path, doc):
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["suite", "--config", cfg]) == 2
+        assert next(iter(doc)) in one_error_line(capsys)
+        assert capsys.readouterr().out == ""
+
     def test_byte_identical_reports(self, capsys):
         argv = ["suite", "--instances", "4", "--seed", "21", "--format", "json"]
         assert main(argv) == 0
@@ -421,6 +458,47 @@ class TestSuite:
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestExitCodes:
+    """The rows of the exit-code table that no test above pins: each
+    file or input fault exits with its code and one ``error:`` line."""
+
+    NESTED = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize(
+        "argv, content, code, fragment",
+        [
+            (["analyze"], None, 2, "Is a directory"),
+            (["suite", "--config"], None, 2, "Is a directory"),
+            (["analyze"], b"\xff\xfe", 2, "not utf-8 text"),
+            (["suite", "--config"], b"\xff\xfe", 2, "can't decode"),
+            (["analyze"], NESTED, 2, "nested too deeply"),
+            (["suite", "--config"], NESTED, 2, "recursion"),
+            (["analyze"], '{"dim": 2, "kind": "frame", "vectors": [[1, 0], [0, 1}', 2, "line 1"),
+            (
+                ["analyze"],
+                '{"dim": 2, "kind": "fusion", "subspaces": [{"weight": -1, "basis": [[1, 0]]}]}',
+                3,
+                "weight 0 must be positive",
+            ),
+            (["analyze"], '{"dim": 2, "kind": "frame", "vectors": [[NaN, 0], [0, 1]]}', 3, "non-finite"),
+        ],
+        ids=[
+            "directory", "config-directory", "non-utf8", "config-non-utf8", "nested",
+            "config-nested", "malformed", "precondition", "numeric",
+        ],
+    )
+    def test_exit_code_table(self, capsys, tmp_path, argv, content, code, fragment):
+        path = tmp_path / "input.json"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        assert main([*argv, str(path)]) == code
+        assert fragment in one_error_line(capsys)
 
 
 class TestParserReuse:

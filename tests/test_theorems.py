@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from framekit import (
+    AngleReport,
+    BoundsReport,
     Frame,
     FusionFrame,
+    PerturbationReport,
+    RedundancyProfile,
     Subspace,
     SuiteConfig,
+    TheoremVerdict,
     cosine_angles,
     full_space,
+    frame_perturbation_mu,
     fusion_frame_bounds,
+    fusion_perturbation_mu,
     fusion_redundancy_bounds,
     gap_direct,
     generate_perturbed_frame,
@@ -363,6 +370,15 @@ class TestSuite:
         with pytest.raises(PreconditionError):
             SuiteConfig(count_range=(1, 1))
 
+    def test_ranges_become_tuples(self):
+        # The benchmark keys operations by ``config.dim_range``.
+        config = SuiteConfig(dim_range=[2, 3], count_range=[2, 5], mu_fraction_range=[0.2, 0.4])
+        assert (config.dim_range, config.count_range, config.mu_fraction_range) == (
+            (2, 3), (2, 5), (0.2, 0.4)
+        )
+        assert hash(config) == hash(SuiteConfig(dim_range=(2, 3), count_range=(2, 5),
+                                                mu_fraction_range=(0.2, 0.4)))
+
     def test_small_run_passes_everywhere(self):
         report = run_random_suite(SuiteConfig(instances=25, seed=7))
         assert report.total_failures == 0
@@ -413,3 +429,102 @@ def test_mismatched_shapes_raise(row):
         b = FusionFrame(((full_space(2), 1.0), (full_space(2), 1.0)))
     with pytest.raises(DimensionError, match="have shapes"):
         row.run(a, b)
+
+
+def _band_cases():
+    """(verifier, original, perturbed, constant c, base extremes, perturbed
+    extremes, leading ``predicted`` keys, asserted sides) for the four
+    perturbation statements, each on a pair whose hypotheses hold."""
+    rng = np.random.default_rng(17)
+    phi = Frame(1.5 * normalize_frame(Frame(rng.standard_normal((6, 3)))).vectors)
+    target = 0.3 * math.sqrt(optimal_frame_bounds(phi).lower)
+    psi, _ = generate_perturbed_frame(phi, target, seed=3, norm_preserving=True)
+    w = unit_fusion(rng, 3, 5)
+    v, _ = generate_perturbed_fusion(w, 0.3 * math.sqrt(redundancy_bounds(w).lower / 5), seed=4)
+    # Unequal vector norms: the normalized constant 2 reaches sqrt(2), the
+    # root of the lower redundancy, so only the upper side is asserted.
+    tall, flipped = Frame([[10.0], [1.0]]), Frame([[10.0], [-1.0]])
+    mu = frame_perturbation_mu(phi, psi).mu
+    mu_n = frame_perturbation_mu(normalize_frame(phi), normalize_frame(psi)).mu
+    fusion_c = fusion_perturbation_mu(w, v).mu * math.sqrt(5)
+    both = ("lower", "upper")
+    return [
+        (verify_perturbed_frame_bounds, phi, psi, mu, optimal_frame_bounds, ["mu"], both),
+        (verify_redundancy_perturbation, phi, psi, mu_n, redundancy_bounds,
+         ["mu", "mu_normalized"], ("upper", "lower")),
+        (verify_redundancy_perturbation, tall, flipped, 2.0, redundancy_bounds,
+         ["mu", "mu_normalized"], ("upper",)),
+        (verify_fusion_perturbed_bounds, w, v, fusion_c, optimal_frame_bounds, ["mu"], both),
+        (verify_fusion_redundancy_perturbation, w, v, fusion_c, redundancy_bounds, ["mu"], both),
+    ]
+
+
+@pytest.mark.parametrize("case", _band_cases(), ids=lambda c: c[0].__name__)
+def test_perturbation_band(case):
+    """Every perturbation verdict is the band ``(sqrt(A) - c)^2`` to
+    ``(sqrt(B) + c)^2`` around the original extremes, with its keys in the
+    order ``framekit verify`` prints."""
+    verify, a, b, c, extremes, leading, sides = case
+    verdict = verify(a, b)
+    base, obs = extremes(a), extremes(b)
+    band = {"lower": (math.sqrt(base.lower) - c) ** 2, "upper": (math.sqrt(base.upper) + c) ** 2}
+    slack = {"lower": obs.lower - band["lower"], "upper": band["upper"] - obs.upper}
+    assert verdict.hypotheses_met and verdict.inequality_pass
+    assert list(verdict.predicted) == [*leading, *sides]
+    for side in sides:
+        assert verdict.predicted[side] == pytest.approx(band[side], rel=1e-12)
+    assert verdict.observed == {"lower": obs.lower, "upper": obs.upper}
+    assert list(verdict.equality_residuals) == list(sides)
+    assert verdict.margin == pytest.approx(min(slack[s] for s in sides), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "record, expected",
+    [
+        (
+            BoundsReport(1.0, 2.0, True, False, False),
+            {"lower": 1.0, "upper": 2.0, "is_frame": True, "is_tight": False, "is_parseval": False},
+        ),
+        (
+            RedundancyProfile(0.5, 2.5, False, 1.5),
+            {"lower": 0.5, "upper": 2.5, "uniform": False, "mean": 1.5},
+        ),
+        (AngleReport(0.6, 1.0, 0.9, 0.8), {"r": 0.6, "s": 1.0, "theta": 0.9, "gap": 0.8}),
+        (PerturbationReport(0.3, (0.1, 0.2)), {"mu": 0.3, "per_index_norms": [0.1, 0.2]}),
+        (
+            TheoremVerdict("t", True, {"mu": 0.1, "upper": 4.0}, {"lower": 1.0}, False, {"upper": 0.5}, "n", -0.5),
+            {
+                "theorem_id": "t",
+                "hypotheses_met": True,
+                "predicted": {"mu": 0.1, "upper": 4.0},
+                "observed": {"lower": 1.0},
+                "inequality_pass": False,
+                "equality_residuals": {"upper": 0.5},
+                "notes": "n",
+                "margin": -0.5,
+            },
+        ),
+        (
+            SuiteConfig(instances=3, dim_range=[2, 3], seed=5),
+            {
+                "instances": 3,
+                "dim_range": [2, 3],
+                "count_range": [2, 12],
+                "mu_fraction_range": [0.1, 0.9],
+                "seed": 5,
+            },
+        ),
+    ],
+    ids=lambda x: type(x).__name__ if not isinstance(x, dict) else "",
+)
+def test_record_to_dict(record, expected):
+    """Fields in declaration order (the order ``framekit verify`` and
+    ``analyze`` print), tuples as lists, dicts as copies."""
+    out = record.to_dict()
+    assert out == expected
+    assert list(out) == list(expected)
+    for key, value in out.items():
+        assert type(value) is type(expected[key])
+        if isinstance(value, dict):
+            assert value is not getattr(record, key)
+            assert list(value) == list(expected[key])
