@@ -15,7 +15,6 @@ from .frames import (
     BoundsReport,
     Frame,
     RedundancyProfile,
-    analysis_apply,
     frame_operator,
     is_riesz_basis,
     normalize_frame,
@@ -23,17 +22,11 @@ from .frames import (
     redundancy_at,
     redundancy_bounds,
     redundancy_oracle,
-    synthesis_matrix,
 )
 from .fusion import (
     FusionFrame,
     Subspace,
     full_space,
-    fusion_frame_bounds,
-    fusion_frame_operator,
-    fusion_redundancy_at,
-    fusion_redundancy_bounds,
-    fusion_redundancy_oracle,
     is_orthonormal_fusion_basis,
     projection_matrix,
     subspace_from_spanning,

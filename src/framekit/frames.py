@@ -155,9 +155,9 @@ class RedundancyProfile(_Record):
     mean: float
 
 
-def bounds_from_extremes(low: float, high: float, rank_tol: float = linalg.RANK_TOL) -> BoundsReport:
+def bounds_from_extremes(low: float, high: float) -> BoundsReport:
     """Build a BoundsReport from extreme operator eigenvalues (clamped at 0);
-    framehood is decided relative to scale, as ``low > rank_tol * high``."""
+    framehood is decided relative to scale, as ``low > RANK_TOL * high``."""
     low = max(0.0, float(low))
     high = max(0.0, float(high))
     tight = abs(high - low) <= TIGHT_TOL * high
@@ -165,21 +165,10 @@ def bounds_from_extremes(low: float, high: float, rank_tol: float = linalg.RANK_
     return BoundsReport(
         lower=low,
         upper=high,
-        is_frame=low > rank_tol * high,
+        is_frame=low > linalg.RANK_TOL * high,
         is_tight=tight,
         is_parseval=parseval,
     )
-
-
-def synthesis_matrix(f: Frame) -> np.ndarray:
-    """The n-by-N matrix whose column i is vector i (maps coefficients to sums)."""
-    return f.synthesis_columns.copy()
-
-
-def analysis_apply(f: Frame, x) -> np.ndarray:
-    """Coefficient vector of inner products <x, v_i>."""
-    x = linalg.as_vector(x, f.dim)
-    return f.vectors @ x
 
 
 def frame_operator(f: Frame | FusionFrame) -> np.ndarray:
@@ -189,17 +178,17 @@ def frame_operator(f: Frame | FusionFrame) -> np.ndarray:
     return t @ t.T
 
 
-def optimal_frame_bounds(f: Frame | FusionFrame, rank_tol: float = linalg.RANK_TOL) -> BoundsReport:
+def optimal_frame_bounds(f: Frame | FusionFrame) -> BoundsReport:
     """Optimal bounds: the extreme eigenvalues of the operator."""
     eigs = linalg.hermitian_eigenvalues(frame_operator(f))
-    return bounds_from_extremes(eigs[0], eigs[-1], rank_tol)
+    return bounds_from_extremes(eigs[0], eigs[-1])
 
 
-def is_riesz_basis(f: Frame, tol: float = linalg.RANK_TOL) -> bool:
+def is_riesz_basis(f: Frame) -> bool:
     """True iff the frame has exactly n vectors and they are invertible."""
     if f.count != f.dim:
         return False
-    return optimal_frame_bounds(f, tol).is_frame
+    return optimal_frame_bounds(f).is_frame
 
 
 def normalize_frame(f: Frame) -> Frame:

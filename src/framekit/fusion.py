@@ -2,11 +2,10 @@
 
 Subspaces are stored as orthonormal bases (rank explicit, projector
 invariants checkable); orthogonal projectors are derived on demand.  A
-fusion frame exposes the column stacks of ``frames.Frame``, so the
-operator, bounds and redundancy are the functions of ``frames``; the
-``fusion_*`` names below are aliases for them.  Fusion redundancy sums
-bare projections and ignores the weights: it is read off the stacked
-bases ``[U_1 ... U_N]``.
+fusion frame exposes the column stacks of ``frames.Frame``, so its
+operator, bounds and redundancy are the functions of ``frames``, which
+take either kind.  Fusion redundancy sums bare projections and ignores
+the weights: it is read off the stacked bases ``[U_1 ... U_N]``.
 """
 
 from __future__ import annotations
@@ -17,13 +16,6 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, DimensionError, PreconditionError
-from .frames import (
-    frame_operator,
-    optimal_frame_bounds,
-    redundancy_at,
-    redundancy_bounds,
-    redundancy_oracle,
-)
 
 # Orthonormality defect admitted in a stored basis.
 BASIS_TOL = 1e-10
@@ -112,9 +104,9 @@ class FusionFrame:
         return tuple(s.dim for s, _ in self.members)
 
 
-def subspace_from_spanning(vectors, tol: float = linalg.RANK_TOL) -> Subspace:
-    """Subspace spanned by arbitrary vectors; rank is decided at ``tol``."""
-    basis, rank = linalg.orthonormalize(vectors, tol=tol)
+def subspace_from_spanning(vectors) -> Subspace:
+    """Subspace spanned by arbitrary vectors; rank is decided at ``linalg.RANK_TOL``."""
+    basis, rank = linalg.orthonormalize(vectors)
     if rank == 0:
         raise DegenerateInputError("spanning set contains no vector above tolerance")
     return Subspace(basis)
@@ -139,17 +131,10 @@ def projection_matrix(s: Subspace) -> np.ndarray:
     return s.basis @ s.basis.T
 
 
-fusion_frame_operator = frame_operator
-fusion_frame_bounds = optimal_frame_bounds
-fusion_redundancy_at = redundancy_at
-fusion_redundancy_bounds = redundancy_bounds
-fusion_redundancy_oracle = redundancy_oracle
-
-
-def is_orthonormal_fusion_basis(ff: FusionFrame, tol: float = BASIS_TOL) -> bool:
+def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:
     """True iff the subspaces are pairwise orthogonal and tile the whole
     space: K = n and the stacked bases form an orthogonal matrix."""
     u = ff.unit_columns
     if u.shape[1] != ff.dim:
         return False
-    return linalg.operator_norm(u.T @ u - np.eye(ff.dim)) <= tol
+    return linalg.operator_norm(u.T @ u - np.eye(ff.dim)) <= BASIS_TOL

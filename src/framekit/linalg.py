@@ -1,12 +1,14 @@
 """Dense spectral and factorization primitives.
 
 Matrices are plain float64 numpy arrays. Everything here is pure and
-deterministic.  The six functions below (two input validators, three
-spectra, and the rank-deciding ``orthonormalize``) hold the shared
-tolerances.  Factorizations that decide no rank call ``np.linalg``
-directly: the stacked SVDs of ``perturb._GeodesicPath`` (one per rank
-chunk of tangents) and of ``angles._inf_sup_cos`` and ``angles._gap`` (one
-per stack of member bases), the complement basis in ``angles`` and the
+deterministic.  ``RANK_TOL`` is the one relative rank tolerance: the
+rank-deciding ``orthonormalize`` applies it, and so does the framehood
+rule of ``frames.bounds_from_extremes``; neither takes another value.
+The other functions below are two input validators and three spectra.
+Factorizations that decide no rank call ``np.linalg`` directly: the
+stacked SVDs of ``perturb._GeodesicPath`` (one per rank chunk of
+tangents) and of ``angles._inf_sup_cos`` and ``angles._gap`` (one per
+stack of member bases), the complement basis in ``angles`` and the
 random rotation in ``theorems``.
 """
 
@@ -74,38 +76,35 @@ def operator_norm(m) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def orthonormalize(vectors, tol: float = RANK_TOL, dim: int | None = None) -> tuple[np.ndarray, int]:
+def orthonormalize(vectors) -> tuple[np.ndarray, int]:
     """Orthonormal basis for the span of ``vectors`` via Householder QR.
 
     The vectors are taken greedily in input order: one is dropped when its
-    residual against the vectors already kept has norm <= tol times the
-    largest input norm, so the rank does not change when the input is
-    rescaled.  That residual is ``|R_jj|`` in the QR factorization of the
-    kept columns; a column failing the rule is dropped and the rest is
-    factored again, so full-rank input takes one QR.  Columns are signed
-    so that ``diag R > 0``, which makes the basis the modified
-    Gram-Schmidt basis of the kept vectors, up to rounding.
+    residual against the vectors already kept has norm <= ``RANK_TOL``
+    times the largest input norm, so the rank does not change when the
+    input is rescaled.  That residual is ``|R_jj|`` in the QR
+    factorization of the kept columns; a column failing the rule is
+    dropped and the rest is factored again, so full-rank input takes one
+    QR.  Columns are signed so that ``diag R > 0``, which makes the basis
+    the modified Gram-Schmidt basis of the kept vectors, up to rounding.
 
     Parameters
     ----------
-    vectors : sequence of length-n arrays
-    tol : relative drop tolerance (must be > 0)
-    dim : ambient dimension, required only when ``vectors`` is empty
+    vectors : sequence of length-n arrays; an empty one gives a 0-by-0
+        basis
 
     Returns
     -------
     (basis, rank) : n-by-rank array with orthonormal columns, and its rank.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if len(vectors) == 0:
-        return np.zeros((dim or 0, 0)), 0
+        return np.zeros((0, 0)), 0
     try:
         rows = np.asarray(vectors, dtype=float)
     except ValueError as exc:
         raise DimensionError(f"vectors must have equal lengths ({exc})") from None
     cols = as_matrix(rows).T
-    cutoff = tol * np.max(np.linalg.norm(cols, axis=0))
+    cutoff = RANK_TOL * np.max(np.linalg.norm(cols, axis=0))
     keep = list(range(cols.shape[1]))
     while keep:
         q, r = np.linalg.qr(cols[:, keep])

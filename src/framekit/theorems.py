@@ -5,7 +5,8 @@ trusted metadata), gates on the theorem's hypotheses, asserts the
 inequality consequences with a fixed absolute slack, and reports the
 residuals of the stronger equality claims as data instead of asserting
 them.  A hypothesis that fails on well-formed input yields a gated
-verdict, never an exception; only mismatched shapes raise.  ``THEOREMS``
+verdict, never an exception, and so does a zero vector that a registry
+row cannot measure; only mismatched shapes raise.  ``THEOREMS``
 lists every statement once, in report order, and is the only list the
 suite, ``replay_instance`` and ``framekit verify`` read.
 ``run_random_suite`` drives all checks over seeded random instances;
@@ -23,7 +24,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .angles import _gap, _inf_sup_cos
-from .errors import DimensionError, GenerationError, PreconditionError
+from .errors import DegenerateInputError, DimensionError, GenerationError, PreconditionError
 from .frames import (
     Frame,
     _rank_stacks,
@@ -45,6 +46,10 @@ from .perturb import (
 INEQ_SLACK = 1e-9
 # Tolerance for exact identities (gap link).
 IDENTITY_TOL = 1e-10
+# The random instance generators redraw until the optimal lower bound is
+# at least MIN_LOWER, at most MAX_TRIES times.
+MIN_LOWER = 1e-8
+MAX_TRIES = 500
 
 
 @dataclass(frozen=True)
@@ -314,7 +319,9 @@ class Theorem(NamedTuple):
     """One checked statement: ``check(a, b)`` verifies it on an
     (original, perturbed) pair of ``kind``.  With ``unit_weights`` set,
     both fusion frames have their weights replaced by one first, since the
-    statement concerns unit-weight fusion frames only."""
+    statement concerns unit-weight fusion frames only.  A degenerate
+    input the check cannot measure (a zero vector, whose span is
+    undefined) gives a gated verdict naming it."""
 
     id: str
     kind: type
@@ -324,7 +331,10 @@ class Theorem(NamedTuple):
     def run(self, a, b) -> TheoremVerdict:
         if self.unit_weights:
             a, b = a.with_unit_weights(), b.with_unit_weights()
-        return self.check(a, b)
+        try:
+            return self.check(a, b)
+        except DegenerateInputError as exc:
+            return _gated(self.id, f"gate failed: {exc}")
 
 
 # Report order.  Each check looks its verifier up by module name when
@@ -377,6 +387,11 @@ class SuiteConfig(_Record):
                 raise PreconditionError(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
         if self.instances < 1:
             raise PreconditionError(f"instances must be >= 1, got {self.instances}")
+        for name in ("dim_range", "count_range"):  # the generators draw these as int64
+            if max(getattr(self, name)) > 2**63 - 1:
+                raise PreconditionError(
+                    f"{name} bounds must not exceed 2**63 - 1, got {getattr(self, name)}"
+                )
         dlo, dhi = self.dim_range
         clo, chi = self.count_range
         flo, fhi = self.mu_fraction_range
@@ -461,19 +476,19 @@ class SuiteReport:
         }
 
 
-def random_frame(rng, dim: int, count: int, min_lower: float = 1e-8, max_tries: int = 500) -> Frame:
-    """Gaussian frame with optimal lower bound at least ``min_lower``."""
-    for _ in range(max_tries):
+def random_frame(rng, dim: int, count: int) -> Frame:
+    """Gaussian frame with optimal lower bound at least ``MIN_LOWER``."""
+    for _ in range(MAX_TRIES):
         f = Frame(rng.standard_normal((count, dim)))
-        if optimal_frame_bounds(f).lower >= min_lower:
+        if optimal_frame_bounds(f).lower >= MIN_LOWER:
             return f
     raise GenerationError(
-        f"no frame with lower bound >= {min_lower} in {max_tries} draws "
+        f"no frame with lower bound >= {MIN_LOWER} in {MAX_TRIES} draws "
         f"(dim={dim}, count={count})"
     )
 
 
-def random_orthogonal_basis(rng, dim: int, scale_range: tuple[float, float] = (0.5, 2.0)) -> Frame:
+def random_orthogonal_basis(rng, dim: int) -> Frame:
     """Randomly rotated orthogonal basis with random per-vector scales.
 
     This is the instance family on which the unit-redundancy claim for
@@ -481,7 +496,7 @@ def random_orthogonal_basis(rng, dim: int, scale_range: tuple[float, float] = (0
     theorem tests for a counterexample).
     """
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-    scales = rng.uniform(*scale_range, size=dim)
+    scales = rng.uniform(0.5, 2.0, size=dim)
     return Frame(q.T * scales[:, None])
 
 
@@ -491,26 +506,23 @@ def random_fusion_frame(
     count: int,
     max_rank: int | None = None,
     unit_weights: bool = False,
-    weight_range: tuple[float, float] = (0.5, 2.0),
-    min_lower: float = 1e-8,
-    max_tries: int = 500,
 ) -> FusionFrame:
     """Random spanning fusion frame with subspace ranks in [1, dim-1]."""
     if dim < 2:
         raise GenerationError("random fusion frames need ambient dimension >= 2")
     cap = dim - 1 if max_rank is None else max(1, min(max_rank, dim - 1))
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         members = []
         for _ in range(count):
             rank = int(rng.integers(1, cap + 1))
             sub = subspace_from_spanning(rng.standard_normal((rank, dim)))
-            weight = 1.0 if unit_weights else float(rng.uniform(*weight_range))
+            weight = 1.0 if unit_weights else float(rng.uniform(0.5, 2.0))
             members.append((sub, weight))
         ff = FusionFrame(tuple(members))
-        if optimal_frame_bounds(ff).lower >= min_lower:
+        if optimal_frame_bounds(ff).lower >= MIN_LOWER:
             return ff
     raise GenerationError(
-        f"no fusion frame with lower bound >= {min_lower} in {max_tries} draws "
+        f"no fusion frame with lower bound >= {MIN_LOWER} in {MAX_TRIES} draws "
         f"(dim={dim}, count={count})"
     )
 

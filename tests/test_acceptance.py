@@ -13,9 +13,6 @@ from framekit import (
     Frame,
     FusionFrame,
     full_space,
-    fusion_frame_bounds,
-    fusion_redundancy_bounds,
-    fusion_redundancy_oracle,
     generate_perturbed_frame,
     generate_perturbed_fusion,
     normalize_frame,
@@ -87,8 +84,8 @@ def test_criterion_02_oracle_equivalence():
         dim = 2 + i % 2
         count = int(rng.integers(2, 9))
         ff = random_fusion_frame(rng, dim, count, unit_weights=True)
-        prof = fusion_redundancy_bounds(ff)
-        lo, hi = fusion_redundancy_oracle(ff, 100_000, seed=int(rng.integers(2**31)))
+        prof = redundancy_bounds(ff)
+        lo, hi = redundancy_oracle(ff, 100_000, seed=int(rng.integers(2**31)))
         worst = max(worst, abs(lo - prof.lower), abs(hi - prof.upper))
     report(2, "spectral bounds vs sphere oracle", worst <= 5e-3, f"worst gap {worst:.2e}")
 
@@ -126,7 +123,7 @@ def test_criterion_04_perturbed_fusion_bounds_theorem():
         w = random_fusion_frame(rng, dim, count, max_rank=3)
         target = (
             float(rng.uniform(0.1, 0.9))
-            * math.sqrt(fusion_frame_bounds(w).lower)
+            * math.sqrt(optimal_frame_bounds(w).lower)
             / math.sqrt(count)
         )
         v, _ = generate_perturbed_fusion(w, target, seed=int(rng.integers(2**31)))
@@ -193,7 +190,7 @@ def test_criterion_06_redundancy_perturbation_inequalities():
         w = random_fusion_frame(rng, dim, count, unit_weights=True)
         target = (
             float(rng.uniform(0.1, 0.9))
-            * math.sqrt(fusion_redundancy_bounds(w).lower)
+            * math.sqrt(redundancy_bounds(w).lower)
             / math.sqrt(count)
         )
         v, _ = generate_perturbed_fusion(w, target, seed=int(rng.integers(2**31)))

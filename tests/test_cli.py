@@ -263,6 +263,20 @@ class TestVerify:
         assert verdict["hypotheses_met"] is False
         assert "gate failed" in verdict["notes"]
 
+    def test_zero_vector_gates_the_span_checks(self, capsys, tmp_path):
+        path = write_json(
+            tmp_path / "zero.json",
+            {"dim": 2, "kind": "frame", "vectors": [[1, 0], [0, 0], [0, 1]]},
+        )
+        code, doc = run_json(capsys, ["verify", path, path, "--format", "json"])
+        assert code == 0
+        notes = {v["theorem_id"]: v["notes"] for v in doc["results"]["verdicts"]}
+        zero = "gate failed: vector 1 has norm 0.000e+00; spans of zero vectors are undefined"
+        assert [t for t, n in notes.items() if n == zero] == [
+            "normalized_perturbation", "redundancy_perturbation", "angle_sum_frames"
+        ]
+        assert doc["results"]["inequality_failures"] == 0
+
     def test_oblique_riesz_basis_fails_with_exit_1(self, capsys, tmp_path):
         s = 1 / math.sqrt(2)
         path = write_json(
@@ -427,6 +441,24 @@ class TestSuite:
         code, doc = run_json(capsys, ["suite", "--config", cfg, "--format", "json"])
         assert code == 0
         assert doc["results"]["config"]["instances"] == 3
+
+    @pytest.mark.parametrize(
+        "flag_or_doc, field",
+        [
+            ({"instances": 1, "count_range": [2, 10**30]}, "count_range"),
+            (["--count-max", str(10**23)], "count_range"),
+            (["--dim-max", str(2**63)], "dim_range"),
+        ],
+        ids=["config-count", "flag-count", "flag-dim"],
+    )
+    def test_bound_beyond_int64_exits_2(self, capsys, tmp_path, flag_or_doc, field):
+        if isinstance(flag_or_doc, dict):
+            argv = ["suite", "--config", write_json(tmp_path / "cfg.json", flag_or_doc)]
+        else:
+            argv = ["suite", "--instances", "1", *flag_or_doc]
+        assert main(argv) == 2
+        assert field in one_error_line(capsys)
+        assert capsys.readouterr().out == ""
 
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "cfg.json", {"instances": 3, "bogus": 1})

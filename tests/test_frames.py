@@ -1,13 +1,16 @@
 """Tests for frame operators, bounds, and redundancy."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import framekit
 from framekit import (
     Frame,
-    analysis_apply,
     frame_operator,
     is_riesz_basis,
     normalize_frame,
@@ -15,7 +18,6 @@ from framekit import (
     redundancy_at,
     redundancy_bounds,
     redundancy_oracle,
-    synthesis_matrix,
 )
 from framekit.errors import DegenerateInputError, DimensionError, PreconditionError
 
@@ -47,33 +49,17 @@ class TestFrameType:
 
 class TestSynthesisAnalysis:
     def test_onb_synthesis_is_identity(self):
-        assert np.array_equal(synthesis_matrix(ONB2), np.eye(2))
+        assert np.array_equal(ONB2.synthesis_columns, np.eye(2))
 
     def test_columns_stack_in_order(self):
-        assert np.array_equal(synthesis_matrix(REPEATED), [[1, 1, 0], [0, 0, 1]])
+        assert np.array_equal(REPEATED.synthesis_columns, [[1, 1, 0], [0, 0, 1]])
 
     def test_synthesis_matches_direct_summation(self):
         rng = np.random.default_rng(2)
         f = Frame(rng.standard_normal((7, 4)))
         c = rng.standard_normal(7)
         direct = sum(ci * vi for ci, vi in zip(c, f.vectors))
-        assert np.allclose(synthesis_matrix(f) @ c, direct, atol=1e-12)
-
-    def test_onb_coefficients(self):
-        assert np.allclose(analysis_apply(ONB2, [3.0, 4.0]), [3, 4])
-
-    def test_zero_vector_gives_zero_coefficients(self):
-        assert np.all(analysis_apply(REPEATED, [0.0, 0.0]) == 0)
-
-    def test_analysis_is_synthesis_transpose(self):
-        rng = np.random.default_rng(4)
-        f = Frame(rng.standard_normal((6, 3)))
-        x = rng.standard_normal(3)
-        assert np.allclose(analysis_apply(f, x), synthesis_matrix(f).T @ x, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            analysis_apply(ONB2, [1.0, 2.0, 3.0])
+        assert np.allclose(f.synthesis_columns @ c, direct, atol=1e-12)
 
 
 class TestFrameOperator:
@@ -129,7 +115,7 @@ class TestRieszDetection:
 
     def test_below_tolerance(self):
         f = Frame([[1.0, 0.0], [0.0, 1e-14]])
-        assert not is_riesz_basis(f, tol=1e-10)
+        assert not is_riesz_basis(f)
 
     def test_decision_is_scale_invariant(self):
         f = Frame(1e-6 * np.eye(3))
@@ -271,3 +257,19 @@ class TestRedundancyOracle:
             lo, hi = redundancy_oracle(f, 100_000, seed=trial)
             assert abs(lo - prof.lower) <= 5e-3
             assert abs(hi - prof.upper) <= 5e-3
+
+
+def test_no_operation_has_a_second_name():
+    """Within the package namespace and within each of its modules, no two
+    public names bind the same function."""
+    modules = [
+        importlib.import_module(f"framekit.{info.name}")
+        for info in pkgutil.iter_modules(framekit.__path__)
+    ]
+    for namespace in [framekit, *modules]:
+        names = {}
+        for name, value in vars(namespace).items():
+            if not name.startswith("_") and inspect.isfunction(value):
+                names.setdefault(id(value), []).append(name)
+        doubles = [sorted(group) for group in names.values() if len(group) > 1]
+        assert not doubles, f"{namespace.__name__} binds one function under {doubles}"

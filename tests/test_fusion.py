@@ -7,15 +7,14 @@ from framekit import (
     Frame,
     FusionFrame,
     Subspace,
+    frame_operator,
     full_space,
-    fusion_frame_bounds,
-    fusion_frame_operator,
-    fusion_redundancy_at,
-    fusion_redundancy_bounds,
-    fusion_redundancy_oracle,
     is_orthonormal_fusion_basis,
+    optimal_frame_bounds,
     projection_matrix,
     redundancy_at,
+    redundancy_bounds,
+    redundancy_oracle,
     subspace_from_spanning,
     vector_span,
 )
@@ -101,22 +100,22 @@ class TestProjectionMatrix:
 
 class TestFusionOperator:
     def test_orthonormal_fusion_basis_gives_identity(self):
-        assert np.allclose(fusion_frame_operator(coordinate_fusion(2)), np.eye(2))
+        assert np.allclose(frame_operator(coordinate_fusion(2)), np.eye(2))
 
     def test_weights_enter_squared(self):
         ff = coordinate_fusion(2, weights=[2.0, 1.0])
-        assert np.allclose(fusion_frame_operator(ff), np.diag([4.0, 1.0]))
+        assert np.allclose(frame_operator(ff), np.diag([4.0, 1.0]))
 
     def test_single_full_member(self):
         ff = FusionFrame(((full_space(3), 1.0),))
-        assert np.allclose(fusion_frame_operator(ff), np.eye(3))
+        assert np.allclose(frame_operator(ff), np.eye(3))
 
     def test_matches_weighted_projector_sum(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             ff = random_fusion(rng, 5, 4, weights=list(rng.uniform(0.5, 2.0, 4)))
             loop = sum(w * w * projection_matrix(s) for s, w in ff.members)
-            assert np.allclose(fusion_frame_operator(ff), loop, rtol=0.0, atol=1e-12)
+            assert np.allclose(frame_operator(ff), loop, rtol=0.0, atol=1e-12)
 
     def test_column_stacks(self):
         ff = FusionFrame(((full_space(2), 2.0), (axis_span(2, 1), 0.5)))
@@ -128,64 +127,64 @@ class TestFusionOperator:
         rng = np.random.default_rng(22)
         for _ in range(20):
             ff = random_fusion(rng, 5, int(rng.integers(1, 6)))
-            trace = np.trace(fusion_frame_operator(ff))
+            trace = np.trace(frame_operator(ff))
             assert trace == pytest.approx(sum(s.dim for s in ff.subspaces), abs=1e-9)
 
 
 class TestFusionBounds:
     def test_parseval_case(self):
-        rep = fusion_frame_bounds(coordinate_fusion(2))
+        rep = optimal_frame_bounds(coordinate_fusion(2))
         assert (rep.lower, rep.upper) == pytest.approx((1.0, 1.0), abs=1e-12)
         assert rep.is_parseval
 
     def test_repeated_line_has_no_lower_bound(self):
         ff = FusionFrame(((axis_span(2, 0), 1.0), (axis_span(2, 0), 1.0)))
-        rep = fusion_frame_bounds(ff)
+        rep = optimal_frame_bounds(ff)
         assert rep.lower == 0.0
         assert not rep.is_frame
 
     def test_plane_plus_line(self):
         ff = FusionFrame(((full_space(2), 1.0), (axis_span(2, 0), 1.0)))
-        rep = fusion_frame_bounds(ff)
+        rep = optimal_frame_bounds(ff)
         assert (rep.lower, rep.upper) == pytest.approx((1.0, 2.0), abs=1e-12)
 
     def test_parseval_iff_operator_is_identity(self):
         near = coordinate_fusion(3)
-        assert fusion_frame_bounds(near).is_parseval
-        assert np.max(np.abs(fusion_frame_operator(near) - np.eye(3))) <= 1e-9
+        assert optimal_frame_bounds(near).is_parseval
+        assert np.max(np.abs(frame_operator(near) - np.eye(3))) <= 1e-9
         skew = coordinate_fusion(3, weights=[1.0, 1.0, 1.1])
-        assert not fusion_frame_bounds(skew).is_parseval
-        assert np.max(np.abs(fusion_frame_operator(skew) - np.eye(3))) > 1e-9
+        assert not optimal_frame_bounds(skew).is_parseval
+        assert np.max(np.abs(frame_operator(skew) - np.eye(3))) > 1e-9
 
 
 class TestFusionRedundancy:
     def test_orthonormal_fusion_basis_value(self):
         ff = coordinate_fusion(2)
-        assert fusion_redundancy_at(ff, [0.6, 0.8]) == pytest.approx(1.0, abs=1e-12)
+        assert redundancy_at(ff, [0.6, 0.8]) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlapping_members(self):
         ff = FusionFrame(((full_space(2), 1.0), (axis_span(2, 0), 1.0)))
-        assert fusion_redundancy_at(ff, [1.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
-        assert fusion_redundancy_at(ff, [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+        assert redundancy_at(ff, [1.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
+        assert redundancy_at(ff, [0.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_unit_point(self):
         with pytest.raises(PreconditionError):
-            fusion_redundancy_at(coordinate_fusion(2), [1.0, 1.0])
+            redundancy_at(coordinate_fusion(2), [1.0, 1.0])
 
     def test_bounds_orthonormal_basis(self):
-        prof = fusion_redundancy_bounds(coordinate_fusion(2))
+        prof = redundancy_bounds(coordinate_fusion(2))
         assert (prof.lower, prof.upper) == pytest.approx((1.0, 1.0), abs=1e-12)
         assert prof.uniform
 
     def test_bounds_plane_plus_line(self):
         ff = FusionFrame(((full_space(2), 1.0), (axis_span(2, 0), 1.0)))
-        prof = fusion_redundancy_bounds(ff)
+        prof = redundancy_bounds(ff)
         assert (prof.lower, prof.upper) == pytest.approx((1.0, 2.0), abs=1e-12)
         assert prof.mean == pytest.approx(1.5)
 
     def test_bounds_repeated_full_space(self):
         ff = FusionFrame(tuple((full_space(3), 1.0) for _ in range(4)))
-        prof = fusion_redundancy_bounds(ff)
+        prof = redundancy_bounds(ff)
         assert (prof.lower, prof.upper) == pytest.approx((4.0, 4.0), abs=1e-12)
         assert prof.uniform
 
@@ -195,7 +194,7 @@ class TestFusionRedundancy:
         reweighted = FusionFrame(
             tuple((s, float(rng.uniform(0.1, 5.0))) for s, _ in ff.members)
         )
-        a, b = fusion_redundancy_bounds(ff), fusion_redundancy_bounds(reweighted)
+        a, b = redundancy_bounds(ff), redundancy_bounds(reweighted)
         assert a.lower == pytest.approx(b.lower, abs=1e-12)
         assert a.upper == pytest.approx(b.upper, abs=1e-12)
 
@@ -208,7 +207,7 @@ class TestFusionRedundancy:
         for _ in range(20):
             x = rng.standard_normal(3)
             x /= np.linalg.norm(x)
-            assert fusion_redundancy_at(ff, x) == pytest.approx(
+            assert redundancy_at(ff, x) == pytest.approx(
                 redundancy_at(frame, x), abs=1e-12
             )
 
@@ -237,18 +236,18 @@ class TestOrthonormalFusionBasis:
 
 class TestFusionOracle:
     def test_orthonormal_basis_constant(self):
-        lo, hi = fusion_redundancy_oracle(coordinate_fusion(3), 500, seed=1)
+        lo, hi = redundancy_oracle(coordinate_fusion(3), 500, seed=1)
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
 
     def test_plane_plus_line_extremes(self):
         ff = FusionFrame(((full_space(2), 1.0), (axis_span(2, 0), 1.0)))
-        lo, hi = fusion_redundancy_oracle(ff, 100_000, seed=2)
+        lo, hi = redundancy_oracle(ff, 100_000, seed=2)
         assert abs(lo - 1.0) <= 5e-3
         assert abs(hi - 2.0) <= 5e-3
 
     def test_single_full_member_constant(self):
         ff = FusionFrame(((full_space(4), 2.0),))
-        lo, hi = fusion_redundancy_oracle(ff, 1000, seed=3)
+        lo, hi = redundancy_oracle(ff, 1000, seed=3)
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)

@@ -15,7 +15,6 @@ from framekit import (
     generate_perturbed_frame,
     generate_perturbed_fusion,
     subspace_from_spanning,
-    synthesis_matrix,
     vector_span,
 )
 from framekit import cli, linalg, perturb, theorems
@@ -67,7 +66,7 @@ class TestFramePerturbationMu:
         phi = Frame(rng.standard_normal((7, 4)))
         psi = Frame(rng.standard_normal((7, 4)))
         mu = frame_perturbation_mu(phi, psi).mu
-        diff = synthesis_matrix(phi) - synthesis_matrix(psi)
+        diff = phi.synthesis_columns - psi.synthesis_columns
         for _ in range(100):
             c = rng.standard_normal(7)
             assert np.linalg.norm(diff @ c) <= mu * np.linalg.norm(c) + 1e-9
@@ -79,7 +78,7 @@ class TestFramePerturbationMu:
         for n, count in [(3, 7), (8, 20), (20, 60), (30, 200)]:
             phi = Frame(rng.standard_normal((count, n)))
             psi = Frame(rng.standard_normal((count, n)))
-            diff = synthesis_matrix(phi) - synthesis_matrix(psi)
+            diff = phi.synthesis_columns.copy() - psi.synthesis_columns.copy()
             assert diff.flags.c_contiguous
             expected = np.linalg.norm(diff, axis=0)
             got = np.array(frame_perturbation_mu(phi, psi).per_index_norms)

@@ -21,8 +21,6 @@ from framekit import (
     TheoremVerdict,
     cosine_angles,
     frame_perturbation_mu,
-    fusion_frame_bounds,
-    fusion_redundancy_bounds,
     optimal_frame_bounds,
     redundancy_bounds,
     subspace_from_spanning,
@@ -94,9 +92,9 @@ def test_frame_is_the_fusion_frame_of_its_spans(v):
     f = Frame(v)
     spans = FusionFrame(tuple((vector_span(x), float(np.linalg.norm(x))) for x in v))
     bounds = optimal_frame_bounds(f)
-    assert_close(extremes(bounds), extremes(fusion_frame_bounds(spans)), bounds.upper)
+    assert_close(extremes(bounds), extremes(optimal_frame_bounds(spans)), bounds.upper)
     profile = redundancy_bounds(f)
-    unit = fusion_redundancy_bounds(spans.with_unit_weights())
+    unit = redundancy_bounds(spans.with_unit_weights())
     assert_close(extremes(profile), extremes(unit), profile.upper)
     assert profile.mean == unit.mean
 
@@ -112,8 +110,8 @@ def test_frame_bounds_scale_as_square(v, c):
 
 @given(fusion_frames(), st.floats(1e-6, 1e6))
 def test_fusion_bounds_scale_as_square(ff, c):
-    a = fusion_frame_bounds(ff)
-    b = fusion_frame_bounds(reweighted(ff, c))
+    a = optimal_frame_bounds(ff)
+    b = optimal_frame_bounds(reweighted(ff, c))
     assert_close(extremes(b), (c * c * a.lower, c * c * a.upper), c * c * a.upper)
 
 
@@ -128,9 +126,9 @@ def test_frame_redundancy_invariant_under_scaling_and_rotation(v, c, seed):
 
 @given(fusion_frames(), scales, seeds)
 def test_fusion_redundancy_invariant_under_scaling_and_rotation(ff, c, seed):
-    base = fusion_redundancy_bounds(ff)
+    base = redundancy_bounds(ff)
     for moved in (reweighted(ff, c), rotated(ff, rotation(seed, ff.dim))):
-        assert_close(extremes(fusion_redundancy_bounds(moved)), extremes(base), base.upper)
+        assert_close(extremes(redundancy_bounds(moved)), extremes(base), base.upper)
 
 
 @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
@@ -181,14 +179,18 @@ def test_cosine_angles_invariant_under_rotation(pair, seed):
 
 @st.composite
 def degenerate_frames(draw):
-    """Repeated, rank-deficient (nonzero vectors in a proper subspace)
-    and dimension-1 frames."""
+    """Repeated, rank-deficient (nonzero vectors in a proper subspace),
+    dimension-1 and zero-vector frames."""
     rng = np.random.default_rng(draw(seeds))
-    case = draw(st.sampled_from(("repeated", "rank_deficient", "dim1")))
+    case = draw(st.sampled_from(("repeated", "rank_deficient", "dim1", "zero_vector")))
     if case == "dim1":
         m = draw(st.integers(1, 4))
         return Frame(rng.choice([-1.0, 1.0], (m, 1)) * rng.uniform(0.5, 2.0, (m, 1)))
     n = draw(st.integers(2, 5))
+    if case == "zero_vector":
+        v = rng.standard_normal((draw(st.integers(n, n + 3)), n))
+        v[draw(st.integers(0, v.shape[0] - 1))] = 0.0
+        return Frame(v)
     if case == "repeated":
         v = rng.standard_normal((draw(st.integers(1, n)), n))
         return Frame(np.repeat(v, draw(st.integers(2, 3)), axis=0))

@@ -18,9 +18,7 @@ from framekit import (
     cosine_angles,
     full_space,
     frame_perturbation_mu,
-    fusion_frame_bounds,
     fusion_perturbation_mu,
-    fusion_redundancy_bounds,
     gap_direct,
     generate_perturbed_frame,
     generate_perturbed_fusion,
@@ -239,7 +237,7 @@ class TestFusionPerturbedBounds:
             w = random_fusion_frame(rng, dim, count, max_rank=3)
             target = (
                 float(rng.uniform(0.1, 0.9))
-                * math.sqrt(fusion_frame_bounds(w).lower)
+                * math.sqrt(optimal_frame_bounds(w).lower)
                 / math.sqrt(count)
             )
             v, _ = generate_perturbed_fusion(w, target, seed=int(rng.integers(2**31)))
@@ -269,7 +267,7 @@ class TestFusionRedundancyPerturbation:
             w = unit_fusion(rng, dim, count)
             target = (
                 float(rng.uniform(0.1, 0.9))
-                * math.sqrt(fusion_redundancy_bounds(w).lower)
+                * math.sqrt(redundancy_bounds(w).lower)
                 / math.sqrt(count)
             )
             v, _ = generate_perturbed_fusion(w, target, seed=int(rng.integers(2**31)))
@@ -369,6 +367,11 @@ class TestSuite:
             SuiteConfig(mu_fraction_range=(0.0, 0.5))
         with pytest.raises(PreconditionError):
             SuiteConfig(count_range=(1, 1))
+        # The generators draw dimensions and counts as int64.
+        SuiteConfig(dim_range=(2, 2**63 - 1), count_range=(2, 2**63 - 1))
+        for field in ("dim_range", "count_range"):
+            with pytest.raises(PreconditionError, match=field):
+                SuiteConfig(**{field: (2, 2**63)})
 
     def test_ranges_become_tuples(self):
         # The benchmark keys operations by ``config.dim_range``.
