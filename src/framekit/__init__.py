@@ -10,7 +10,7 @@ from .errors import (
     NumericError,
     PreconditionError,
 )
-from .linalg import hermitian_eigenvalues, operator_norm, orthonormalize, singular_values
+from .linalg import orthonormalize
 from .frames import (
     BoundsReport,
     Frame,

@@ -287,16 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=cmd_angles)
 
+    defaults = theorems.SuiteConfig()
     p = sub.add_parser("suite", help="randomized verification suite")
     p.add_argument("--config", default=None, help="JSON file with suite parameters")
-    p.add_argument("--instances", type=int, default=1000)
-    p.add_argument("--dim-min", type=int, default=2)
-    p.add_argument("--dim-max", type=int, default=6)
-    p.add_argument("--count-min", type=int, default=2)
-    p.add_argument("--count-max", type=int, default=12)
-    p.add_argument("--mu-frac-min", type=float, default=0.1)
-    p.add_argument("--mu-frac-max", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--instances", type=int, default=defaults.instances)
+    p.add_argument("--dim-min", type=int, default=defaults.dim_range[0])
+    p.add_argument("--dim-max", type=int, default=defaults.dim_range[1])
+    p.add_argument("--count-min", type=int, default=defaults.count_range[0])
+    p.add_argument("--count-max", type=int, default=defaults.count_range[1])
+    p.add_argument("--mu-frac-min", type=float, default=defaults.mu_fraction_range[0])
+    p.add_argument("--mu-frac-max", type=float, default=defaults.mu_fraction_range[1])
+    p.add_argument("--seed", type=int, default=defaults.seed)
     add_format(p)
     p.set_defaults(func=cmd_suite)
     return parser

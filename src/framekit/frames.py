@@ -180,7 +180,7 @@ def frame_operator(f: Frame | FusionFrame) -> np.ndarray:
 
 def optimal_frame_bounds(f: Frame | FusionFrame) -> BoundsReport:
     """Optimal bounds: the extreme eigenvalues of the operator."""
-    eigs = linalg.hermitian_eigenvalues(frame_operator(f))
+    eigs = linalg._gram_eigenvalues(f.synthesis_columns)
     return bounds_from_extremes(eigs[0], eigs[-1])
 
 
@@ -212,7 +212,7 @@ def redundancy_bounds(f: Frame | FusionFrame) -> RedundancyProfile:
     unit columns ``U``, with mean ``K / n``.  ``redundancy_oracle``
     provides the independent check."""
     u = f.unit_columns
-    eigs = linalg.hermitian_eigenvalues(u @ u.T)
+    eigs = linalg._gram_eigenvalues(u)
     b = bounds_from_extremes(eigs[0], eigs[-1])
     return RedundancyProfile(
         lower=b.lower, upper=b.upper, uniform=b.is_tight, mean=u.shape[1] / f.dim

@@ -137,4 +137,4 @@ def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:
     u = ff.unit_columns
     if u.shape[1] != ff.dim:
         return False
-    return linalg.operator_norm(u.T @ u - np.eye(ff.dim)) <= BASIS_TOL
+    return linalg._top_singular_value(u.T @ u - np.eye(ff.dim)) <= BASIS_TOL

@@ -4,12 +4,13 @@ Matrices are plain float64 numpy arrays. Everything here is pure and
 deterministic.  ``RANK_TOL`` is the one relative rank tolerance: the
 rank-deciding ``orthonormalize`` applies it, and so does the framehood
 rule of ``frames.bounds_from_extremes``; neither takes another value.
-The other functions below are two input validators and three spectra.
-Factorizations that decide no rank call ``np.linalg`` directly: the
-stacked SVDs of ``perturb._GeodesicPath`` (one per rank chunk of
-tangents) and of ``angles._inf_sup_cos`` and ``angles._gap`` (one per
-stack of member bases), the complement basis in ``angles`` and the
-random rotation in ``theorems``.
+
+Validators guard the public boundary; inside it, numpy takes the
+spectra, and the result is checked wherever a product can overflow.  The
+two kernels take matrices framekit forms and check only what they
+return; numpy forms ``c c^T`` exactly symmetric.  The stacked SVDs in
+``perturb`` and ``angles`` take orthonormal or Gaussian input, which
+cannot overflow, and call ``np.linalg`` directly.
 """
 
 from __future__ import annotations
@@ -22,20 +23,23 @@ from .errors import DimensionError, NumericError
 RANK_TOL = 1e-10
 
 
-def as_matrix(m, *, square: bool = False) -> np.ndarray:
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a`` itself; NumericError when an entry is NaN or infinite."""
+    if not np.all(np.isfinite(a)):
+        raise NumericError("matrix contains non-finite entries")
+    return a
+
+
+def as_matrix(m) -> np.ndarray:
     """Validate and convert input to a 2-D float64 array.
 
-    Raises DimensionError for non-2-D (or non-square when required) input
-    and NumericError for NaN/Inf entries.
+    Raises DimensionError for non-2-D input and NumericError for NaN/Inf
+    entries.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={a.ndim}")
-    if square and a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
-        raise NumericError("matrix contains non-finite entries")
-    return a
+    return _finite(a)
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -50,30 +54,19 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted ascending.
-
-    The input is symmetrized via (m + m^T)/2 before decomposition; frame
-    operators are symmetric only up to roundoff, so callers are expected
-    to pass matrices with symmetry defect below ~1e-10.
-    """
-    a = as_matrix(m, square=True)
-    sym = 0.5 * (a + a.T)
-    return np.linalg.eigvalsh(sym)
+def _gram_eigenvalues(c: np.ndarray) -> np.ndarray:
+    """All eigenvalues of ``c c^T`` for a column stack ``c``, ascending.
+    An overflowed product gives NaN eigenvalues or a LAPACK error; both
+    raise NumericError."""
+    try:
+        return _finite(np.linalg.eigvalsh(c @ c.T))
+    except np.linalg.LinAlgError:
+        raise NumericError("matrix contains non-finite entries") from None
 
 
-def singular_values(m) -> np.ndarray:
-    """Singular values of a matrix, sorted descending (length min(rows, cols))."""
-    a = as_matrix(m)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return np.zeros(min(a.shape))
-    return np.linalg.svd(a, compute_uv=False)
-
-
-def operator_norm(m) -> float:
-    """Spectral norm: the largest singular value (0 for empty or zero matrices)."""
-    s = singular_values(m)
-    return float(s[0]) if s.size else 0.0
+def _top_singular_value(m: np.ndarray) -> float:
+    """The spectral norm of a non-empty matrix: its largest singular value."""
+    return float(_finite(np.linalg.svd(m, compute_uv=False))[0])
 
 
 def orthonormalize(vectors) -> tuple[np.ndarray, int]:

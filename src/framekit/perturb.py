@@ -22,6 +22,10 @@ from .fusion import FusionFrame, Subspace
 # Relative window the bisection-based generators must land in.
 TARGET_WINDOW = 0.05
 BISECT_MAX_ITER = 100
+# Frame targets must lie below this: the per-vector difference norms are
+# roots of sums of squares, which overflow from sqrt(float max) ~ 1.34e154
+# up; 2^511, half of that, leaves room for the landing window and rounding.
+MAX_FRAME_TARGET = 2.0**511
 
 
 @dataclass(frozen=True)
@@ -41,15 +45,16 @@ def frame_perturbation_mu(phi: Frame, psi: Frame) -> PerturbationReport:
         raise DimensionError(
             f"frames have shapes {(phi.count, phi.dim)} vs {(psi.count, psi.dim)}"
         )
-    diff = np.subtract(phi.synthesis_columns, psi.synthesis_columns, order="C")
-    mu = linalg.operator_norm(diff)
+    # The difference of two finite frames can overflow.
+    diff = linalg._finite(np.subtract(phi.synthesis_columns, psi.synthesis_columns, order="C"))
+    mu = linalg._top_singular_value(diff)
     per_index = tuple(float(x) for x in np.linalg.norm(diff, axis=0))
     return PerturbationReport(mu=mu, per_index_norms=per_index)
 
 
 def _gram_norm(c: np.ndarray) -> float:
     """Operator norm of a wide matrix, from the eigenvalues of ``c c^T``."""
-    return math.sqrt(max(0.0, float(linalg.hermitian_eigenvalues(c @ c.T)[-1])))
+    return math.sqrt(max(0.0, float(linalg._gram_eigenvalues(c)[-1])))
 
 
 def _projector_differences(w: FusionFrame, v: FusionFrame) -> np.ndarray:
@@ -76,8 +81,9 @@ def fusion_perturbation_mu(w: FusionFrame, v: FusionFrame) -> PerturbationReport
     fusion frames, taken on the product of ambient-space copies (the
     blockwise weighted-projector difference)."""
     c = _projector_differences(w, v)
-    per_index = tuple(linalg.operator_norm(block) for block in np.split(c, w.count, axis=1))
-    return PerturbationReport(mu=_gram_norm(c), per_index_norms=per_index)
+    mu = _gram_norm(c)  # checks c too: an overflowed block overflows c c^T
+    per_index = tuple(linalg._top_singular_value(block) for block in np.split(c, w.count, axis=1))
+    return PerturbationReport(mu=mu, per_index_norms=per_index)
 
 
 def _horizontal(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -205,15 +211,21 @@ def generate_perturbed_frame(
     one Frame is built where the bisection lands.  Each turning
     direction is projected off its vector twice, so norms move by
     rounding only (about 1e-16 relative).  Zero vectors (see
-    ``frames.ZERO_VECTOR_TOL``) stay as they are.
+    ``frames.ZERO_VECTOR_TOL``) stay as they are.  Targets from
+    ``MAX_FRAME_TARGET`` up raise GenerationError in both modes.
     """
     if not target_mu > 0:
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")
+    if not target_mu < MAX_FRAME_TARGET:
+        raise GenerationError(
+            f"target {target_mu} unreachable: frame constants from {MAX_FRAME_TARGET:.6g} up "
+            "overflow the difference norms"
+        )
     rng = np.random.default_rng(seed)
 
     if not norm_preserving:
         offset = rng.standard_normal(phi.vectors.shape)
-        base = linalg.operator_norm(offset.T)
+        base = linalg._top_singular_value(offset.T)
         if base == 0.0:
             raise GenerationError("degenerate zero offset draw")
         offset *= target_mu / base
@@ -235,7 +247,7 @@ def generate_perturbed_frame(
 
     # The same n-by-N difference that frame_perturbation_mu measures.
     def measure(t: float) -> float:
-        return linalg.operator_norm(synthesis - path.columns(t) * lengths)
+        return linalg._top_singular_value(synthesis - path.columns(t) * lengths)
 
     # At the second end the vector with the largest angle has turned by
     # pi, so its own difference is twice its norm.

@@ -46,6 +46,9 @@ from .perturb import (
 INEQ_SLACK = 1e-9
 # Tolerance for exact identities (gap link).
 IDENTITY_TOL = 1e-10
+# Two frames have equal norms when their vector norms differ by at most
+# this fraction of the largest norm of the pair.
+EQUAL_NORMS_TOL = 1e-9
 # The random instance generators redraw until the optimal lower bound is
 # at least MIN_LOWER, at most MAX_TRIES times.
 MIN_LOWER = 1e-8
@@ -108,6 +111,16 @@ def _band(
     )
 
 
+def _norm_gap(phi: Frame, psi: Frame) -> float:
+    """The largest difference of the pair's vector norms when it breaks
+    the equal-norms hypothesis (see EQUAL_NORMS_TOL), else 0.  A norm
+    that overflowed to infinity breaks it too."""
+    a, b = phi.norms(), psi.norms()
+    worst = float(np.max(np.abs(a - b)))
+    broken = worst > EQUAL_NORMS_TOL * max(a.max(), b.max()) or worst == math.inf
+    return worst if broken else 0.0
+
+
 def verify_perturbed_frame_bounds(phi: Frame, psi: Frame) -> TheoremVerdict:
     """Perturbing a frame by less than the root of its lower bound keeps
     it a frame, with bounds shrunk/grown by the measured constant."""
@@ -136,15 +149,14 @@ def verify_normalized_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
     vector norm.
     """
     mu = frame_perturbation_mu(phi, psi).mu
-    norms_phi = phi.norms()
-    worst = float(np.max(np.abs(norms_phi - psi.norms())))
-    if worst > 1e-9:
+    worst = _norm_gap(phi, psi)
+    if worst:
         return _gated(
             "normalized_perturbation",
             f"gate failed: vector norms differ by {worst:.3e}; the lemma needs equal norms",
         )
     mu_normalized = frame_perturbation_mu(normalize_frame(phi), normalize_frame(psi)).mu
-    min_norm = float(np.min(norms_phi))
+    min_norm = float(np.min(phi.norms()))
     scaled_bound = mu / min_norm
     margin = scaled_bound - mu_normalized
     return TheoremVerdict(
@@ -170,9 +182,9 @@ def verify_redundancy_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
     the normalized pair; the stated equalities are recorded as residuals.
     """
     mu = frame_perturbation_mu(phi, psi).mu
-    norm_gap = float(np.max(np.abs(phi.norms() - psi.norms())))
+    norm_gap = _norm_gap(phi, psi)
     base = optimal_frame_bounds(phi)
-    if norm_gap > 1e-9:
+    if norm_gap:
         return _gated(
             "redundancy_perturbation", f"gate failed: norms differ by {norm_gap:.3e}"
         )
@@ -402,6 +414,15 @@ class SuiteConfig(_Record):
         if chi < dlo:
             raise PreconditionError(
                 f"count_range max {chi} below dim_range min {dlo}: no frame fits"
+            )
+        # An instance's largest array is the n-by-2K float64 buffer of its
+        # fusion generator, K <= N (n - 1) the summed ranks; numpy creates
+        # no array of more than 2**63 - 1 bytes.
+        n = min(dhi, chi)
+        if 8 * n * 2 * chi * (n - 1) > 2**63 - 1:
+            raise PreconditionError(
+                f"dim_range {self.dim_range} with count_range {self.count_range} needs "
+                "arrays beyond numpy's size limit of 2**63 - 1 bytes"
             )
         if not (0.0 < flo <= fhi < 1.0):
             raise PreconditionError(

@@ -15,7 +15,7 @@ from framekit import (
     normalize_frame,
     optimal_frame_bounds,
 )
-from framekit import cli
+from framekit import cli, theorems
 from framekit.cli import build_parser, main
 from framekit.fileio import load_structure, write_structure
 from framekit.theorems import THEOREMS, random_fusion_frame
@@ -233,6 +233,21 @@ class TestPerturb:
         out = tmp_path / "x.json"
         assert main(["perturb", onb_file, "--mu", mu, "--out", str(out)]) == 2
         assert "--mu must be" in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scale, mu, extra",
+        [(1.0, "1e308", []), (1.0, "1e160", []), (1e154, "1.5e154", ["--norm-preserving"])],
+        ids=["offset-1e308", "offset-1e160", "norm-preserving"],
+    )
+    def test_target_whose_norms_overflow_exits_4(self, capsys, tmp_path, scale, mu, extra):
+        # The per-vector difference norms of such a pair overflow; pytest
+        # turns numpy's overflow warning into an error, so none is raised.
+        src = write_json(tmp_path / "f.json", {"dim": 2, "kind": "frame",
+                                               "vectors": [[scale, 0.0], [0.0, scale]]})
+        out = tmp_path / "x.json"
+        assert main(["perturb", src, "--mu", mu, "--out", str(out), *extra]) == 4
+        assert "unreachable" in one_error_line(capsys)
         assert not out.exists()
 
 
@@ -483,6 +498,19 @@ class TestSuite:
         assert next(iter(doc)) in one_error_line(capsys)
         assert capsys.readouterr().out == ""
 
+    def test_bounds_beyond_numpy_array_size_exit_2(self, capsys):
+        # The bounds fit int64, but an instance's arrays could not exist.
+        argv = ["suite", "--instances", "1",
+                "--dim-min", "9223372036854775806", "--dim-max", "9223372036854775807",
+                "--count-min", "9223372036854775807", "--count-max", "9223372036854775807"]
+        assert main(argv) == 2
+        assert "size limit" in one_error_line(capsys)
+        assert capsys.readouterr().out == ""
+
+    def test_flag_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["suite"])
+        assert cli._suite_config(args) == theorems.SuiteConfig()
+
     def test_byte_identical_reports(self, capsys):
         argv = ["suite", "--instances", "4", "--seed", "21", "--format", "json"]
         assert main(argv) == 0
@@ -531,6 +559,30 @@ class TestExitCodes:
             path.write_text(content)
         assert main([*argv, str(path)]) == code
         assert fragment in one_error_line(capsys)
+
+
+class TestOverflow:
+    """Finite input whose products overflow exits 3 with one ``error:``
+    line, after numpy's overflow warning."""
+
+    def test_analyze_entry_of_1e200_exits_3(self, capsys, tmp_path):
+        doc = {"dim": 2, "kind": "frame", "vectors": [[1e200, 0.0], [0.0, 1.0]]}
+        path = write_json(tmp_path / "big.json", doc)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["analyze", path]) == 3
+        assert one_error_line(capsys) == "error: matrix contains non-finite entries\n"
+
+    def test_verify_fusion_weight_of_1e200_exits_3(self, capsys, tmp_path):
+        paths = []
+        for i, line in enumerate(([0.6, 0.8], [0.8, 0.6])):
+            doc = {"dim": 2, "kind": "fusion", "subspaces": [
+                {"weight": 1e200, "basis": [[1.0, 0.0]]},
+                {"weight": 1.0, "basis": [line]},
+            ]}
+            paths.append(write_json(tmp_path / f"fusion{i}.json", doc))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["verify", *paths]) == 3
+        assert one_error_line(capsys) == "error: matrix contains non-finite entries\n"
 
 
 class TestParserReuse:

@@ -284,8 +284,8 @@ class TestGeneratePerturbedFusion:
         # Each bisection step needs the constant only; per-member norms
         # (one SVD each) belong to the public report alone.
         calls = []
-        svd = linalg.singular_values
-        monkeypatch.setattr(linalg, "singular_values", lambda m: calls.append(1) or svd(m))
+        top = linalg._top_singular_value
+        monkeypatch.setattr(linalg, "_top_singular_value", lambda m: calls.append(1) or top(m))
         rng = np.random.default_rng(57)
         w = theorems.random_fusion_frame(rng, 6, 8)
         _, achieved = generate_perturbed_fusion(w, 0.3, seed=13)

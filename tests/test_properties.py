@@ -1,13 +1,18 @@
 """Property tests: a frame is the fusion frame of its spans, bounds scale
 quadratically, redundancy is invariant under scaling and rotation, files
-round-trip bit for bit, the frame constant is symmetric, cosine angles
-are invariant under rotation, every registry row gives a verdict on
-degenerate inputs, and the file loader raises only its own errors.
+round-trip bit for bit, the frame constant is symmetric, every Gram
+product is exactly symmetric, the equal-norms gate is invariant under
+scaling, cosine angles are invariant under rotation, every registry row
+gives a verdict on degenerate inputs, and the file loader raises only
+its own errors.
 
 Hypothesis runs derandomized and without an example database, so every
 run draws the same examples.  It still caches the constants it reads from
 the sources under ``.hypothesis/``, which git ignores.
 """
+
+from contextlib import suppress
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -21,14 +26,17 @@ from framekit import (
     TheoremVerdict,
     cosine_angles,
     frame_perturbation_mu,
+    fusion_perturbation_mu,
+    generate_perturbed_frame,
+    generate_perturbed_fusion,
     optimal_frame_bounds,
     redundancy_bounds,
     subspace_from_spanning,
     vector_span,
 )
-from framekit.errors import FramekitError
+from framekit.errors import FramekitError, GenerationError
 from framekit.fileio import FrameFileError, load_structure, structure_from_dict, write_structure
-from framekit.theorems import THEOREMS
+from framekit.theorems import THEOREMS, verify_normalized_perturbation, verify_redundancy_perturbation
 
 settings.register_profile("framekit", derandomize=True, database=None, deadline=None)
 settings.load_profile("framekit")
@@ -155,6 +163,48 @@ def test_frame_perturbation_mu_is_symmetric(v, seed):
     b = frame_perturbation_mu(psi, Frame(v))
     assert abs(a.mu - b.mu) <= REL * max(a.mu, b.mu)
     assert np.array(a.per_index_norms).tobytes() == np.array(b.per_index_norms).tobytes()
+
+
+@given(frame_arrays(), fusion_frames(), seeds)
+def test_gram_products_are_exactly_symmetric(v, ff, seed):
+    # The eigenvalue kernel takes eigvalsh of c c^T without symmetrizing
+    # it: the frame and fusion synthesis and unit stacks, the projector
+    # differences and the geodesic generator's scaled buffers.
+    products = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def record(g):
+        products.append(g)
+        return eigvalsh(g)
+
+    f = Frame(v)
+    with mock.patch.object(np.linalg, "eigvalsh", record):
+        for structure in (f, ff):
+            optimal_frame_bounds(structure)
+            redundancy_bounds(structure)
+        fusion_perturbation_mu(ff, rotated(ff, rotation(seed, ff.dim)))
+        with suppress(GenerationError):  # every member may be the whole space
+            generate_perturbed_fusion(ff, 0.1 * ff.weights.min(), seed)
+    assert len(products) >= 5
+    assert all(np.array_equal(g, g.T) for g in products)
+
+
+@settings(max_examples=50)
+@given(frame_arrays(), seeds, st.booleans())
+def test_equal_norms_gate_is_invariant_under_scaling(v, seed, unequal):
+    # One pair whose norms agree up to rounding, or one whose first
+    # vector is 5% longer; scaling both frames by 10^k keeps the decision.
+    assume(v.shape[1] >= 2)
+    phi = Frame(v)
+    if unequal:
+        psi = Frame(v * np.r_[1.05, np.ones(len(v) - 1)][:, None])
+    else:
+        psi, _ = generate_perturbed_frame(phi, 0.1 * phi.norms().min(), seed, norm_preserving=True)
+    for k in range(-8, 9):
+        a, b = Frame(10.0**k * phi.vectors), Frame(10.0**k * psi.vectors)
+        assert verify_normalized_perturbation(a, b).hypotheses_met is not unequal
+        notes = verify_redundancy_perturbation(a, b).notes
+        assert notes.startswith("gate failed: norms differ") is unequal
 
 
 @st.composite

@@ -149,6 +149,16 @@ class TestNormalizedPerturbation:
             "gate failed: vector norms differ by 1.000e+00; the lemma needs equal norms"
         )
 
+    def test_overflowed_norm_gates(self):
+        # The first vector's norm overflows to inf, while its frame
+        # operator stays finite; an infinite norm difference gates.
+        phi = Frame([[1e154, 1e154], [0.0, 1.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            verdict = verify_normalized_perturbation(phi, Frame(np.eye(2)))
+        assert verdict.notes == (
+            "gate failed: vector norms differ by inf; the lemma needs equal norms"
+        )
+
 
 class TestRedundancyPerturbation:
     def test_zero_perturbation_fixpoint(self):
@@ -368,10 +378,16 @@ class TestSuite:
         with pytest.raises(PreconditionError):
             SuiteConfig(count_range=(1, 1))
         # The generators draw dimensions and counts as int64.
-        SuiteConfig(dim_range=(2, 2**63 - 1), count_range=(2, 2**63 - 1))
         for field in ("dim_range", "count_range"):
             with pytest.raises(PreconditionError, match=field):
                 SuiteConfig(**{field: (2, 2**63)})
+        # An instance's largest array, 2 n N (n - 1) float64 entries, must
+        # stay within numpy's 2**63 - 1 bytes: at n = 2, N < 2**58.
+        SuiteConfig(dim_range=(2, 2), count_range=(2, 2**58 - 1))
+        with pytest.raises(PreconditionError, match="size limit"):
+            SuiteConfig(dim_range=(2, 2), count_range=(2, 2**58))
+        with pytest.raises(PreconditionError, match="size limit"):
+            SuiteConfig(dim_range=(2, 2**63 - 1), count_range=(2, 2**63 - 1))
 
     def test_ranges_become_tuples(self):
         # The benchmark keys operations by ``config.dim_range``.
