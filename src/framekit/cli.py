@@ -171,16 +171,12 @@ def cmd_verify(args, command: str) -> int:
                 f'"{ "frame" if isinstance(a, Frame) else "fusion" }"'
             )
     verdicts = [t.run(a, b) for t in rows]
+    failures = sum(1 for v in verdicts if v.hypotheses_met and not v.inequality_pass)
     results = {
         "verdicts": [v.to_dict() for v in verdicts],
-        "stated_equality_residuals": {
-            v.theorem_id: dict(v.equality_residuals) for v in verdicts
-        },
+        "stated_equality_residuals": {v.theorem_id: dict(v.equality_residuals) for v in verdicts},
+        "inequality_failures": failures,
     }
-    if any(t.unit_weights for t in rows):
-        results["weights_normalized"] = True
-    failures = sum(1 for v in verdicts if v.hypotheses_met and not v.inequality_pass)
-    results["inequality_failures"] = failures
     inputs = {"original": args.original, "perturbed": args.perturbed}
     _emit(_make_report(command, inputs, results, {}), args.format)
     return 1 if failures else 0

@@ -23,7 +23,9 @@ BASIS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Subspace:
-    """A k-dimensional subspace of R^n held as an n-by-k orthonormal basis."""
+    """A k-dimensional subspace of R^n held as an n-by-k orthonormal basis.
+    The constructor checks shape, finiteness and Gram defect; the bases
+    framekit makes orthonormal (QR factors, geodesic points) skip it."""
 
     basis: np.ndarray
 
@@ -104,12 +106,20 @@ class FusionFrame:
         return tuple(s.dim for s, _ in self.members)
 
 
+def _orthonormal_subspace(basis: np.ndarray) -> Subspace:
+    """Subspace of a basis orthonormal by construction: copied read-only, unchecked."""
+    s = object.__new__(Subspace)
+    object.__setattr__(s, "basis", basis.copy())
+    s.basis.flags.writeable = False
+    return s
+
+
 def subspace_from_spanning(vectors) -> Subspace:
     """Subspace spanned by arbitrary vectors; rank is decided at ``linalg.RANK_TOL``."""
     basis, rank = linalg.orthonormalize(vectors)
     if rank == 0:
         raise DegenerateInputError("spanning set contains no vector above tolerance")
-    return Subspace(basis)
+    return _orthonormal_subspace(basis)
 
 
 def full_space(n: int) -> Subspace:

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
 from .frames import Frame, _nonzero, _rank_stacks, _Record
-from .fusion import FusionFrame, Subspace
+from .fusion import FusionFrame, _orthonormal_subspace
 
 # Relative window the bisection-based generators must land in.
 TARGET_WINDOW = 0.05
@@ -290,5 +290,5 @@ def generate_perturbed_fusion(
         raise GenerationError("no member can move: every subspace is the whole space")
     top = max(movable, key=lambda i: weights[i])
     t, _ = _bisect(path.fusion_constant(weights), (np.pi / (2.0 * thetas[top]),), target_mu)
-    v = FusionFrame(tuple((Subspace(b), wt) for b, wt in zip(path(t), weights)))
+    v = FusionFrame(tuple((_orthonormal_subspace(b), wt) for b, wt in zip(path(t), weights)))
     return v, _fusion_constant(w, v)

@@ -8,7 +8,9 @@ them.  A hypothesis that fails on well-formed input yields a gated
 verdict, never an exception, and so does a zero vector that a registry
 row cannot measure; only mismatched shapes raise.  ``THEOREMS``
 lists every statement once, in report order, and is the only list the
-suite, ``replay_instance`` and ``framekit verify`` read.
+suite, ``replay_instance`` and ``framekit verify`` read; a row hands its
+pair to the verifier unchanged.  The fusion-redundancy statement
+concerns unit weights, and its verifier takes the unit-weight copies.
 ``run_random_suite`` drives all checks over seeded random instances;
 every instance is reproducible bit-for-bit from the suite seed and its
 index via ``replay_instance``.
@@ -23,13 +25,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .angles import _gap, _inf_sup_cos
 from .errors import DegenerateInputError, DimensionError, GenerationError, PreconditionError
 from .frames import (
     Frame,
     _rank_stacks,
     _Record,
-    normalize_frame,
     optimal_frame_bounds,
     is_riesz_basis,
     redundancy_bounds,
@@ -155,7 +157,7 @@ def verify_normalized_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
             "normalized_perturbation",
             f"gate failed: vector norms differ by {worst:.3e}; the lemma needs equal norms",
         )
-    mu_normalized = frame_perturbation_mu(normalize_frame(phi), normalize_frame(psi)).mu
+    mu_normalized = linalg._top_singular_value(phi.unit_columns - psi.unit_columns)
     min_norm = float(np.min(phi.norms()))
     scaled_bound = mu / min_norm
     margin = scaled_bound - mu_normalized
@@ -194,7 +196,7 @@ def verify_redundancy_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
             f"gate failed: mu={mu:.6g} not below sqrt(lower)="
             f"{math.sqrt(base.lower):.6g}",
         )
-    mu_n = frame_perturbation_mu(normalize_frame(phi), normalize_frame(psi)).mu
+    mu_n = linalg._top_singular_value(phi.unit_columns - psi.unit_columns)
     r_phi = redundancy_bounds(phi)
     lower_applicable = mu_n < math.sqrt(r_phi.lower)
     return _band(
@@ -247,16 +249,10 @@ def verify_fusion_perturbed_bounds(w: FusionFrame, v: FusionFrame) -> TheoremVer
 
 
 def verify_fusion_redundancy_perturbation(w: FusionFrame, v: FusionFrame) -> TheoremVerdict:
-    """Fusion redundancy of a unit-weight perturbation, in inequality form."""
-    mu = _fusion_constant(w, v)
-    for ff, name in ((w, "first"), (v, "second")):
-        off = float(np.max(np.abs(ff.weights - 1.0)))
-        if off > 1e-12:
-            return _gated(
-                "fusion_redundancy_perturbation",
-                f"gate failed: {name} fusion frame has non-unit weights "
-                f"(off by {off:.3e}); the statement concerns unit weights",
-            )
+    """Fusion redundancy of a perturbation, in inequality form.  The
+    statement concerns the subspaces at unit weights, so the constant is
+    measured between the unit-weight copies, whatever weights the pair holds."""
+    mu = _fusion_constant(w.with_unit_weights(), v.with_unit_weights())
     r_w = redundancy_bounds(w)
     c = mu * math.sqrt(w.count)
     if not math.sqrt(r_w.lower) - c > 0:
@@ -329,20 +325,15 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
 
 class Theorem(NamedTuple):
     """One checked statement: ``check(a, b)`` verifies it on an
-    (original, perturbed) pair of ``kind``.  With ``unit_weights`` set,
-    both fusion frames have their weights replaced by one first, since the
-    statement concerns unit-weight fusion frames only.  A degenerate
-    input the check cannot measure (a zero vector, whose span is
-    undefined) gives a gated verdict naming it."""
+    (original, perturbed) pair of ``kind``, as given.  A degenerate input
+    the check cannot measure (a zero vector, whose span is undefined)
+    gives a gated verdict naming it."""
 
     id: str
     kind: type
     check: Callable[[object, object], TheoremVerdict]
-    unit_weights: bool = False
 
     def run(self, a, b) -> TheoremVerdict:
-        if self.unit_weights:
-            a, b = a.with_unit_weights(), b.with_unit_weights()
         try:
             return self.check(a, b)
         except DegenerateInputError as exc:
@@ -361,7 +352,6 @@ THEOREMS = (
         "fusion_redundancy_perturbation",
         FusionFrame,
         lambda a, b: verify_fusion_redundancy_perturbation(a, b),
-        unit_weights=True,
     ),
     Theorem("angle_sum_frames", Frame, lambda a, b: verify_angle_sums(a, full_space(a.dim))),
     Theorem("angle_sum_fusion", FusionFrame, lambda a, b: verify_angle_sums(a, full_space(a.dim))),

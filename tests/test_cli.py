@@ -1,8 +1,10 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -351,7 +353,6 @@ class TestVerify:
         (verdict,) = single["results"]["verdicts"]
         assert verdict["theorem_id"] == theorem.id
         assert verdict in full["results"]["verdicts"]
-        assert ("weights_normalized" in single["results"]) == theorem.unit_weights
 
     def test_full_battery_on_perturbed_pair(self, capsys, tmp_path):
         rng = np.random.default_rng(81)
@@ -375,18 +376,27 @@ class TestVerify:
         assert "stated_equality_residuals" in doc["results"]
 
     def test_fusion_battery_normalizes_weights(self, capsys, tmp_path):
-        doc = {
-            "dim": 2,
-            "kind": "fusion",
-            "subspaces": [
-                {"weight": 2.0, "basis": [[1.0, 0.0]]},
-                {"weight": 0.5, "basis": [[0.0, 1.0]]},
-            ],
-        }
-        src = write_json(tmp_path / "w.json", doc)
-        code, out = run_json(capsys, ["verify", src, src, "--format", "json"])
+        # The fusion-redundancy verdict of a weighted file is the verdict
+        # of its unit-weight copy; the report discloses no rewrite.
+        def fusion_file(name, weights):
+            subspaces = [
+                {"weight": w, "basis": b} for w, b in zip(weights, ([[1.0, 0.0]], [[0.0, 1.0]]))
+            ]
+            return write_json(tmp_path / name, {"dim": 2, "kind": "fusion", "subspaces": subspaces})
+
+        def redundancy_verdict(results):
+            (verdict,) = [
+                v for v in results["verdicts"] if v["theorem_id"] == "fusion_redundancy_perturbation"
+            ]
+            return verdict
+
+        weighted = fusion_file("w.json", (2.0, 0.5))
+        unit = fusion_file("u.json", (1.0, 1.0))
+        code, out = run_json(capsys, ["verify", weighted, weighted, "--format", "json"])
         assert code == 0
-        assert out["results"]["weights_normalized"] is True
+        assert "weights_normalized" not in out["results"]
+        _, ref = run_json(capsys, ["verify", unit, unit, "--format", "json"])
+        assert redundancy_verdict(out["results"]) == redundancy_verdict(ref["results"])
 
 
 class TestAngles:
@@ -440,6 +450,38 @@ class TestSuite:
         assert code == 0
         assert doc["results"]["total_failures"] == 0
         assert doc["seeds"]["seed"] == 11
+
+    def test_failing_instance_exits_1_and_replays(self, capsys, monkeypatch):
+        # One verifier fails on instance 3 alone, which its margin names:
+        # every instance replays bit for bit from (seed, index).
+        config = theorems.SuiteConfig(instances=5, seed=11)
+        margin = theorems.replay_instance(config, 3)["perturbed_frame_bounds"].margin
+        verify = theorems.verify_perturbed_frame_bounds
+
+        def failing_on_instance_3(phi, psi):
+            v = verify(phi, psi)
+            return dataclasses.replace(v, inequality_pass=False, margin=-1.0) if v.margin == margin else v
+
+        monkeypatch.setattr(theorems, "verify_perturbed_frame_bounds", failing_on_instance_3)
+        code, doc = run_json(capsys, ["suite", "--instances", "5", "--seed", "11", "--format", "json"])
+        assert code == 1
+        assert doc["results"]["total_failures"] == 1
+        (failure,) = doc["results"]["tallies"]["perturbed_frame_bounds"]["failures"]
+        assert failure == {"index": 3, "seed": [11, 3], "margin": -1.0}
+        seed, index = failure["seed"]
+        replayed = theorems.replay_instance(theorems.SuiteConfig(seed=seed), index)
+        assert replayed["perturbed_frame_bounds"].inequality_pass is False
+        assert replayed["perturbed_frame_bounds"].margin == failure["margin"]
+
+    def test_large_mu_fractions_are_gated_not_failed(self, capsys):
+        argv = ["suite", "--instances", "60", "--mu-frac-min", "0.5", "--mu-frac-max", "0.99",
+                "--seed", "7", "--format", "json"]
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        tallies = doc["results"]["tallies"]
+        gated = {tid: tally["gated"] for tid, tally in tallies.items() if tally["gated"]}
+        assert gated == {"redundancy_perturbation": 3, "fusion_redundancy_perturbation": 2}
+        assert doc["results"]["total_failures"] == 0
 
     def test_zero_instances_exits_2(self, capsys):
         assert main(["suite", "--instances", "0"]) == 2
@@ -522,31 +564,63 @@ class TestSuite:
 
 class TestExitCodes:
     """The rows of the exit-code table that no test above pins: each
-    file or input fault exits with its code and one ``error:`` line."""
+    file or input fault exits with its code and one ``error:`` line.
+    ``IN`` in a command line stands for the input file; a full line as
+    the fragment pins the message exactly."""
 
     NESTED = "[" * 100_000 + "]" * 100_000
+    IN = "<input>"
+    TWO_LINES = json.dumps({"dim": 2, "kind": "fusion", "subspaces": [
+        {"weight": 1.0, "basis": [[1.0, 0.0]]}, {"weight": 1.0, "basis": [[0.0, 1.0]]},
+    ]})
 
     @pytest.mark.parametrize(
         "argv, content, code, fragment",
         [
-            (["analyze"], None, 2, "Is a directory"),
-            (["suite", "--config"], None, 2, "Is a directory"),
-            (["analyze"], b"\xff\xfe", 2, "not utf-8 text"),
-            (["suite", "--config"], b"\xff\xfe", 2, "can't decode"),
-            (["analyze"], NESTED, 2, "nested too deeply"),
-            (["suite", "--config"], NESTED, 2, "recursion"),
-            (["analyze"], '{"dim": 2, "kind": "frame", "vectors": [[1, 0], [0, 1}', 2, "line 1"),
+            (["analyze", IN], None, 2, "Is a directory"),
+            (["suite", "--config", IN], None, 2, "Is a directory"),
+            (["analyze", IN], b"\xff\xfe", 2, "not utf-8 text"),
+            (["suite", "--config", IN], b"\xff\xfe", 2, "can't decode"),
+            (["analyze", IN], NESTED, 2, "nested too deeply"),
+            (["suite", "--config", IN], NESTED, 2, "recursion"),
+            (["analyze", IN], '{"dim": 2, "kind": "frame", "vectors": [[1, 0], [0, 1}', 2, "line 1"),
             (
-                ["analyze"],
+                ["analyze", IN],
                 '{"dim": 2, "kind": "fusion", "subspaces": [{"weight": -1, "basis": [[1, 0]]}]}',
                 3,
                 "weight 0 must be positive",
             ),
-            (["analyze"], '{"dim": 2, "kind": "frame", "vectors": [[NaN, 0], [0, 1]]}', 3, "non-finite"),
+            (["analyze", IN], '{"dim": 2, "kind": "frame", "vectors": [[NaN, 0], [0, 1]]}', 3, "non-finite"),
+            (
+                ["perturb", IN, "--mu", "0.1", "--norm-preserving", "--out", os.devnull],
+                TWO_LINES,
+                2,
+                "error: --norm-preserving applies only to frame inputs\n",
+            ),
+            (
+                ["angles", IN, IN],
+                TWO_LINES,
+                3,
+                "error: first fusion file must hold exactly one subspace, got 2\n",
+            ),
+            (["suite", "--config", IN], "[1, 2]", 2, "error: config must be a JSON object\n"),
+            (
+                ["analyze", IN],
+                '{"dim": 2, "kind": "frame", "vectors": [[1, 0], [0, 1]], "labels": ["a", 1]}',
+                2,
+                "error: $.labels: expected an array of strings\n",
+            ),
+            (
+                ["analyze", IN],
+                '{"dim": 2, "kind": "fusion", "subspaces": [1]}',
+                2,
+                "error: $.subspaces[0]: expected an object with weight and basis\n",
+            ),
         ],
         ids=[
             "directory", "config-directory", "non-utf8", "config-non-utf8", "nested",
-            "config-nested", "malformed", "precondition", "numeric",
+            "config-nested", "malformed", "precondition", "numeric", "norm-preserving-fusion",
+            "angles-two-members", "config-array", "non-string-label", "subspace-not-object",
         ],
     )
     def test_exit_code_table(self, capsys, tmp_path, argv, content, code, fragment):
@@ -557,7 +631,7 @@ class TestExitCodes:
             path.write_bytes(content)
         else:
             path.write_text(content)
-        assert main([*argv, str(path)]) == code
+        assert main([str(path) if a == self.IN else a for a in argv]) == code
         assert fragment in one_error_line(capsys)
 
 

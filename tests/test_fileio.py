@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from framekit import Frame, FusionFrame, subspace_from_spanning
+from framekit import Frame, FusionFrame, fileio, subspace_from_spanning
 from framekit.errors import NumericError
 from framekit.fileio import (
     FrameFileError,
@@ -234,6 +234,16 @@ class TestOutOfRangeIntegers:
 
 
 class TestStoredBases:
+    def test_non_orthonormal_basis_loads_as_a_spanning_set(self, monkeypatch):
+        # The Gram check of the stored rows fails, so the loader spans them.
+        rows = [[2.0, 0.0, 0.0], [3.0, 1.0, 0.0]]
+        spanned = []
+        span = fileio.subspace_from_spanning
+        monkeypatch.setattr(fileio, "subspace_from_spanning", lambda v: spanned.append(1) or span(v))
+        ff = structure_from_dict({"dim": 3, "kind": "fusion", "subspaces": [{"weight": 1.0, "basis": rows}]})
+        assert len(spanned) == 1
+        assert np.array_equal(ff.subspaces[0].basis, span(np.array(rows)).basis)
+
     def test_more_rows_than_dim_are_a_spanning_set(self):
         rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         ff = structure_from_dict({"dim": 2, "kind": "fusion", "subspaces": [{"weight": 1.0, "basis": rows}]})

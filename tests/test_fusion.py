@@ -49,6 +49,11 @@ class TestSubspaceType:
         with pytest.raises(DimensionError):
             Subspace(np.eye(2, 3))
 
+    def test_empty_full_space_rejected(self):
+        # full_space builds its basis through the checked constructor.
+        with pytest.raises(DimensionError, match=r"^subspace dimension 0 must lie in \[1, 0\]$"):
+            full_space(0)
+
     def test_rejects_non_positive_weight(self):
         with pytest.raises(PreconditionError):
             FusionFrame(((axis_span(2, 0), 0.0),))
@@ -76,6 +81,13 @@ class TestVectorSpan:
         assert np.array_equal(vector_span([1e-13, 0.0]).basis, [[1.0], [0.0]])
         with pytest.raises(DegenerateInputError):
             vector_span([0.0, 0.0])
+
+    def test_overflowing_norm_still_rejected(self):
+        # The norm overflows to inf and the quotient is the zero vector,
+        # which the checked constructor rejects as no unit vector.
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(PreconditionError, match="not orthonormal"):
+                vector_span([1e200, 1e200])
 
 
 class TestProjectionMatrix:

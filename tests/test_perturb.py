@@ -294,15 +294,27 @@ class TestGeneratePerturbedFusion:
 
     def test_generation_builds_one_subspace_per_member(self, monkeypatch):
         # Bisection steps measure raw geodesic bases; only the step the
-        # generator lands on becomes a FusionFrame.
+        # generator lands on becomes a FusionFrame, through the unchecked
+        # constructor of bases orthonormal by construction.
         built = []
-        post_init = Subspace.__post_init__
+        make = perturb._orthonormal_subspace
         rng = np.random.default_rng(58)
         w = theorems.random_fusion_frame(rng, 6, 8)
-        monkeypatch.setattr(Subspace, "__post_init__", lambda s: built.append(1) or post_init(s))
+        monkeypatch.setattr(perturb, "_orthonormal_subspace", lambda b: built.append(1) or make(b))
         _, achieved = generate_perturbed_fusion(w, 0.3, seed=14)
         assert abs(achieved - 0.3) <= 0.05 * 0.3
         assert len(built) == 8
+
+    def test_generated_instances_take_no_gram_check(self, monkeypatch):
+        # QR factors and geodesic points are orthonormal by construction,
+        # so neither generator runs the constructor's checks.
+        checked = []
+        monkeypatch.setattr(Subspace, "__post_init__", lambda s: checked.append(1))
+        rng = np.random.default_rng(60)
+        w = theorems.random_fusion_frame(rng, 5, 7)
+        v, _ = generate_perturbed_fusion(w, 0.2, seed=16)
+        assert v.count == 7
+        assert checked == []
 
     def test_generation_moves_the_bases_once(self, monkeypatch):
         # Bisection steps take the closed form; only the landing step
@@ -343,6 +355,27 @@ class TestGeneratePerturbedFusion:
         v, achieved = generate_perturbed_fusion(w, target, seed=12)
         assert abs(achieved - target) <= 0.05 * target
         assert fusion_perturbation_mu(w, v).mu == pytest.approx(achieved, abs=1e-12)
+
+
+class TestBisect:
+    def test_end_inside_the_window_is_returned(self):
+        # The constant at the bracket's end already lands: no bisection.
+        calls = []
+        t, mu = perturb._bisect(lambda t: calls.append(t) or t, (1.0,), 1.02)
+        assert (t, mu) == (1.0, 1.0)
+        assert calls == [1.0]
+
+    def test_step_that_never_lands_returns_the_lower_end(self):
+        # The constant jumps from 0 to 2 at t = 0.5, past both sides of the
+        # window round 1: after BISECT_MAX_ITER steps the lower end, whose
+        # constant lies below the target, is measured once more.
+        calls = []
+        t, mu = perturb._bisect(
+            lambda t: calls.append(t) or (0.0 if t < 0.5 else 2.0), (1.0,), 1.0
+        )
+        assert len(calls) == 1 + perturb.BISECT_MAX_ITER + 1 == 102
+        assert t == pytest.approx(0.5) and t < 0.5
+        assert mu == 0.0 <= (1.0 + perturb.TARGET_WINDOW) * 1.0
 
 
 class TestGeodesic:

@@ -1,7 +1,8 @@
 """Property tests: a frame is the fusion frame of its spans, bounds scale
 quadratically, redundancy is invariant under scaling and rotation, files
 round-trip bit for bit, the frame constant is symmetric, every Gram
-product is exactly symmetric, the equal-norms gate is invariant under
+product is exactly symmetric, the bases that skip the Gram check would
+pass it, the equal-norms gate is invariant under
 scaling, cosine angles are invariant under rotation, every registry row
 gives a verdict on degenerate inputs, and the file loader raises only
 its own errors.
@@ -34,6 +35,7 @@ from framekit import (
     subspace_from_spanning,
     vector_span,
 )
+from framekit import fusion, perturb
 from framekit.errors import FramekitError, GenerationError
 from framekit.fileio import FrameFileError, load_structure, structure_from_dict, write_structure
 from framekit.theorems import THEOREMS, verify_normalized_perturbation, verify_redundancy_perturbation
@@ -187,6 +189,40 @@ def test_gram_products_are_exactly_symmetric(v, ff, seed):
             generate_perturbed_fusion(ff, 0.1 * ff.weights.min(), seed)
     assert len(products) >= 5
     assert all(np.array_equal(g, g.T) for g in products)
+
+
+@st.composite
+def spanning_sets(draw):
+    """Random, dependent, 1e-11-scaled and 1e11-scaled spanning sets."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(seeds))
+    m = draw(st.integers(1, n + 3))
+    case = draw(st.sampled_from(("random", "dependent", "small", "large")))
+    if case == "dependent":
+        k = draw(st.integers(1, n))
+        return rng.standard_normal((m + k, k)) @ rng.standard_normal((k, n))
+    return {"random": 1.0, "small": 1e-11, "large": 1e11}[case] * rng.standard_normal((m, n))
+
+
+@given(spanning_sets(), fusion_frames(), seeds)
+def test_unchecked_bases_pass_the_gram_check(v, ff, seed):
+    # Every basis that skips the constructor's checks: the QR factor of a
+    # spanning set and the landing bases of a generation.
+    bases = []
+    patches = []
+    for module in (fusion, perturb):
+        make = module._orthonormal_subspace
+        patches.append(mock.patch.object(
+            module, "_orthonormal_subspace", lambda b, make=make: bases.append(b) or make(b)
+        ))
+    with patches[0], patches[1]:
+        subspace_from_spanning(v)
+        with suppress(GenerationError):  # every member may be the whole space
+            generate_perturbed_fusion(ff, 0.1 * ff.weights.min(), seed)
+    assert bases
+    for b in bases:
+        assert np.array_equal(Subspace(b).basis, b)
+        assert np.max(np.abs(b.T @ b - np.eye(b.shape[1]))) <= 1e-12
 
 
 @settings(max_examples=50)

@@ -42,6 +42,7 @@ from framekit.frames import _rank_stacks
 from framekit.theorems import (
     THEOREM_IDS,
     THEOREMS,
+    TheoremTally,
     random_fusion_frame,
     random_orthogonal_basis,
 )
@@ -285,15 +286,17 @@ class TestFusionRedundancyPerturbation:
             assert verdict.hypotheses_met
             assert verdict.inequality_pass, verdict
 
-    def test_non_unit_weights_gate(self):
-        ff = FusionFrame(((vector_span([1.0, 0.0]), 2.0), (vector_span([0.0, 1.0]), 1.0)))
-        verdict = verify_fusion_redundancy_perturbation(ff, ff).to_dict()
-        assert verdict["hypotheses_met"] is False
-        assert verdict["margin"] is None
-        assert verdict["notes"] == (
-            "gate failed: first fusion frame has non-unit weights "
-            "(off by 1.000e+00); the statement concerns unit weights"
-        )
+    def test_weighted_pair_gets_the_unit_weight_verdict(self):
+        # The statement concerns the subspaces alone: the verifier measures
+        # a weighted pair at unit weights, so the weights change nothing.
+        rng = np.random.default_rng(23)
+        w = random_fusion_frame(rng, 4, 5)
+        v, _ = generate_perturbed_fusion(w, 0.05, seed=24)
+        assert np.ptp(w.weights) > 0
+        weighted = verify_fusion_redundancy_perturbation(w, v)
+        unit = verify_fusion_redundancy_perturbation(w.with_unit_weights(), v.with_unit_weights())
+        assert weighted.hypotheses_met
+        assert weighted.to_dict() == unit.to_dict()
 
 
 class TestAngleSums:
@@ -425,6 +428,34 @@ class TestSuite:
         a = run_random_suite(config).to_dict()
         b = run_random_suite(config).to_dict()
         assert a == b
+
+    def test_tally_counts_gated_and_failed_verdicts(self):
+        def verdict(met, passing, margin, residual):
+            return TheoremVerdict(
+                theorem_id="t", hypotheses_met=met, predicted={}, observed={},
+                inequality_pass=passing, equality_residuals={"lower": residual},
+                notes="", margin=margin,
+            )
+
+        tally = TheoremTally(theorem_id="t")
+        tally.add(verdict(True, True, 0.25, 0.5), 0, 7)
+        tally.add(verdict(False, True, None, 100.0), 1, 7)  # gated: nothing recorded
+        tally.add(verdict(True, False, -0.5, 1.5), 2, 7)
+        assert tally.to_dict() == {
+            "theorem_id": "t",
+            "passed": 1,
+            "failed": 1,
+            "gated": 1,
+            "worst_margin": -0.5,
+            "residual_histograms": {
+                "lower": {
+                    "counts": [1] + [0] * 10 + [1],
+                    "edges": np.linspace(0.5, 1.5, 13).tolist(),
+                    "max": 1.5,
+                }
+            },
+            "failures": [{"index": 2, "seed": [7, 2], "margin": -0.5}],
+        }
 
     def test_report_structure(self):
         report = run_random_suite(SuiteConfig(instances=5, seed=1)).to_dict()

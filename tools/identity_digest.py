@@ -21,7 +21,9 @@ Each run is in-process but behaves as a fresh process: warnings are
 shown once per run, native output on file descriptors 1 and 2 (such as a
 LAPACK message) is captured, and an uncaught exception gives exit 1 with
 its last traceback line.  Work and source directories are replaced by
-``<work>`` and ``<src>``, so trees in different places give equal digests.
+``<work>`` and ``<src>``, so trees in different places give equal digests,
+and the line number of a warning's source location is dropped (the text
+and the quoted source line stay), so code that only moves keeps them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import io
 import itertools
 import json
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -102,7 +105,7 @@ class Runner:
     def _clean(self, text: str) -> str:
         for old, new in self.subs:
             text = text.replace(old, new)
-        return text
+        return re.sub(r"(<src>/\S+?\.py):\d+:", r"\1:", text)
 
     def __call__(self, argv, out_file: Path | None = None) -> bytes:
         if out_file is not None and out_file.exists():
