@@ -6,12 +6,14 @@ weighted by their norms.  Both kinds hold the same n-by-K column stacks:
 ``unit_columns`` (the normalized vectors, or ``[U_1 ... U_N]``) and the
 block widths ``ranks`` (1 per vector).  The operator ``T T^T``, its
 optimal bounds, the redundancy (the extreme eigenvalues of ``U U^T``)
-and its sampling oracle are written once against them.
+and its sampling oracle are written once against them.  Both kinds are
+immutable and measure each stack and its spectrum once, read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,6 +41,22 @@ def _nonzero(norms: np.ndarray) -> np.ndarray:
     return norms > ZERO_VECTOR_TOL * np.max(norms)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, which must own its data and is made
+    read-only too: numpy refuses to make such a view writeable again."""
+    a.flags.writeable = False
+    return a.view()
+
+
+def _pair_memo(a, b, name: str, compute):
+    """``compute(a, b)``, kept in ``b.__dict__`` with ``a`` itself and
+    reused only for that object: an equal copy is measured afresh."""
+    held = b.__dict__.get(name)
+    if held is None or held[0] is not a:
+        held = b.__dict__[name] = (a, compute(a, b))
+    return held[1]
+
+
 def _rank_stacks(ranks, *column_stacks):
     """Yield ``(members, cols, blocks)`` per chunk of equal-rank members
     of n-by-K column stacks (at most ``STACK_BYTES / (8 n^2)``, at least
@@ -61,8 +79,21 @@ def _rank_stacks(ranks, *column_stacks):
             ]
 
 
+class _Spectra:
+    """The Gram spectra of the two column stacks, ascending, read-only and
+    kept in the instance ``__dict__`` (a failed measurement is not kept)."""
+
+    @cached_property
+    def _operator_eigenvalues(self) -> np.ndarray:
+        return _read_only(linalg._gram_eigenvalues(self.synthesis_columns))
+
+    @cached_property
+    def _unit_eigenvalues(self) -> np.ndarray:
+        return _read_only(linalg._gram_eigenvalues(self.unit_columns))
+
+
 @dataclass(frozen=True)
-class Frame:
+class Frame(_Spectra):
     """Ordered list of N vectors in R^n, stored as the rows of an (N, n) array."""
 
     vectors: np.ndarray
@@ -74,8 +105,7 @@ class Frame:
             raise DimensionError("a frame needs at least one vector")
         if arr.shape[1] < 1:
             raise DimensionError("ambient dimension must be positive")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        arr = _read_only(arr.copy())
         object.__setattr__(self, "vectors", arr)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -101,7 +131,7 @@ class Frame:
         """The n-by-N matrix whose column i is vector i (read-only view)."""
         return self.vectors.T
 
-    @property
+    @cached_property
     def unit_columns(self) -> np.ndarray:
         """The normalized vectors as columns; DegenerateInputError names
         the first zero vector."""
@@ -111,7 +141,7 @@ class Frame:
             raise DegenerateInputError(
                 f"vector {zero[0]} has norm {norms[zero[0]]:.3e}; spans of zero vectors are undefined"
             )
-        return (self.vectors / norms[:, None]).T
+        return _read_only(self.vectors / norms[:, None]).T
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -180,7 +210,7 @@ def frame_operator(f: Frame | FusionFrame) -> np.ndarray:
 
 def optimal_frame_bounds(f: Frame | FusionFrame) -> BoundsReport:
     """Optimal bounds: the extreme eigenvalues of the operator."""
-    eigs = linalg._gram_eigenvalues(f.synthesis_columns)
+    eigs = f._operator_eigenvalues
     return bounds_from_extremes(eigs[0], eigs[-1])
 
 
@@ -211,11 +241,10 @@ def redundancy_bounds(f: Frame | FusionFrame) -> RedundancyProfile:
     """Lower/upper redundancy: the extreme eigenvalues of ``U U^T`` for the
     unit columns ``U``, with mean ``K / n``.  ``redundancy_oracle``
     provides the independent check."""
-    u = f.unit_columns
-    eigs = linalg._gram_eigenvalues(u)
+    eigs = f._unit_eigenvalues
     b = bounds_from_extremes(eigs[0], eigs[-1])
     return RedundancyProfile(
-        lower=b.lower, upper=b.upper, uniform=b.is_tight, mean=u.shape[1] / f.dim
+        lower=b.lower, upper=b.upper, uniform=b.is_tight, mean=f.unit_columns.shape[1] / f.dim
     )
 
 

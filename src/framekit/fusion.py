@@ -11,11 +11,13 @@ the weights: it is read off the stacked bases ``[U_1 ... U_N]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, DimensionError, PreconditionError
+from .frames import _read_only, _Spectra
 
 # Orthonormality defect admitted in a stored basis.
 BASIS_TOL = 1e-10
@@ -39,9 +41,7 @@ class Subspace:
             raise PreconditionError(
                 f"basis columns are not orthonormal (defect {defect:.3e})"
             )
-        b = b.copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "basis", _read_only(b.copy()))
 
     @property
     def ambient_dim(self) -> int:
@@ -53,7 +53,7 @@ class Subspace:
 
 
 @dataclass(frozen=True)
-class FusionFrame:
+class FusionFrame(_Spectra):
     """Ordered list of (subspace, positive weight) pairs in a common R^n."""
 
     members: tuple[tuple[Subspace, float], ...]
@@ -89,17 +89,20 @@ class FusionFrame:
         return np.array([w for _, w in self.members])
 
     def with_unit_weights(self) -> "FusionFrame":
+        """The same subspaces at weight 1: ``self`` when every weight is 1."""
+        if all(w == 1.0 for _, w in self.members):
+            return self
         return FusionFrame(tuple((s, 1.0) for s, _ in self.members))
 
-    @property
+    @cached_property
     def synthesis_columns(self) -> np.ndarray:
         """``[w_1 U_1 ... w_N U_N]``: n-by-K, K the sum of the ranks."""
-        return np.hstack([w * s.basis for s, w in self.members])
+        return _read_only(np.hstack([w * s.basis for s, w in self.members]))
 
-    @property
+    @cached_property
     def unit_columns(self) -> np.ndarray:
         """``[U_1 ... U_N]``: the stacked orthonormal bases."""
-        return np.hstack([s.basis for s, _ in self.members])
+        return _read_only(np.hstack([s.basis for s, _ in self.members]))
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -109,8 +112,7 @@ class FusionFrame:
 def _orthonormal_subspace(basis: np.ndarray) -> Subspace:
     """Subspace of a basis orthonormal by construction: copied read-only, unchecked."""
     s = object.__new__(Subspace)
-    object.__setattr__(s, "basis", basis.copy())
-    s.basis.flags.writeable = False
+    object.__setattr__(s, "basis", _read_only(basis.copy()))
     return s
 
 

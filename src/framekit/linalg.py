@@ -25,7 +25,7 @@ RANK_TOL = 1e-10
 
 def _finite(a: np.ndarray) -> np.ndarray:
     """``a`` itself; NumericError when an entry is NaN or infinite."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError("matrix contains non-finite entries")
     return a
 
@@ -49,7 +49,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected a vector, got ndim={v.ndim}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionError(f"expected a vector of length {dim}, got {v.shape[0]}")
-    if v.size and not np.all(np.isfinite(v)):
+    if v.size and not np.isfinite(v).all():
         raise NumericError("vector contains non-finite entries")
     return v
 

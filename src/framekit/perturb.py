@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
-from .frames import Frame, _nonzero, _rank_stacks, _Record
+from .frames import Frame, _nonzero, _pair_memo, _rank_stacks, _Record
 from .fusion import FusionFrame, _orthonormal_subspace
 
 # Relative window the bisection-based generators must land in.
@@ -37,10 +37,15 @@ class PerturbationReport(_Record):
 
 
 def frame_perturbation_mu(phi: Frame, psi: Frame) -> PerturbationReport:
-    """Least constant bounding ||sum c_i (phi_i - psi_i)|| / ||c||.
+    """Least constant bounding ||sum c_i (phi_i - psi_i)|| / ||c||,
+    measured once per pair (see ``frames._pair_memo``).
 
     The difference is formed C-ordered: the column norms are summed in
     memory order, so the layout fixes the bits of ``per_index_norms``."""
+    return _pair_memo(phi, psi, "_frame_perturbation_mu", _frame_report)
+
+
+def _frame_report(phi: Frame, psi: Frame) -> PerturbationReport:
     if phi.dim != psi.dim or phi.count != psi.count:
         raise DimensionError(
             f"frames have shapes {(phi.count, phi.dim)} vs {(psi.count, psi.dim)}"
@@ -73,7 +78,8 @@ def _projector_differences(w: FusionFrame, v: FusionFrame) -> np.ndarray:
 
 
 def _fusion_constant(w: FusionFrame, v: FusionFrame) -> float:
-    return _gram_norm(_projector_differences(w, v))
+    """``fusion_perturbation_mu(w, v).mu``, measured once per pair."""
+    return _pair_memo(w, v, "_fusion_constant", lambda w, v: _gram_norm(_projector_differences(w, v)))
 
 
 def fusion_perturbation_mu(w: FusionFrame, v: FusionFrame) -> PerturbationReport:

@@ -1,7 +1,9 @@
 """Executable checks for the perturbation/redundancy theorems.
 
 Each ``verify_*`` function measures everything from its inputs alone (no
-trusted metadata), gates on the theorem's hypotheses, asserts the
+trusted metadata: a constant or spectrum it reuses is only the memo of
+the same function on the same objects, which a generator or another
+verifier measured first), gates on the theorem's hypotheses, asserts the
 inequality consequences with a fixed absolute slack, and reports the
 residuals of the stronger equality claims as data instead of asserting
 them.  A hypothesis that fails on well-formed input yields a gated
@@ -30,6 +32,7 @@ from .angles import _gap, _inf_sup_cos
 from .errors import DegenerateInputError, DimensionError, GenerationError, PreconditionError
 from .frames import (
     Frame,
+    _pair_memo,
     _rank_stacks,
     _Record,
     optimal_frame_bounds,
@@ -123,6 +126,14 @@ def _norm_gap(phi: Frame, psi: Frame) -> float:
     return worst if broken else 0.0
 
 
+def _normalized_mu(phi: Frame, psi: Frame) -> float:
+    """The constant between the normalized frames, measured once per pair."""
+    return _pair_memo(
+        phi, psi, "_normalized_mu",
+        lambda a, b: linalg._top_singular_value(a.unit_columns - b.unit_columns),
+    )
+
+
 def verify_perturbed_frame_bounds(phi: Frame, psi: Frame) -> TheoremVerdict:
     """Perturbing a frame by less than the root of its lower bound keeps
     it a frame, with bounds shrunk/grown by the measured constant."""
@@ -157,7 +168,7 @@ def verify_normalized_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
             "normalized_perturbation",
             f"gate failed: vector norms differ by {worst:.3e}; the lemma needs equal norms",
         )
-    mu_normalized = linalg._top_singular_value(phi.unit_columns - psi.unit_columns)
+    mu_normalized = _normalized_mu(phi, psi)
     min_norm = float(np.min(phi.norms()))
     scaled_bound = mu / min_norm
     margin = scaled_bound - mu_normalized
@@ -196,7 +207,7 @@ def verify_redundancy_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
             f"gate failed: mu={mu:.6g} not below sqrt(lower)="
             f"{math.sqrt(base.lower):.6g}",
         )
-    mu_n = linalg._top_singular_value(phi.unit_columns - psi.unit_columns)
+    mu_n = _normalized_mu(phi, psi)
     r_phi = redundancy_bounds(phi)
     lower_applicable = mu_n < math.sqrt(r_phi.lower)
     return _band(

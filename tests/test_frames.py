@@ -1,5 +1,6 @@
 """Tests for frame operators, bounds, and redundancy."""
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -45,6 +46,59 @@ class TestFrameType:
         f = Frame([[1.0, 0.0]])
         with pytest.raises(ValueError):
             f.vectors[0, 0] = 2.0
+
+    def test_read_only_flag_cannot_be_set_back(self):
+        # A writeable alias would let stale cached spectra follow an edit.
+        f = Frame([[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(ValueError):
+            f.vectors.flags.writeable = True
+        assert not f.vectors.flags.writeable
+
+
+def fresh_frame_values(f):
+    """The cached stacks and spectra of ``f``, recomputed from a writeable
+    copy of its vectors by the same operations."""
+    v = np.array(f.vectors)
+    unit = (v / np.linalg.norm(v, axis=1)[:, None]).T
+    return {
+        "synthesis_columns": v.T,
+        "unit_columns": unit,
+        "_operator_eigenvalues": np.linalg.eigvalsh(v.T @ v),
+        "_unit_eigenvalues": np.linalg.eigvalsh(unit @ unit.T),
+    }
+
+
+class TestCachedValues:
+    def test_cached_arrays_are_read_only_and_bit_equal_to_fresh(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            dim = int(rng.integers(1, 7))
+            f = Frame(rng.standard_normal((int(rng.integers(dim, 13)), dim)))
+            optimal_frame_bounds(f)
+            redundancy_bounds(f)
+            assert f.unit_columns is f.unit_columns
+            for name, expected in fresh_frame_values(f).items():
+                cached = getattr(f, name)
+                assert cached.tobytes() == expected.tobytes(), name
+                with pytest.raises(ValueError):
+                    cached.flags.writeable = True
+
+    def test_zero_vector_raises_on_every_access(self):
+        f = Frame([[1.0, 0.0], [0.0, 0.0]])
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError, match="vector 1"):
+                f.unit_columns
+            with pytest.raises(DegenerateInputError, match="vector 1"):
+                redundancy_bounds(f)
+        assert optimal_frame_bounds(f).upper == 1.0
+
+    def test_caches_add_no_field(self):
+        f = Frame([[1.0, 0.0], [0.0, 2.0]], labels=("a", "b"))
+        g = Frame([[1.0, 0.0], [0.0, 2.0]], labels=("a", "b"))
+        redundancy_bounds(f)
+        assert "_unit_eigenvalues" in vars(f) and "_unit_eigenvalues" not in vars(g)
+        assert [fl.name for fl in dataclasses.fields(f)] == ["vectors", "labels"]
+        assert repr(f) == repr(g)
 
 
 class TestSynthesisAnalysis:

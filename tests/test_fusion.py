@@ -58,6 +58,62 @@ class TestSubspaceType:
         with pytest.raises(PreconditionError):
             FusionFrame(((axis_span(2, 0), 0.0),))
 
+    def test_read_only_flag_cannot_be_set_back(self):
+        # Checked and unchecked constructors alike store a read-only view
+        # of a read-only copy.
+        rng = np.random.default_rng(3)
+        for s in (
+            Subspace(np.eye(3)[:, :2]),
+            full_space(3),
+            vector_span([1.0, 2.0, 2.0]),
+            subspace_from_spanning(rng.standard_normal((2, 3))),
+        ):
+            with pytest.raises(ValueError):
+                s.basis.flags.writeable = True
+            assert not s.basis.flags.writeable
+
+
+def fresh_fusion_values(ff):
+    """The cached stacks and spectra of ``ff``, recomputed from writeable
+    copies of its member bases by the same operations."""
+    bases = [np.array(s.basis) for s in ff.subspaces]
+    synthesis = np.hstack([w * b for b, w in zip(bases, ff.weights)])
+    unit = np.hstack(bases)
+    return {
+        "synthesis_columns": synthesis,
+        "unit_columns": unit,
+        "_operator_eigenvalues": np.linalg.eigvalsh(synthesis @ synthesis.T),
+        "_unit_eigenvalues": np.linalg.eigvalsh(unit @ unit.T),
+    }
+
+
+class TestCachedValues:
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_cached_arrays_are_read_only_and_bit_equal_to_fresh(self, weighted):
+        rng = np.random.default_rng(32 + weighted)
+        for _ in range(20):
+            dim, count = int(rng.integers(2, 7)), int(rng.integers(1, 9))
+            weights = list(rng.uniform(0.5, 2.0, count)) if weighted else None
+            ff = random_fusion(rng, dim, count, weights=weights)
+            optimal_frame_bounds(ff)
+            redundancy_bounds(ff)
+            for name, expected in fresh_fusion_values(ff).items():
+                cached = getattr(ff, name)
+                assert cached is getattr(ff, name), name
+                assert cached.tobytes() == expected.tobytes(), name
+                with pytest.raises(ValueError):
+                    cached.flags.writeable = True
+
+    def test_with_unit_weights_returns_self_only_for_unit_weights(self):
+        rng = np.random.default_rng(34)
+        unit = random_fusion(rng, 4, 3)
+        assert unit.with_unit_weights() is unit
+        weighted = random_fusion(rng, 4, 3, weights=[1.0, 2.0, 1.0])
+        copy = weighted.with_unit_weights()
+        assert copy is not weighted
+        assert all(a is b for a, b in zip(copy.subspaces, weighted.subspaces))
+        assert copy.weights.tolist() == [1.0, 1.0, 1.0]
+
 
 class TestSubspaceFromSpanning:
     def test_duplicates_collapse(self):

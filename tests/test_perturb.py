@@ -158,6 +158,43 @@ class TestFusionPerturbationMu:
         assert achieved == fusion_perturbation_mu(w, load_structure(out)).mu
 
 
+def _frames(rng):
+    return [Frame(rng.standard_normal((6, 3))) for _ in range(3)]
+
+
+def _fusion_frames(rng):
+    return [random_fusion(rng, 4, 5) for _ in range(3)]
+
+
+PAIR_MEASURES = {
+    "frame_mu": (_frames, lambda f: Frame(f.vectors), lambda a, b: frame_perturbation_mu(a, b).to_dict()),
+    "normalized_mu": (_frames, lambda f: Frame(f.vectors), lambda a, b: theorems._normalized_mu(a, b)),
+    "fusion_constant": (_fusion_frames, lambda f: FusionFrame(f.members), perturb._fusion_constant),
+}
+
+
+class TestPairMemo:
+    @pytest.mark.parametrize("kind", sorted(PAIR_MEASURES))
+    def test_never_answers_for_another_partner(self, kind, monkeypatch):
+        # psi is measured against phi, another structure phi2 and an equal
+        # copy of phi: each gives the bits of a fresh computation and is
+        # measured anew; only asking again about the same partner reuses.
+        build, copy, measure = PAIR_MEASURES[kind]
+        phi, phi2, psi = build(np.random.default_rng(71))
+        calls = []
+        for name in ("svd", "eigvalsh"):
+            lapack = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda *a, _f=lapack, **k: calls.append(1) or _f(*a, **k)
+            )
+        for partner, measured in ((phi, True), (phi2, True), (copy(phi), True), (phi, True), (phi, False)):
+            fresh = measure(copy(partner), copy(psi))
+            del calls[:]
+            assert measure(partner, psi) == fresh
+            assert bool(calls) == measured
+            assert measure(partner, psi) == fresh
+
+
 class TestGeneratePerturbedFrame:
     def test_gaussian_mode_hits_target_exactly(self):
         rng = np.random.default_rng(49)

@@ -1,6 +1,7 @@
 """Tests for the theorem verifiers and the randomized suite."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from framekit import (
     verify_riesz_redundancy,
     vector_span,
 )
+from framekit import linalg, perturb
 from framekit.errors import DimensionError, PreconditionError
 from framekit.frames import _rank_stacks
 from framekit.theorems import (
@@ -415,6 +417,29 @@ class TestSuite:
         assert {k: v.to_dict() for k, v in first.items()} == {
             k: v.to_dict() for k, v in second.items()
         }
+
+    def test_instance_measures_each_value_once(self, monkeypatch):
+        # The generators' landing constants are the verifiers' constants,
+        # and each structure's spectra are taken once.  Stacks are told
+        # apart by their bits: the stacks of one instance's distinct
+        # structures differ.
+        differences = []
+        take = perturb._projector_differences
+        monkeypatch.setattr(
+            perturb, "_projector_differences", lambda w, v: differences.append(1) or take(w, v)
+        )
+        stacks = []
+        gram = linalg._gram_eigenvalues
+
+        def record(c):
+            if sys._getframe(1).f_globals["__name__"] == "framekit.frames":
+                stacks.append((c.shape, c.tobytes()))
+            return gram(c)
+
+        monkeypatch.setattr(linalg, "_gram_eigenvalues", record)
+        replay_instance(SuiteConfig(), 0)
+        assert len(differences) == 2
+        assert len(stacks) == len(set(stacks)) > 0
 
     def test_suite_and_replay_follow_registry_order(self):
         ids = tuple(t.id for t in THEOREMS)
