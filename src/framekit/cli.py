@@ -27,6 +27,7 @@ from .frames import Frame, is_riesz_basis, optimal_frame_bounds, redundancy_boun
 from .fusion import is_orthonormal_fusion_basis, subspace_from_spanning
 from .angles import check_rs_relation, cosine_angles, gap_direct
 from .perturb import (
+    TARGET_WINDOW,
     frame_perturbation_mu,
     fusion_perturbation_mu,
     generate_perturbed_frame,
@@ -143,6 +144,10 @@ def cmd_perturb(args, command: str) -> int:
             raise _UsageError("--norm-preserving applies only to frame inputs")
         perturbed, achieved = generate_perturbed_fusion(obj, args.mu, seed=args.seed)
         constant = fusion_perturbation_mu(obj, perturbed)
+    # A geodesic generator misses its window only below the rounding floor.
+    geodesic = args.norm_preserving or not isinstance(obj, Frame)
+    if geodesic and not abs(achieved - args.mu) <= TARGET_WINDOW * args.mu:
+        raise GenerationError(f"achieved constant {achieved:.6g} lies outside 5% of the target {args.mu:.6g}")
     results = {
         "target_mu": args.mu,
         "achieved_mu": achieved,

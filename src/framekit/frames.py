@@ -12,6 +12,7 @@ immutable and measure each stack and its spectrum once, read-only.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -49,11 +50,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _pair_memo(a, b, name: str, compute):
-    """``compute(a, b)``, kept in ``b.__dict__`` with ``a`` itself and
-    reused only for that object: an equal copy is measured afresh."""
+    """``compute(a, b)``, kept in ``b.__dict__`` beside a weak reference to
+    ``a`` (so no cycle) and reused only for that object, not an equal copy."""
     held = b.__dict__.get(name)
-    if held is None or held[0] is not a:
-        held = b.__dict__[name] = (a, compute(a, b))
+    if held is None or held[0]() is not a:
+        held = b.__dict__[name] = (weakref.ref(a), compute(a, b))
     return held[1]
 
 

@@ -19,9 +19,9 @@ from .errors import DimensionError, GenerationError, PreconditionError
 from .frames import Frame, _nonzero, _pair_memo, _rank_stacks, _Record
 from .fusion import FusionFrame, _orthonormal_subspace
 
-# Relative window the bisection-based generators must land in.
+# Relative window the geodesic generators must land in.
 TARGET_WINDOW = 0.05
-BISECT_MAX_ITER = 100
+LAND_MAX_ITER = 100
 # Frame targets must lie below this: the per-vector difference norms are
 # roots of sums of squares, which overflow from sqrt(float max) ~ 1.34e154
 # up; 2^511, half of that, leaves room for the landing window and rounding.
@@ -87,7 +87,8 @@ def fusion_perturbation_mu(w: FusionFrame, v: FusionFrame) -> PerturbationReport
     fusion frames, taken on the product of ambient-space copies (the
     blockwise weighted-projector difference)."""
     c = _projector_differences(w, v)
-    mu = _gram_norm(c)  # checks c too: an overflowed block overflows c c^T
+    # Checks c (an overflowed block overflows c c^T) unless this pair's c already was.
+    mu = _pair_memo(w, v, "_fusion_constant", lambda w, v: _gram_norm(c))
     per_index = tuple(linalg._top_singular_value(block) for block in np.split(c, w.count, axis=1))
     return PerturbationReport(mu=mu, per_index_norms=per_index)
 
@@ -154,49 +155,38 @@ class _GeodesicPath:
     def fusion_constant(self, weights):
         """``t ->`` the fusion constant from the start to step ``t`` by the
         closed form, scaling ``g`` into one buffer."""
-        column_weights = weights[self.owner]
-        scaled = np.empty_like(self.g)
-
-        def constant(t: float) -> float:
-            np.multiply(self.g, column_weights * np.sin(t * self.angles), out=scaled)
-            return _gram_norm(scaled)
-
-        return constant
+        column_weights, scaled = weights[self.owner], np.empty_like(self.g)
+        return lambda t: _gram_norm(np.multiply(self.g, column_weights * np.sin(t * self.angles), out=scaled))
 
 
-def _bisect(measure, ends, target_mu: float) -> tuple[float, float]:
-    """Bisect the step ``t`` until the constant ``measure(t)`` lands
-    within TARGET_WINDOW of ``target_mu``; returns the step and its
-    constant.
-
-    The constant is 0 at ``t = 0``.  The bracket ends at the first of the
-    increasing ``ends`` whose constant is not below the window, and starts
-    at the end before it (or 0); when every end stays below the window,
-    the target is out of reach and GenerationError is raised.  The result
-    never exceeds ``(1 + TARGET_WINDOW) * target_mu``.
-    """
-    lo = 0.0
-    for hi in ends:
-        mu = measure(hi)
-        if mu >= (1.0 - TARGET_WINDOW) * target_mu:
-            break
-        lo = hi
-    else:
-        raise GenerationError(
-            f"target {target_mu} unreachable: the geodesic bracket reaches {mu:.6g}"
-        )
-    if mu <= (1.0 + TARGET_WINDOW) * target_mu:
-        return hi, mu
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        mu = measure(mid)
+def _land(measure, slope: float, ends, target_mu: float) -> tuple[float, float]:
+    """Step ``t`` until ``measure(t)`` lies within TARGET_WINDOW of
+    ``target_mu``; returns the step and its constant.  The first step is
+    ``target_mu / slope`` (the first end for a zero or non-finite slope),
+    each later one the secant through the origin, kept strictly inside the
+    bracket or else its midpoint.  Each of the increasing ``ends`` is
+    measured only when a step reaches it; GenerationError means the last
+    one stays below the window.  After LAND_MAX_ITER steps the highest
+    step below the window is remeasured and returned."""
+    ends = iter(ends)
+    lo, hi, hi_measured = 0.0, next(ends), False
+    t = target_mu / slope if 0.0 < slope < math.inf else hi
+    for _ in range(LAND_MAX_ITER):
+        if not hi_measured and t >= hi:
+            t = hi
+        elif not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        mu = measure(t)
         if abs(mu - target_mu) <= TARGET_WINDOW * target_mu:
-            return mid, mu
+            return t, mu
         if mu > target_mu:
-            hi = mid
+            hi, hi_measured = t, True
         else:
-            lo = mid
-    return lo, measure(lo)  # measured below target, therefore within the guarantee
+            lo = t
+            if t == hi and (hi := next(ends, None)) is None:  # the last end stays below
+                raise GenerationError(f"target {target_mu} unreachable: the geodesic bracket reaches {mu:.6g}")
+        t = t * target_mu / mu if mu > 0.0 else math.inf
+    return lo, measure(lo)
 
 
 def generate_perturbed_frame(
@@ -209,15 +199,16 @@ def generate_perturbed_frame(
     constant equals the target to machine precision.  In norm-preserving
     mode every vector turns inside its own sphere along a great circle,
     the one-dimensional case of the subspace geodesics of
-    ``generate_perturbed_fusion``, and a bisection on the common step
-    lands the measured constant within 5% of the target.  The step runs
-    to 1, or, when the constant there falls short, on to the step that
-    turns the vector with the largest angle by pi; GenerationError means
-    the target lies above what both reach; steps measure raw arrays and
-    one Frame is built where the bisection lands.  Each turning
-    direction is projected off its vector twice, so norms move by
-    rounding only (about 1e-16 relative).  Zero vectors (see
-    ``frames.ZERO_VECTOR_TOL``) stay as they are.  Targets from
+    ``generate_perturbed_fusion``, and ``_land`` lands the common step
+    within 5% of the target, from the slope at 0 (the norm of the tangents
+    times the lengths).  The step runs to 1, or, when the constant there
+    falls short, on to the step that turns the vector with the largest
+    angle by pi; GenerationError means the target lies above what both
+    reach; steps measure raw arrays and one Frame is built at the landing.
+    Each turning direction is projected off its vector twice, so norms
+    move by rounding only, about 1e-16 relative: a target below that
+    times the largest norm comes back outside the window.  Zero vectors
+    (see ``frames.ZERO_VECTOR_TOL``) stay as they are.  Targets from
     ``MAX_FRAME_TARGET`` up raise GenerationError in both modes.
     """
     if not target_mu > 0:
@@ -249,15 +240,15 @@ def generate_perturbed_frame(
     tangents = np.zeros_like(units)
     tangents[movable] = (angles[movable] / np.linalg.norm(g, axis=(1, 2)))[:, None, None] * g
     path = _GeodesicPath(units, tangents)
-    synthesis = phi.synthesis_columns
 
     # The same n-by-N difference that frame_perturbation_mu measures.
     def measure(t: float) -> float:
-        return linalg._top_singular_value(synthesis - path.columns(t) * lengths)
+        return linalg._top_singular_value(phi.synthesis_columns - path.columns(t) * lengths)
 
+    slope = linalg._top_singular_value(tangents[:, :, 0].T * lengths)
     # At the second end the vector with the largest angle has turned by
     # pi, so its own difference is twice its norm.
-    t, mu = _bisect(measure, (1.0, np.pi / angles.max()), target_mu)
+    t, mu = _land(measure, slope, (1.0, np.pi / angles.max()), target_mu)
     return Frame((path.columns(t) * lengths).T, labels=phi.labels), mu
 
 
@@ -265,7 +256,7 @@ def generate_perturbed_fusion(
     w: FusionFrame, target_mu: float, seed: int
 ) -> tuple[FusionFrame, float]:
     """Move every subspace along a Grassmann geodesic in a seeded random
-    horizontal direction (ranks and weights kept) and bisect the common
+    horizontal direction (ranks and weights kept) and step the common
     step until the measured constant lands within 5% of ``target_mu``.
 
     Member i's own constant is ``w_i sin(t theta_i)`` with ``theta_i``
@@ -274,8 +265,10 @@ def generate_perturbed_fusion(
     can move, the constant is at least ``w_top``: one bracket holds every
     target up to that weight.  GenerationError means the target lies
     above what the bracket reaches, or that every member is the whole
-    space and nothing can move.  Steps take the closed form; the landing
-    step alone is moved and remeasured as ``fusion_perturbation_mu`` does.
+    space and nothing can move.  Steps take the closed form from its slope
+    at 0; the landing step alone is moved and remeasured as
+    ``fusion_perturbation_mu`` does, with rounding (about 1e-15 times the
+    largest weight) below which a target comes back outside the window.
     """
     if not target_mu > 0:
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")
@@ -290,11 +283,12 @@ def generate_perturbed_fusion(
         return np.zeros_like(g) if u.shape[1] == w.dim else _horizontal(u, g)
 
     path = _GeodesicPath(bases, [tangent(u) for u in bases])
-    thetas = path.thetas
-    movable = [i for i, theta in enumerate(thetas) if theta > 0]
+    movable = [i for i, theta in enumerate(path.thetas) if theta > 0]
     if not movable:
         raise GenerationError("no member can move: every subspace is the whole space")
     top = max(movable, key=lambda i: weights[i])
-    t, _ = _bisect(path.fusion_constant(weights), (np.pi / (2.0 * thetas[top]),), target_mu)
+    # sin(tS) replaced by S; as sin^2 x <= x^2, no step overshoots t * slope.
+    slope = _gram_norm(path.g * (weights[path.owner] * path.angles))
+    t, _ = _land(path.fusion_constant(weights), slope, (np.pi / (2.0 * path.thetas[top]),), target_mu)
     v = FusionFrame(tuple((_orthonormal_subspace(b), wt) for b, wt in zip(path(t), weights)))
     return v, _fusion_constant(w, v)

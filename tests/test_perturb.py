@@ -1,7 +1,9 @@
 """Tests for perturbation measurement and instance generation."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -194,6 +196,51 @@ class TestPairMemo:
             assert bool(calls) == measured
             assert measure(partner, psi) == fresh
 
+    def test_pair_measured_in_both_orders_dies_without_the_collector(self):
+        # The memo holds the original weakly, so measuring (a, b) and
+        # (b, a) makes no cycle: reference counting alone frees both.
+        rng = np.random.default_rng(72)
+        a, b = Frame(rng.standard_normal((5, 3))), Frame(rng.standard_normal((5, 3)))
+        gc.disable()
+        try:
+            frame_perturbation_mu(a, b)
+            frame_perturbation_mu(b, a)
+            refs = weakref.ref(a), weakref.ref(b)
+            del a, b
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_fusion_report_reads_the_constant_memo(self, monkeypatch):
+        # fusion_perturbation_mu fills and reads _fusion_constant's memo,
+        # with the bits of a fresh _fusion_constant of an equal pair.
+        w, _, v = _fusion_frames(np.random.default_rng(73))
+        fresh = perturb._fusion_constant(FusionFrame(w.members), FusionFrame(v.members))
+        assert fusion_perturbation_mu(w, v).mu == fresh
+        calls = []
+        spectrum = linalg._gram_eigenvalues
+        monkeypatch.setattr(linalg, "_gram_eigenvalues", lambda c: calls.append(1) or spectrum(c))
+        assert perturb._fusion_constant(w, v) == fresh
+        w2, v2 = FusionFrame(w.members), FusionFrame(v.members)
+        assert perturb._fusion_constant(w2, v2) == fresh
+        assert fusion_perturbation_mu(w2, v2).mu == fresh
+        assert len(calls) == 1
+
+    def test_fusion_perturb_takes_the_difference_spectrum_once(self, tmp_path, capsys, monkeypatch):
+        # The generator's landing remeasure and the per-member report share
+        # one Gram spectrum of the n-by-Nn projector differences.
+        rng = np.random.default_rng(74)
+        w = theorems.random_fusion_frame(rng, 6, 5)
+        assert 2 * sum(w.ranks) != 6 * 5  # closed-form steps have another width
+        src = tmp_path / "w.json"
+        write_structure(src, w)
+        widths = []
+        spectrum = linalg._gram_eigenvalues
+        monkeypatch.setattr(linalg, "_gram_eigenvalues", lambda c: widths.append(c.shape[1]) or spectrum(c))
+        argv = ["perturb", str(src), "--mu", "0.2", "--seed", "5", "--out", str(tmp_path / "v.json")]
+        assert cli.main(argv) == 0
+        assert widths.count(6 * 5) == 1
+
 
 class TestGeneratePerturbedFrame:
     def test_gaussian_mode_hits_target_exactly(self):
@@ -265,7 +312,7 @@ class TestGeneratePerturbedFrame:
         assert np.allclose(psi.norms(), phi.norms(), rtol=1e-14, atol=0.0)
 
     def test_norm_preserving_builds_one_frame(self, monkeypatch):
-        # Bisection steps measure raw arrays; only the step the generator
+        # Landing steps measure raw arrays; only the step the generator
         # lands on becomes a Frame.
         rng = np.random.default_rng(61)
         phi = Frame(rng.standard_normal((9, 4)))
@@ -318,7 +365,7 @@ class TestGeneratePerturbedFusion:
             generate_perturbed_fusion(w, 0.1, seed=11)
 
     def test_bisection_takes_no_singular_values(self, monkeypatch):
-        # Each bisection step needs the constant only; per-member norms
+        # Each landing step needs the constant only; per-member norms
         # (one SVD each) belong to the public report alone.
         calls = []
         top = linalg._top_singular_value
@@ -330,7 +377,7 @@ class TestGeneratePerturbedFusion:
         assert calls == []
 
     def test_generation_builds_one_subspace_per_member(self, monkeypatch):
-        # Bisection steps measure raw geodesic bases; only the step the
+        # Landing steps measure raw geodesic bases; only the step the
         # generator lands on becomes a FusionFrame, through the unchecked
         # constructor of bases orthonormal by construction.
         built = []
@@ -354,7 +401,7 @@ class TestGeneratePerturbedFusion:
         assert checked == []
 
     def test_generation_moves_the_bases_once(self, monkeypatch):
-        # Bisection steps take the closed form; only the landing step
+        # Landing steps take the closed form; only the landing step
         # evaluates the geodesic path.
         calls = []
         call = perturb._GeodesicPath.__call__
@@ -394,25 +441,92 @@ class TestGeneratePerturbedFusion:
         assert fusion_perturbation_mu(w, v).mu == pytest.approx(achieved, abs=1e-12)
 
 
-class TestBisect:
+class TestLand:
     def test_end_inside_the_window_is_returned(self):
-        # The constant at the bracket's end already lands: no bisection.
+        # A zero slope starts at the bracket's end, whose constant already
+        # lands: one measurement.
         calls = []
-        t, mu = perturb._bisect(lambda t: calls.append(t) or t, (1.0,), 1.02)
+        t, mu = perturb._land(lambda t: calls.append(t) or t, 0.0, (1.0,), 1.02)
         assert (t, mu) == (1.0, 1.0)
         assert calls == [1.0]
 
     def test_step_that_never_lands_returns_the_lower_end(self):
         # The constant jumps from 0 to 2 at t = 0.5, past both sides of the
-        # window round 1: after BISECT_MAX_ITER steps the lower end, whose
+        # window round 1: after LAND_MAX_ITER steps the lower end, whose
         # constant lies below the target, is measured once more.
         calls = []
-        t, mu = perturb._bisect(
-            lambda t: calls.append(t) or (0.0 if t < 0.5 else 2.0), (1.0,), 1.0
+        t, mu = perturb._land(
+            lambda t: calls.append(t) or (0.0 if t < 0.5 else 2.0), 1.0, (1.0,), 1.0
         )
-        assert len(calls) == 1 + perturb.BISECT_MAX_ITER + 1 == 102
+        assert len(calls) == perturb.LAND_MAX_ITER + 1 == 101
         assert t == pytest.approx(0.5) and t < 0.5
         assert mu == 0.0 <= (1.0 + perturb.TARGET_WINDOW) * 1.0
+
+    def test_constant_below_the_window_at_every_end_raises(self):
+        # 0.4 t never reaches 1: each end is measured once, when a step
+        # reaches it, and the last one names what the bracket reaches.
+        calls = []
+        with pytest.raises(GenerationError, match="reaches 0.8$"):
+            perturb._land(lambda t: calls.append(t) or 0.4 * t, 0.4, (1.0, 2.0), 1.0)
+        assert calls == [1.0, 2.0]
+
+    @pytest.mark.parametrize("slope", [0.0, math.inf, math.nan])
+    def test_unusable_slope_starts_at_the_first_end(self, slope):
+        # From the end at 4, the secant through the origin of the linear
+        # constant t lands on the target at once.
+        calls = []
+        assert perturb._land(lambda t: calls.append(t) or t, slope, (4.0,), 1.0) == (1.0, 1.0)
+        assert calls == [4.0, 1.0]
+
+    def test_exact_slope_lands_in_one_measurement(self):
+        calls = []
+        t, mu = perturb._land(lambda t: calls.append(t) or math.sin(t), 1.0, (math.pi / 2,), 0.3)
+        assert calls == [0.3] and t == 0.3 and mu == math.sin(0.3)
+
+    def test_secant_climbs_from_below(self):
+        # sin(t) / t falls, so each secant step stays below the target and
+        # the steps grow until one lands; no end is measured.
+        calls = []
+        t, mu = perturb._land(lambda t: calls.append(t) or math.sin(t), 1.0, (math.pi / 2,), 0.98)
+        assert abs(mu - 0.98) <= 0.05 * 0.98
+        assert calls == sorted(calls) and len(calls) == 3 and math.pi / 2 not in calls
+
+    def test_first_fusion_step_never_overshoots(self, monkeypatch):
+        # sin^2 x <= x^2: the closed form at target / slope is at most the
+        # target, up to rounding, whatever the target and the instance.
+        firsts = []
+        land = perturb._land
+
+        def spy(measure, slope, ends, target_mu):
+            firsts.append(measure(target_mu / slope) / target_mu)
+            return land(measure, slope, ends, target_mu)
+
+        monkeypatch.setattr(perturb, "_land", spy)
+        for seed in range(60):
+            rng = np.random.default_rng(900 + seed)
+            dim = int(rng.integers(2, 8))
+            w = theorems.random_fusion_frame(rng, dim, int(rng.integers(2, 10)))
+            target = float(rng.uniform(0.01, 0.99)) * float(np.max(w.weights))
+            generate_perturbed_fusion(w, target, seed=seed)
+        assert len(firsts) == 60
+        assert max(firsts) <= 1.0 + 1e-12
+
+    def test_default_suite_lands_in_about_two_measurements(self, monkeypatch):
+        # Counting the slope as one measurement, over 400 default instances.
+        landings, measurements = [], []
+        land = perturb._land
+
+        def count(measure, slope, ends, target_mu):
+            landings.append(1)
+            measurements.append(1)
+            return land(lambda t: measurements.append(1) or measure(t), slope, ends, target_mu)
+
+        monkeypatch.setattr(perturb, "_land", count)
+        config = theorems.SuiteConfig(seed=901)
+        for index in range(400):
+            theorems.replay_instance(config, index)
+        assert len(landings) == 3 * 400
+        assert len(measurements) / len(landings) <= 2.2
 
 
 class TestGeodesic:
