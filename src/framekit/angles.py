@@ -3,7 +3,8 @@
 The angle report derives theta and the gap from the infimum cosine, so
 the trigonometric identities hold by construction; only ``gap_direct``
 recomputes the gap spectrally, which turns "gap equals the sine of the
-angle" into an actual two-route test.
+angle" into an actual two-route test where dim V <= dim W; above that
+both routes take the kernel branch (infimum cosine 0, gap exactly 1).
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ def _inf_sup_cos(vbasis: np.ndarray, wbasis: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _gap(vbasis: np.ndarray, wbasis: np.ndarray) -> np.ndarray:
-    """Norm of (I - P_W) on V, capped at 1, per W of a stack (one SVD)."""
+    """Norm of (I - P_W) on V, capped at 1, per W of a stack: one SVD, or
+    none where dim V > dim W, as V then has a unit vector orthogonal to W
+    and the gap is exactly 1 (the kernel branch)."""
+    if vbasis.shape[-1] > wbasis.shape[-1]:
+        return np.ones(wbasis.shape[:-2])
     residual_map = vbasis - wbasis @ (wbasis.mT @ vbasis)
     return np.minimum(1.0, np.linalg.svd(residual_map, compute_uv=False)[..., 0])
 
@@ -77,7 +82,8 @@ def cosine_angles(v: Subspace, w: Subspace) -> AngleReport:
 
 def gap_direct(v: Subspace, w: Subspace) -> float:
     """Largest distance from a unit vector of V to W: the operator norm of
-    (I - P_W) restricted to V, computed spectrally."""
+    (I - P_W) restricted to V, computed spectrally where dim V <= dim W
+    and exactly 1 above that."""
     _check_pair(v, w)
     return float(_gap(v.basis, w.basis[None])[0])
 

@@ -144,9 +144,8 @@ def cmd_perturb(args, command: str) -> int:
             raise _UsageError("--norm-preserving applies only to frame inputs")
         perturbed, achieved = generate_perturbed_fusion(obj, args.mu, seed=args.seed)
         constant = fusion_perturbation_mu(obj, perturbed)
-    # A geodesic generator misses its window only below the rounding floor.
-    geodesic = args.norm_preserving or not isinstance(obj, Frame)
-    if geodesic and not abs(achieved - args.mu) <= TARGET_WINDOW * args.mu:
+    # A generator misses its window only below the rounding floor.
+    if not abs(achieved - args.mu) <= TARGET_WINDOW * args.mu:
         raise GenerationError(f"achieved constant {achieved:.6g} lies outside 5% of the target {args.mu:.6g}")
     results = {
         "target_mu": args.mu,

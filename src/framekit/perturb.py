@@ -196,9 +196,10 @@ def generate_perturbed_frame(
     ``target_mu``.
 
     In the default mode a Gaussian offset is rescaled so the measured
-    constant equals the target to machine precision.  In norm-preserving
-    mode every vector turns inside its own sphere along a great circle,
-    the one-dimensional case of the subspace geodesics of
+    constant equals the target to machine precision; an offset below
+    about 1e-16 times the largest norm vanishes when added.  In the
+    norm-preserving mode every vector turns inside its own sphere along
+    a great circle, the one-dimensional case of the subspace geodesics of
     ``generate_perturbed_fusion``, and ``_land`` lands the common step
     within 5% of the target, from the slope at 0 (the norm of the tangents
     times the lengths).  The step runs to 1, or, when the constant there

@@ -284,10 +284,11 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
 
     The members are the blocks of the unit columns: the vectors' spans of
     a frame, the subspaces of a fusion frame; each rank chunk takes one
-    stacked SVD for cosines and one for gaps.  The redundancy equalities
-    are reported as residuals: at the only subspace containing the whole
-    unit sphere (the full space) the angle sums evaluate to 0 and N, which
-    generically differ from the spectral redundancies.
+    stacked SVD for cosines, and one for gaps only where its rank is at
+    least ``wprime.dim`` (below that the gap is 1).  The redundancy
+    equalities are reported as residuals: at the only subspace containing
+    the whole unit sphere (the full space) the angle sums evaluate to 0
+    and N, which generically differ from the spectral redundancies.
     """
     ids = {Frame: "angle_sum_frames", FusionFrame: "angle_sum_fusion"}
     theorem_id = ids.get(type(frame_or_fusion))

@@ -45,6 +45,32 @@ def random_pairs(seed, count, max_dim=6):
         yield random_subspace(rng, dim, rank_v), random_subspace(rng, dim, rank_w)
 
 
+def wide_pairs(seed, count, max_dim=6):
+    """Pairs with dim V > dim W, where the gap takes its kernel branch."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, max_dim + 1))
+        rank_v = int(rng.integers(2, dim + 1))
+        rank_w = int(rng.integers(1, rank_v))
+        yield random_subspace(rng, dim, rank_v), random_subspace(rng, dim, rank_w)
+
+
+def wide_stacks(seed, count, max_dim=6):
+    """A basis of V and a stack of 1-4 bases of W, all of one rank below
+    dim V, zero-column stacks included."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, max_dim + 1))
+        rank_v = int(rng.integers(1, dim + 1))
+        rank_w = int(rng.integers(0, rank_v))
+        members = int(rng.integers(1, 5))
+        v = random_subspace(rng, dim, rank_v).basis
+        if rank_w == 0:
+            yield v, np.empty((members, dim, 0))
+        else:
+            yield v, np.stack([random_subspace(rng, dim, rank_w).basis for _ in range(members)])
+
+
 def unrestricted_pairs(seed, count, max_dim=6):
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -115,6 +141,36 @@ class TestGapDirect:
             x = coeffs @ v.basis.T
             dist = np.linalg.norm(x - (x @ w.basis) @ w.basis.T, axis=1)
             assert dist.max() <= gap_direct(v, w) + 1e-9
+
+
+class TestGapKernelBranch:
+    """Where dim V > dim W, V has a unit vector orthogonal to W, so the
+    gap is exactly 1 and is returned without an SVD."""
+
+    def test_exactly_one_without_an_svd(self, monkeypatch):
+        pairs, stacks = list(wide_pairs(80, 300)), list(wide_stacks(81, 300))
+        assert any(w.shape[-1] == 0 for _, w in stacks)
+        assert any(w.shape[0] > 1 for _, w in stacks)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for v, w in pairs:
+            assert gap_direct(v, w) == 1.0
+        for v, w in stacks:
+            gap = angles._gap(v, w)
+            assert gap.shape == w.shape[:1]
+            assert np.all(gap == 1.0)
+        assert calls == []
+
+    def test_branch_returns_the_clipped_spectral_value(self):
+        bases = [(v.basis, w.basis[None]) for v, w in wide_pairs(82, 300)]
+        for v, w in bases + list(wide_stacks(83, 300)):
+            top = np.linalg.svd(v - w @ (w.mT @ v), compute_uv=False)[..., 0]
+            assert np.all(np.abs(np.minimum(1.0, top) - 1.0) <= 1e-12)
+
+    def test_both_routes_agree_bit_for_bit(self):
+        for v, w in wide_pairs(84, 300):
+            assert cosine_angles(v, w).gap == gap_direct(v, w)
 
 
 class TestRsRelation:

@@ -209,15 +209,17 @@ class TestPerturb:
         assert code == 0
         assert abs(doc["results"]["achieved_mu"] - 0.5) <= 0.05 * 0.5
 
-    @pytest.mark.parametrize("kind", ["fusion", "norm-preserving"])
+    @pytest.mark.parametrize("kind", ["fusion", "norm-preserving", "gaussian"])
     def test_target_below_the_rounding_floor_exits_4(self, capsys, tmp_path, kind):
         # Rebuilding vectors or projectors rounds at about 1e-16 of their
-        # scale, so 1e-20 cannot be met; nothing is written.
+        # scale, so 1e-20 cannot be met; nothing is written.  A Gaussian
+        # offset that small vanishes when added, leaving the input.
         rng = np.random.default_rng(5)
         if kind == "fusion":
             structure, extra = random_fusion_frame(rng, 5, 6), []
         else:
-            structure, extra = theorems.random_frame(rng, 4, 7), ["--norm-preserving"]
+            extra = ["--norm-preserving"] if kind == "norm-preserving" else []
+            structure = theorems.random_frame(rng, 4, 7)
         src, out = tmp_path / "in.json", tmp_path / "out.json"
         write_structure(src, structure)
         code = main(["perturb", str(src), "--mu", "1e-20", "--seed", "2", "--out", str(out), *extra])
