@@ -32,9 +32,6 @@ ZERO_VECTOR_TOL = 1e-12
 TIGHT_TOL = 1e-9
 # How far from the unit sphere a redundancy query point may sit.
 UNIT_NORM_TOL = 1e-9
-# Byte budget of a ``_rank_stacks`` chunk at n-by-n per member, the
-# largest per-member array a stacked kernel forms (a gap residual).
-STACK_BYTES = 256 * 1024
 
 
 def _nonzero(norms: np.ndarray) -> np.ndarray:
@@ -58,26 +55,19 @@ def _pair_memo(a, b, name: str, compute):
     return held[1]
 
 
-def _rank_stacks(ranks, *column_stacks):
-    """Yield ``(members, cols, blocks)`` per chunk of equal-rank members
-    of n-by-K column stacks (at most ``STACK_BYTES / (8 n^2)``, at least
-    one): their indices, their columns, and per column stack their
-    blocks as one C-contiguous ``(m, n, k)`` array.  A block keeps the
-    layout of its member's basis, so one stacked call gives each member
-    the bits of a call on it alone."""
+def _rank_stacks(ranks, columns):
+    """Yield ``(members, blocks)`` per rank: the indices of the members of
+    that rank and their blocks of the n-by-K ``columns`` as one
+    C-contiguous ``(m, n, k)`` array.  A block keeps the layout of its
+    member's basis, so one stacked call gives each member the bits of a
+    call on it alone."""
     widths = np.asarray(ranks)
     offsets = np.cumsum(widths) - widths
-    n = column_stacks[0].shape[0]
-    step = max(1, STACK_BYTES // (8 * n * n))
     for k in sorted(set(ranks)):
-        group = np.flatnonzero(widths == k)
-        for start in range(0, group.size, step):
-            members = group[start : start + step]
-            cols = (offsets[members][:, None] + np.arange(k)).ravel()
-            yield members, cols, [
-                np.ascontiguousarray(c[:, cols].reshape(n, members.size, k).transpose(1, 0, 2))
-                for c in column_stacks
-            ]
+        members = np.flatnonzero(widths == k)
+        cols = (offsets[members][:, None] + np.arange(k)).ravel()
+        blocks = columns[:, cols].reshape(-1, members.size, k).transpose(1, 0, 2)
+        yield members, np.ascontiguousarray(blocks)
 
 
 class _Spectra:

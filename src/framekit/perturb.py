@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
-from .frames import Frame, _nonzero, _pair_memo, _rank_stacks, _Record
+from .frames import Frame, _nonzero, _pair_memo, _Record
 from .fusion import FusionFrame, _orthonormal_subspace
 
 # Relative window the geodesic generators must land in.
@@ -93,61 +93,44 @@ def fusion_perturbation_mu(w: FusionFrame, v: FusionFrame) -> PerturbationReport
     return PerturbationReport(mu=mu, per_index_norms=per_index)
 
 
-def _horizontal(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``g`` with its component in the column span of orthonormal ``u``
-    removed; the second pass leaves a residual at rounding level."""
-    g = g - u @ (u.mT @ g)
-    return g - u @ (u.mT @ g)
+def _horizontal(u: np.ndarray, starts: np.ndarray, member: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each column ``g_i`` of n-by-N ``g`` with its component in the span
+    of member i's orthonormal block of ``u`` removed (blocks start at
+    ``starts``, ``member`` owns each column of ``u``); the second pass
+    leaves a residual at rounding level."""
+    for _ in range(2):
+        g = g - np.add.reduceat(u * np.sum(u * g[:, member], axis=0), starts, axis=1)
+    return g
 
 
 class _GeodesicPath:
-    """Grassmann geodesics ``t -> U V cos(S t) V^T + Q sin(S t) V^T``
-    through member bases ``U`` along horizontal tangents ``H = Q S V^T``
-    (Edelman, Arias & Smith 1998), one stacked SVD per rank chunk.
-
-    ``path(t)`` lists the moved bases, ``columns(t)`` stacks them n-by-K.
-    ``thetas`` holds each member's ``theta = max(S)``: the principal
-    angles between ``span U`` and the point at ``t`` are ``t * S`` while
-    ``t * theta <= pi/2``, so ``||P - P(t)|| = sin(t * theta)`` there.
-    ``g`` (n-by-2K) is the only copy of each member's ``[U V, Q]``;
-    ``angles`` and ``owner`` give the ``S`` entry and member of each of
-    its columns.  ``Q`` is orthogonal to ``U``, so ``P - P(t)`` is
-    ``sin(tS)`` times a reflection on ``[U V, Q]`` and, at every ``t``,
+    """Grassmann geodesics (Edelman, Arias & Smith 1998) through the
+    member bases ``U_i``, blocks of the n-by-K ``u``, along rank-one
+    horizontal tangents ``theta_i q_i v_i^T``: ``v`` holds the unit
+    ``v_i`` (K entries), ``q`` the unit ``q_i`` orthogonal to ``U_i``
+    (n-by-N).  Member i turns in the plane of ``[U_i v_i, q_i]`` alone,
+    by the one principal angle ``t theta_i``, so while that is at most
+    pi/2, ``||P - P(t)|| = sin(t theta_i)``; at ``theta_i = 0`` it stays
+    bit-fixed.  ``path(t)`` lists the moved bases, ``columns(t)`` stacks
+    them n-by-K.  ``g = [U_1 v_1 ... U_N v_N, q_1 ... q_N]`` is the only
+    copy of the planes; ``angles`` and ``owner`` give the angle and member
+    of each of its columns.  ``P - P(t)`` is ``sin(t theta)`` times a
+    reflection of the plane, so at every ``t``
     ``sum_i w_i^2 (P_i - P_i(t))^2 = g diag(w^2 sin^2(t angles)) g^T``.
     """
 
-    def __init__(self, bases, tangents):
-        ranks = [b.shape[1] for b in bases]
-        n, width = bases[0].shape[0], sum(ranks)
-        self.g = np.empty((n, 2 * width))
-        self.angles = np.empty(2 * width)
-        self.owner = np.empty(2 * width, dtype=int)
-        self.thetas = np.empty(len(ranks))
-        self._offsets = np.cumsum(ranks)[:-1]
-        self._factors = []
-        start = 0
-        for members, cols, (u, h) in _rank_stacks(
-            ranks, np.concatenate(bases, axis=1), np.concatenate(tangents, axis=1)
-        ):
-            m, _, k = u.shape
-            q, s, vt = np.linalg.svd(h, full_matrices=False)
-            stop = start + 2 * m * k
-            pair = self.g[:, start:stop].reshape(n, m, 2, k).transpose(2, 1, 0, 3)
-            np.matmul(u, vt.mT, out=pair[0])
-            pair[1] = q
-            spectrum = self.angles[start:stop].reshape(m, 2, k)
-            spectrum[...] = s[:, None, :]
-            self.owner[start:stop] = np.repeat(members, 2 * k)
-            self.thetas[members] = s[:, 0]
-            self._factors.append((cols, pair[0], pair[1], spectrum[:, :1], vt))
-            start = stop
+    def __init__(self, u, ranks, v, q, thetas):
+        starts = np.cumsum(ranks) - ranks
+        self._member = np.repeat(np.arange(len(thetas)), ranks)
+        self._u, self._v, self._offsets, self.thetas = u, v, starts[1:], thetas
+        self.g = np.concatenate([np.add.reduceat(u * v, starts, axis=1), q], axis=1)
+        self.angles = np.concatenate([thetas, thetas])
+        self.owner = np.tile(np.arange(len(thetas)), 2)
 
     def columns(self, t: float) -> np.ndarray:
-        out = np.empty((self.g.shape[0], len(self.angles) // 2))
-        for cols, uv, q, s, vt in self._factors:
-            moved = (uv * np.cos(s * t) + q * np.sin(s * t)) @ vt
-            out[:, cols] = moved.transpose(1, 0, 2).reshape(len(out), -1)
-        return out
+        uv, q = np.split(self.g, 2, axis=1)
+        turn = (np.cos(t * self.thetas) - 1.0) * uv + np.sin(t * self.thetas) * q
+        return self._u + turn[:, self._member] * self._v
 
     def __call__(self, t: float) -> list[np.ndarray]:
         return np.split(self.columns(t), self._offsets, axis=1)
@@ -236,17 +219,19 @@ def generate_perturbed_frame(
     movable = _nonzero(norms)
     lengths = np.where(movable, norms, 1.0)
     angles = rng.uniform(0.1 * np.pi, np.pi, size=phi.count)
-    units = (phi.vectors / lengths[:, None])[:, :, None]
-    g = _horizontal(units[movable], rng.standard_normal((np.count_nonzero(movable), phi.dim, 1)))
-    tangents = np.zeros_like(units)
-    tangents[movable] = (angles[movable] / np.linalg.norm(g, axis=(1, 2)))[:, None, None] * g
-    path = _GeodesicPath(units, tangents)
+    units = phi.vectors.T / lengths
+    each = np.arange(np.count_nonzero(movable))
+    g = _horizontal(units[:, movable], each, each, rng.standard_normal((each.size, phi.dim)).T)
+    q = np.zeros_like(units)
+    q[:, movable] = g / np.linalg.norm(g, axis=0)
+    thetas = np.where(movable, angles, 0.0)
+    path = _GeodesicPath(units, (1,) * phi.count, np.ones(phi.count), q, thetas)
 
     # The same n-by-N difference that frame_perturbation_mu measures.
     def measure(t: float) -> float:
         return linalg._top_singular_value(phi.synthesis_columns - path.columns(t) * lengths)
 
-    slope = linalg._top_singular_value(tangents[:, :, 0].T * lengths)
+    slope = linalg._top_singular_value(q * (thetas * lengths))
     # At the second end the vector with the largest angle has turned by
     # pi, so its own difference is twice its norm.
     t, mu = _land(measure, slope, (1.0, np.pi / angles.max()), target_mu)
@@ -260,36 +245,40 @@ def generate_perturbed_fusion(
     horizontal direction (ranks and weights kept) and step the common
     step until the measured constant lands within 5% of ``target_mu``.
 
-    Member i's own constant is ``w_i sin(t theta_i)`` with ``theta_i``
-    the largest singular value of its tangent (Bjorck & Golub 1973), so
-    at ``t = pi / (2 theta_top)``, with ``top`` the heaviest member that
-    can move, the constant is at least ``w_top``: one bracket holds every
+    Member i turns in one plane (see ``_GeodesicPath``): ``v_i`` is a
+    seeded unit vector of its basis coordinates, and ``theta_i q_i`` the
+    projection of a seeded Gaussian vector off the member (``theta_i = 0``
+    for a full-space member).  Its one principal angle is ``t theta_i``,
+    so its own constant is ``w_i sin(t theta_i)``, and at
+    ``t = pi / (2 theta_top)``, with ``top`` the heaviest member that can
+    move, the constant is at least ``w_top``: one bracket holds every
     target up to that weight.  GenerationError means the target lies
-    above what the bracket reaches, or that every member is the whole
-    space and nothing can move.  Steps take the closed form from its slope
-    at 0; the landing step alone is moved and remeasured as
-    ``fusion_perturbation_mu`` does, with rounding (about 1e-15 times the
-    largest weight) below which a target comes back outside the window.
+    above what the bracket reaches (possible above ``w_top``), or that
+    every member is the whole space and nothing can move.  Steps take the
+    closed form from its slope at 0; the landing step alone is moved and
+    remeasured as ``fusion_perturbation_mu`` does, with rounding (about
+    1e-15 times the largest weight) below which a target comes back
+    outside the window.
     """
     if not target_mu > 0:
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")
     rng = np.random.default_rng(seed)
-    bases = [s.basis for s in w.subspaces]
-    weights = w.weights
-
-    def tangent(u):
-        g = rng.standard_normal(u.shape)
-        # A full-space member has no horizontal direction; a zero tangent
-        # keeps it fixed with theta = 0 instead of moving it by rounding.
-        return np.zeros_like(g) if u.shape[1] == w.dim else _horizontal(u, g)
-
-    path = _GeodesicPath(bases, [tangent(u) for u in bases])
-    movable = [i for i, theta in enumerate(path.thetas) if theta > 0]
-    if not movable:
+    u, ranks, weights = w.unit_columns, np.asarray(w.ranks), w.weights
+    starts = np.cumsum(ranks) - ranks
+    member = np.repeat(np.arange(w.count), ranks)
+    coords = rng.standard_normal(member.size)
+    coords /= np.sqrt(np.add.reduceat(coords * coords, starts))[member]
+    h = _horizontal(u, starts, member, rng.standard_normal((w.dim, w.count)))
+    # A full-space member has no horizontal direction; theta = 0 keeps it
+    # fixed instead of moving it by rounding.
+    thetas = np.where(ranks < w.dim, np.linalg.norm(h, axis=0), 0.0)
+    if not thetas.any():
         raise GenerationError("no member can move: every subspace is the whole space")
-    top = max(movable, key=lambda i: weights[i])
-    # sin(tS) replaced by S; as sin^2 x <= x^2, no step overshoots t * slope.
+    top = np.argmax(np.where(thetas > 0, weights, 0.0))
+    path = _GeodesicPath(u, ranks, coords, h / np.where(thetas > 0, thetas, 1.0), thetas)
+    # sin(t angles) replaced by angles; as sin^2 x <= x^2, no step
+    # overshoots t * slope.
     slope = _gram_norm(path.g * (weights[path.owner] * path.angles))
-    t, _ = _land(path.fusion_constant(weights), slope, (np.pi / (2.0 * path.thetas[top]),), target_mu)
+    t, _ = _land(path.fusion_constant(weights), slope, (np.pi / (2.0 * thetas[top]),), target_mu)
     v = FusionFrame(tuple((_orthonormal_subspace(b), wt) for b, wt in zip(path(t), weights)))
     return v, _fusion_constant(w, v)

@@ -283,9 +283,9 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
     reference subspace, asserting only the gap/cosine link per member.
 
     The members are the blocks of the unit columns: the vectors' spans of
-    a frame, the subspaces of a fusion frame; each rank chunk takes one
-    stacked SVD for cosines, and one for gaps only where its rank is at
-    least ``wprime.dim`` (below that the gap is 1).  The redundancy
+    a frame, the subspaces of a fusion frame; each rank takes one stacked
+    SVD for cosines, and one for gaps only where it is at least
+    ``wprime.dim`` (below that the gap is 1).  The redundancy
     equalities are reported as residuals: at the only subspace containing
     the whole unit sphere (the full space) the angle sums evaluate to 0
     and N, which generically differ from the spectral redundancies.
@@ -301,7 +301,7 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
         )
     ranks = frame_or_fusion.ranks
     r, s, gap = np.empty(len(ranks)), np.empty(len(ranks)), np.empty(len(ranks))
-    for members, _, (blocks,) in _rank_stacks(ranks, frame_or_fusion.unit_columns):
+    for members, blocks in _rank_stacks(ranks, frame_or_fusion.unit_columns):
         r[members], s[members] = _inf_sup_cos(wprime.basis, blocks)
         gap[members] = _gap(wprime.basis, blocks)
     profile = redundancy_bounds(frame_or_fusion)
@@ -417,9 +417,9 @@ class SuiteConfig(_Record):
             raise PreconditionError(
                 f"count_range max {chi} below dim_range min {dlo}: no frame fits"
             )
-        # An instance's largest array is the n-by-2K float64 buffer of its
-        # fusion generator, K <= N (n - 1) the summed ranks; numpy creates
-        # no array of more than 2**63 - 1 bytes.
+        # An instance's largest array is the n-by-Nn float64 buffer of
+        # ``perturb._projector_differences``, n N n <= 2 n N (n - 1) entries;
+        # numpy creates no array of more than 2**63 - 1 bytes.
         n = min(dhi, chi)
         if 8 * n * 2 * chi * (n - 1) > 2**63 - 1:
             raise PreconditionError(

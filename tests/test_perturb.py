@@ -22,7 +22,6 @@ from framekit import (
 from framekit import cli, linalg, perturb, theorems
 from framekit.errors import DimensionError, GenerationError, PreconditionError
 from framekit.fileio import load_structure, write_structure
-from framekit.frames import _rank_stacks
 from framekit.fusion import full_space
 
 
@@ -414,18 +413,17 @@ class TestGeneratePerturbedFusion:
         assert abs(achieved - 0.3) <= 0.05 * 0.3
         assert len(calls) == 1
 
-    def test_generation_takes_one_svd_per_rank_chunk(self, monkeypatch):
-        # The tangents of each rank chunk are factored by one stacked SVD.
+    def test_generation_takes_no_svd(self, monkeypatch):
+        # Each member's tangent is rank one with known factors, so no
+        # member is factored.
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         rng = np.random.default_rng(60)
         w = theorems.random_fusion_frame(rng, 6, 12)
-        chunks = list(_rank_stacks(w.ranks, w.unit_columns))
-        assert len(chunks) < w.count
         _, achieved = generate_perturbed_fusion(w, 0.3, seed=16)
         assert abs(achieved - 0.3) <= 0.05 * 0.3
-        assert len(calls) == len(chunks)
+        assert calls == []
 
     def test_target_near_top_weight_lands_in_one_bracket(self):
         rng = np.random.default_rng(53)
@@ -439,6 +437,26 @@ class TestGeneratePerturbedFusion:
         v, achieved = generate_perturbed_fusion(w, target, seed=12)
         assert abs(achieved - target) <= 0.05 * target
         assert fusion_perturbation_mu(w, v).mu == pytest.approx(achieved, abs=1e-12)
+
+    def test_targets_up_to_the_heaviest_movable_weight_land(self):
+        # The bracket end turns the heaviest movable member by pi/2, where
+        # its own constant is its weight: every target up to that weight
+        # lands, full-space members (which stay fixed) included.
+        rng = np.random.default_rng(67)
+        for seed in range(200):
+            n = int(rng.integers(2, 9))
+            ranks = rng.integers(1, n + 1, size=int(rng.integers(2, 13)))
+            ranks[0] = min(ranks[0], n - 1)
+            weights = rng.uniform(0.5, 2.0, size=ranks.size)
+            w = FusionFrame(
+                tuple(
+                    (subspace_from_spanning(rng.standard_normal((k, n))), wt)
+                    for k, wt in zip(ranks, weights)
+                )
+            )
+            target = 0.99 * weights[ranks < n].max()
+            _, achieved = generate_perturbed_fusion(w, target, seed=seed)
+            assert abs(achieved - target) <= 0.05 * target
 
 
 class TestLand:
@@ -529,15 +547,31 @@ class TestLand:
         assert len(measurements) / len(landings) <= 2.2
 
 
+def one_plane_path(rng, bases):
+    """A path turning each basis in one seeded plane; full-space members
+    get theta = 0 and a zero q."""
+    n, ranks = bases[0].shape[0], np.array([b.shape[1] for b in bases])
+    u = np.hstack(bases)
+    starts = np.cumsum(ranks) - ranks
+    member = np.repeat(np.arange(len(bases)), ranks)
+    v = rng.standard_normal(u.shape[1])
+    v /= np.sqrt(np.add.reduceat(v * v, starts))[member]
+    h = perturb._horizontal(u, starts, member, rng.standard_normal((n, len(bases))))
+    moves = ranks < n
+    h[:, ~moves] = 0.0
+    q = h / np.where(moves, np.linalg.norm(h, axis=0), 1.0)
+    thetas = np.where(moves, rng.uniform(0.2, 3.0, size=len(bases)), 0.0)
+    return perturb._GeodesicPath(u, ranks, v, q, thetas), v, q
+
+
 class TestGeodesic:
     def test_projector_gap_is_sine_of_scaled_angle(self):
         rng = np.random.default_rng(54)
         for n, k in [(2, 1), (5, 2), (6, 4), (7, 3)]:
             u = subspace_from_spanning(rng.standard_normal((k, n))).basis
-            h = perturb._horizontal(u, rng.standard_normal((n, k)))
-            path = perturb._GeodesicPath([u], [h])
+            path, _, q = one_plane_path(rng, [u])
+            assert np.max(np.abs(u.T @ q)) <= 1e-15
             (theta,) = path.thetas
-            assert theta == pytest.approx(np.linalg.norm(h, 2), rel=1e-12)
             for t in np.linspace(0.0, np.pi / (2.0 * theta), 7):
                 (y,) = path(t)
                 assert np.max(np.abs(y.T @ y - np.eye(k))) <= 1e-12
@@ -545,27 +579,29 @@ class TestGeodesic:
                 assert gap == pytest.approx(math.sin(t * theta), abs=1e-12)
 
     def test_stacked_geodesic_matches_each_member_alone(self):
-        # Equal-rank members share one stacked SVD; each must come out
-        # bit for bit as its own single-member geodesic.
+        # All members move in one pass; each must come out bit for bit as
+        # its own single-member geodesic.
         rng = np.random.default_rng(65)
         n = 6
         bases = [
             subspace_from_spanning(rng.standard_normal((k, n))).basis
-            for k in (2, 1, 3, 2, 1, 2, 5, 3, 1)
+            for k in (2, 1, 3, 2, 1, 6, 2, 5, 3, 1)
         ]
-        tangents = [perturb._horizontal(u, rng.standard_normal(u.shape)) for u in bases]
-        path = perturb._GeodesicPath(bases, tangents)
-        for i, (u, h) in enumerate(zip(bases, tangents)):
-            alone = perturb._GeodesicPath([u], [h])
-            (theta,) = alone.thetas
-            assert path.thetas[i] == theta
-            for t in (0.0, 0.3, 1.0, 0.5 * np.pi / theta, 2.7):
+        path, v, q = one_plane_path(rng, bases)
+        stop = np.cumsum([u.shape[1] for u in bases])
+        for i, u in enumerate(bases):
+            own = slice(stop[i] - u.shape[1], stop[i])
+            theta = path.thetas[i : i + 1]
+            alone = perturb._GeodesicPath(
+                np.hstack(bases)[:, own], (u.shape[1],), v[own], q[:, [i]], theta
+            )
+            for t in (0.0, 0.3, 1.0, 2.7) + ((0.5 * np.pi / theta[0],) if theta[0] else ()):
                 assert np.array_equal(path(t)[i], alone(t)[0])
 
     def test_closed_form_constant_matches_measured_constant(self):
         # sum_i w_i^2 (P_i - P_i(t))^2 = g diag(w^2 sin^2(t angles)) g^T
-        # holds at every step, past pi / (2 theta) too, because each Q_i
-        # is orthogonal to U_i; a full-space member stays fixed.  The
+        # holds at every step, past pi / (2 theta) too, because each q_i
+        # is orthogonal to U_i; a full-space member stays bit-fixed.  The
         # floor covers steps where every member has come back round and
         # both routes read rounding noise (about 1e-16).
         rng = np.random.default_rng(66)
@@ -575,16 +611,14 @@ class TestGeodesic:
             for k in (1, 3, 2, 3, 1, 5, 4, 2)
         ]
         weights = rng.uniform(0.5, 2.0, size=len(bases))
-        tangents = [
-            np.zeros_like(u) if u.shape[1] == n else perturb._horizontal(u, rng.standard_normal(u.shape))
-            for u in bases
-        ]
-        path = perturb._GeodesicPath(bases, tangents)
+        path, _, _ = one_plane_path(rng, bases)
         closed = path.fusion_constant(weights)
         w = FusionFrame(tuple((Subspace(u), wt) for u, wt in zip(bases, weights)))
         assert closed(0.0) == 0.0
         thetas = path.thetas
         for t in np.linspace(0.0, np.pi / min(thetas[thetas > 0]), 13)[1:]:
-            v = FusionFrame(tuple((Subspace(u), wt) for u, wt in zip(path(t), weights)))
+            moved = path(t)
+            assert np.array_equal(moved[5], bases[5])
+            v = FusionFrame(tuple((Subspace(u), wt) for u, wt in zip(moved, weights)))
             measured = perturb._fusion_constant(w, v)
             assert abs(closed(t) - measured) <= 1e-13 * max(measured, 1e-3)

@@ -40,7 +40,6 @@ from framekit import (
 )
 from framekit import linalg, perturb
 from framekit.errors import DimensionError, PreconditionError
-from framekit.frames import _rank_stacks
 from framekit.theorems import (
     THEOREM_IDS,
     THEOREMS,
@@ -356,20 +355,20 @@ class TestAngleSums:
                 assert verdict.observed["gap_link_worst"] == gap_worst
 
     def test_svds_per_rank_chunk(self, monkeypatch):
-        # One stacked SVD for the cosines of each rank chunk, however many
-        # members the chunk holds.  The gaps take one more only where the
-        # members are at least as large as the reference: below rank n the
-        # full space's gap is 1 with no SVD, and a line takes both.
+        # One stacked SVD for the cosines of each rank, however many
+        # members have it.  The gaps take one more only where the members
+        # are at least as large as the reference: below rank n the full
+        # space's gap is 1 with no SVD, and a line takes both.
         rng = np.random.default_rng(27)
         ff = unit_fusion(rng, 5, 12)
         assert max(ff.ranks) < 5
-        chunks = len(list(_rank_stacks(ff.ranks, ff.unit_columns)))
-        assert chunks < ff.count
+        ranks = len(set(ff.ranks))
+        assert ranks < ff.count
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         verify_angle_sums(ff, full_space(5))
-        assert len(calls) == chunks
+        assert len(calls) == ranks
         calls.clear()
         verify_angle_sums(Frame(rng.standard_normal((30, 5))), vector_span(rng.standard_normal(5)))
         assert len(calls) == 2
