@@ -1,10 +1,13 @@
 """Infimum/supremum cosine angles, the subspace angle, and the gap.
 
+The ranks decide every extreme they can, with no SVD: where
+dim V > dim W, V has a unit vector orthogonal to W, so the infimum cosine
+is 0 and the gap 1 (the kernel rule); where dim V + dim W > n, V and W
+share a unit vector, so the supremum cosine is 1 (the meet rule).
 The angle report derives theta and the gap from the infimum cosine, so
 the trigonometric identities hold by construction; only ``gap_direct``
 recomputes the gap spectrally, which turns "gap equals the sine of the
-angle" into an actual two-route test where dim V <= dim W; above that
-both routes take the kernel branch (infimum cosine 0, gap exactly 1).
+angle" into an actual two-route test where dim V <= dim W.
 """
 
 from __future__ import annotations
@@ -28,33 +31,29 @@ class AngleReport(_Record):
     gap: float
 
 
-def _inf_sup_cos(vbasis: np.ndarray, wbasis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extreme values of ||P_W f|| over unit f in V, from orthonormal bases.
-
-    ``wbasis`` is a stack ``(..., n, k)`` of bases (one SVD), and the
-    extremes arrays of its shape.  A zero-column W (the trivial
-    subspace) gives zeros.
-    """
-    shape = wbasis.shape[:-2]
-    if wbasis.shape[-1] == 0:
-        return np.zeros(shape), np.zeros(shape)
-    sv = np.linalg.svd(wbasis.mT @ vbasis, compute_uv=False)
-    sup = np.minimum(1.0, sv[..., 0])
-    if vbasis.shape[-1] > wbasis.shape[-1]:
-        inf = np.zeros(shape)  # the restricted projection has a kernel
-    else:
-        inf = np.minimum(1.0, np.maximum(0.0, sv[..., -1]))
+def _inf_sup_cos(vbasis: np.ndarray, wbasis: np.ndarray) -> tuple[float, float]:
+    """Extreme values of ||P_W f|| over unit f in V, from orthonormal bases:
+    0 and 1 where the kernel and meet rules decide them, else from one SVD
+    of ``W^T V``.  A zero-column W (the trivial subspace) gives zeros."""
+    (n, p), k = vbasis.shape, wbasis.shape[1]
+    if k == 0:
+        return 0.0, 0.0
+    kernel, meet = p > k, p + k > n
+    if kernel and meet:
+        return 0.0, 1.0
+    sv = np.linalg.svd(wbasis.T @ vbasis, compute_uv=False)
+    inf = 0.0 if kernel else min(1.0, max(0.0, float(sv[-1])))
+    sup = 1.0 if meet else min(1.0, float(sv[0]))
     return inf, sup
 
 
-def _gap(vbasis: np.ndarray, wbasis: np.ndarray) -> np.ndarray:
-    """Norm of (I - P_W) on V, capped at 1, per W of a stack: one SVD, or
-    none where dim V > dim W, as V then has a unit vector orthogonal to W
-    and the gap is exactly 1 (the kernel branch)."""
-    if vbasis.shape[-1] > wbasis.shape[-1]:
-        return np.ones(wbasis.shape[:-2])
-    residual_map = vbasis - wbasis @ (wbasis.mT @ vbasis)
-    return np.minimum(1.0, np.linalg.svd(residual_map, compute_uv=False)[..., 0])
+def _gap(vbasis: np.ndarray, wbasis: np.ndarray) -> float:
+    """Norm of (I - P_W) on V, capped at 1: exactly 1 by the kernel rule
+    where dim V > dim W, else from one SVD."""
+    if vbasis.shape[1] > wbasis.shape[1]:
+        return 1.0
+    residual_map = vbasis - wbasis @ (wbasis.T @ vbasis)
+    return min(1.0, float(np.linalg.svd(residual_map, compute_uv=False)[0]))
 
 
 def _check_pair(v: Subspace, w: Subspace) -> None:
@@ -74,7 +73,7 @@ def cosine_angles(v: Subspace, w: Subspace) -> AngleReport:
     """Infimum and supremum cosine of the angle from V to W, with the
     derived angle and gap."""
     _check_pair(v, w)
-    r, s = (float(x[0]) for x in _inf_sup_cos(v.basis, w.basis[None]))
+    r, s = _inf_sup_cos(v.basis, w.basis)
     theta = float(np.arccos(np.clip(r, 0.0, 1.0)))
     gap = float(np.sqrt(max(0.0, 1.0 - r * r)))
     return AngleReport(r=r, s=s, theta=theta, gap=gap)
@@ -85,15 +84,15 @@ def gap_direct(v: Subspace, w: Subspace) -> float:
     (I - P_W) restricted to V, computed spectrally where dim V <= dim W
     and exactly 1 above that."""
     _check_pair(v, w)
-    return float(_gap(v.basis, w.basis[None])[0])
+    return _gap(v.basis, w.basis)
 
 
 def check_rs_relation(v: Subspace, w: Subspace) -> float:
     """Residual of the complement identity linking the infimum cosine to
     the supremum cosine against the orthogonal complement."""
     _check_pair(v, w)
-    r = float(_inf_sup_cos(v.basis, w.basis[None])[0][0])
-    s_comp = float(_inf_sup_cos(v.basis, orthogonal_complement(w)[None])[1][0])
+    r = _inf_sup_cos(v.basis, w.basis)[0]
+    s_comp = _inf_sup_cos(v.basis, orthogonal_complement(w))[1]
     return abs(r - float(np.sqrt(max(0.0, 1.0 - s_comp * s_comp))))
 
 

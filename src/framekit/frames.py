@@ -55,21 +55,6 @@ def _pair_memo(a, b, name: str, compute):
     return held[1]
 
 
-def _rank_stacks(ranks, columns):
-    """Yield ``(members, blocks)`` per rank: the indices of the members of
-    that rank and their blocks of the n-by-K ``columns`` as one
-    C-contiguous ``(m, n, k)`` array.  A block keeps the layout of its
-    member's basis, so one stacked call gives each member the bits of a
-    call on it alone."""
-    widths = np.asarray(ranks)
-    offsets = np.cumsum(widths) - widths
-    for k in sorted(set(ranks)):
-        members = np.flatnonzero(widths == k)
-        cols = (offsets[members][:, None] + np.arange(k)).ravel()
-        blocks = columns[:, cols].reshape(-1, members.size, k).transpose(1, 0, 2)
-        yield members, np.ascontiguousarray(blocks)
-
-
 class _Spectra:
     """The Gram spectra of the two column stacks, ascending, read-only and
     kept in the instance ``__dict__`` (a failed measurement is not kept)."""

@@ -8,7 +8,7 @@ rule of ``frames.bounds_from_extremes``; neither takes another value.
 Validators guard the public boundary; inside it, numpy takes the
 spectra, and the result is checked wherever a product can overflow.  The
 two kernels take matrices framekit forms and check only what they
-return; numpy forms ``c c^T`` exactly symmetric.  The stacked SVDs of
+return; numpy forms ``c c^T`` exactly symmetric.  The SVDs of
 ``angles`` take orthonormal input, which cannot overflow, and call
 ``np.linalg`` directly.
 """

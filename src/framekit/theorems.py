@@ -33,7 +33,6 @@ from .errors import DegenerateInputError, DimensionError, GenerationError, Preco
 from .frames import (
     Frame,
     _pair_memo,
-    _rank_stacks,
     _Record,
     optimal_frame_bounds,
     is_riesz_basis,
@@ -283,12 +282,12 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
     reference subspace, asserting only the gap/cosine link per member.
 
     The members are the blocks of the unit columns: the vectors' spans of
-    a frame, the subspaces of a fusion frame; each rank takes one stacked
-    SVD for cosines, and one for gaps only where it is at least
-    ``wprime.dim`` (below that the gap is 1).  The redundancy
-    equalities are reported as residuals: at the only subspace containing
-    the whole unit sphere (the full space) the angle sums evaluate to 0
-    and N, which generically differ from the spectral redundancies.
+    a frame, the subspaces of a fusion frame, summed in order.  The ranks
+    decide what they can (see ``angles``), so at the full space only
+    full-rank members take SVDs.  The redundancy equalities are
+    reported as residuals: at the only subspace containing the whole unit
+    sphere (the full space) the angle sums evaluate to 0 and N, which
+    generically differ from the spectral redundancies.
     """
     ids = {Frame: "angle_sum_frames", FusionFrame: "angle_sum_fusion"}
     theorem_id = ids.get(type(frame_or_fusion))
@@ -299,18 +298,17 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
             f"reference subspace lives in R^{wprime.ambient_dim}, "
             f"members in R^{frame_or_fusion.dim}"
         )
-    ranks = frame_or_fusion.ranks
-    r, s, gap = np.empty(len(ranks)), np.empty(len(ranks)), np.empty(len(ranks))
-    for members, blocks in _rank_stacks(ranks, frame_or_fusion.unit_columns):
-        r[members], s[members] = _inf_sup_cos(wprime.basis, blocks)
-        gap[members] = _gap(wprime.basis, blocks)
     profile = redundancy_bounds(frame_or_fusion)
-    # Summed in member order, as redundancy_angle_sums sums.
     sum_r2 = sum_s2 = gap_worst = 0.0
-    for ri, si, delta in zip(r.tolist(), s.tolist(), gap.tolist()):
-        sum_r2 += ri * ri
-        sum_s2 += si * si
-        gap_worst = max(gap_worst, abs(delta - math.sqrt(max(0.0, 1.0 - ri * ri))))
+    offsets = np.cumsum(frame_or_fusion.ranks)[:-1]
+    for block in np.split(frame_or_fusion.unit_columns, offsets, axis=1):
+        # C layout, as a member's Subspace holds it: an SVD gives the pairwise bits.
+        block = np.ascontiguousarray(block)
+        r, s = _inf_sup_cos(wprime.basis, block)
+        delta = _gap(wprime.basis, block)
+        sum_r2 += r * r
+        sum_s2 += s * s
+        gap_worst = max(gap_worst, abs(delta - math.sqrt(max(0.0, 1.0 - r * r))))
     return TheoremVerdict(
         theorem_id=theorem_id,
         hypotheses_met=True,

@@ -254,7 +254,7 @@ def test_criterion_08_angle_sum_formulas():
         frame = random_frame(rng, dim, count)
         verdict = verify_angle_sums(frame, full_space(dim))
         worst_sum = max(worst_sum, abs(verdict.predicted["upper"] - count))
-        ok &= abs(verdict.predicted["upper"] - count) <= 1e-10
+        ok &= verdict.predicted["upper"] == count  # each supremum cosine is exactly 1
         ok &= "lower" in verdict.equality_residuals and "upper" in verdict.equality_residuals
     for _ in range(20):
         count = int(rng.integers(1, 8))

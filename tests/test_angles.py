@@ -1,13 +1,12 @@
 """Tests for subspace angles, the gap, and the angle-sum expressions."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from framekit import (
-    Frame,
-    Subspace,
     angles,
     check_rs_relation,
     cosine_angles,
@@ -19,8 +18,6 @@ from framekit import (
     vector_span,
 )
 from framekit.errors import DimensionError
-from framekit.frames import _rank_stacks
-from framekit.theorems import random_fusion_frame
 
 
 def random_subspace(rng, dim, rank=None):
@@ -29,13 +26,13 @@ def random_subspace(rng, dim, rank=None):
 
 
 def random_pairs(seed, count, max_dim=6):
-    """Proper-rank pairs with dim V <= dim W.
+    """Proper-rank pairs with dim V <= dim W < n.
 
-    The two-route identity checks lose half the significand when the
-    infimum cosine or the gap is structurally 0 or 1 (dim V > dim W, or
-    a full-space member), so the 1e-10 residual suites draw away from
-    those configurations; the degenerate ones are covered by exact-case
-    tests.
+    The gap's two routes lose half the significand at a full-space W:
+    the derived gap is sqrt(1 - r^2) with r a spectral 1 - eps, while
+    the direct route is near 0.  So the 1e-10 gap suites draw away from
+    that configuration.  The complement route is exact wherever
+    dim V > dim W (kernel and meet rules) and runs on every pair.
     """
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -55,20 +52,19 @@ def wide_pairs(seed, count, max_dim=6):
         yield random_subspace(rng, dim, rank_v), random_subspace(rng, dim, rank_w)
 
 
-def wide_stacks(seed, count, max_dim=6):
-    """A basis of V and a stack of 1-4 bases of W, all of one rank below
-    dim V, zero-column stacks included."""
+def wide_bases(seed, count, max_dim=6):
+    """A basis of V and one of W of rank below dim V, zero-column W
+    included."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         dim = int(rng.integers(2, max_dim + 1))
         rank_v = int(rng.integers(1, dim + 1))
         rank_w = int(rng.integers(0, rank_v))
-        members = int(rng.integers(1, 5))
         v = random_subspace(rng, dim, rank_v).basis
         if rank_w == 0:
-            yield v, np.empty((members, dim, 0))
+            yield v, np.empty((dim, 0))
         else:
-            yield v, np.stack([random_subspace(rng, dim, rank_w).basis for _ in range(members)])
+            yield v, random_subspace(rng, dim, rank_w).basis
 
 
 def unrestricted_pairs(seed, count, max_dim=6):
@@ -148,25 +144,23 @@ class TestGapKernelBranch:
     gap is exactly 1 and is returned without an SVD."""
 
     def test_exactly_one_without_an_svd(self, monkeypatch):
-        pairs, stacks = list(wide_pairs(80, 300)), list(wide_stacks(81, 300))
-        assert any(w.shape[-1] == 0 for _, w in stacks)
-        assert any(w.shape[0] > 1 for _, w in stacks)
+        pairs, bases = list(wide_pairs(80, 300)), list(wide_bases(81, 300))
+        assert any(w.shape[1] == 0 for _, w in bases)
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         for v, w in pairs:
             assert gap_direct(v, w) == 1.0
-        for v, w in stacks:
+        for v, w in bases:
             gap = angles._gap(v, w)
-            assert gap.shape == w.shape[:1]
-            assert np.all(gap == 1.0)
+            assert type(gap) is float and gap == 1.0
         assert calls == []
 
     def test_branch_returns_the_clipped_spectral_value(self):
-        bases = [(v.basis, w.basis[None]) for v, w in wide_pairs(82, 300)]
-        for v, w in bases + list(wide_stacks(83, 300)):
-            top = np.linalg.svd(v - w @ (w.mT @ v), compute_uv=False)[..., 0]
-            assert np.all(np.abs(np.minimum(1.0, top) - 1.0) <= 1e-12)
+        bases = [(v.basis, w.basis) for v, w in wide_pairs(82, 300)]
+        for v, w in bases + list(wide_bases(83, 300)):
+            top = np.linalg.svd(v - w @ (w.T @ v), compute_uv=False)[0]
+            assert abs(min(1.0, top) - 1.0) <= 1e-12
 
     def test_both_routes_agree_bit_for_bit(self):
         for v, w in wide_pairs(84, 300):
@@ -182,7 +176,7 @@ class TestRsRelation:
         assert check_rs_relation(vector_span([1.0, 0.0]), vector_span([0.0, 1.0])) <= 1e-12
 
     def test_residual_small_on_random_pairs(self):
-        for v, w in random_pairs(62, 500):
+        for v, w in itertools.chain(random_pairs(62, 500), unrestricted_pairs(62, 500)):
             assert check_rs_relation(v, w) <= 1e-10
 
     def test_complement_of_full_space_is_empty(self):
@@ -191,6 +185,50 @@ class TestRsRelation:
         # R(V, full space) must be exactly one
         v = vector_span([1.0, -2.0, 0.5])
         assert check_rs_relation(v, full_space(3)) <= 1e-12
+
+
+def ranked_pairs(seed, count, max_dim=8):
+    """Pairs in R^n, n in 2..max_dim, with each rank drawn from 1..n."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, max_dim + 1))
+        v = random_subspace(rng, dim, int(rng.integers(1, dim + 1)))
+        yield v, random_subspace(rng, dim, int(rng.integers(1, dim + 1)))
+
+
+class TestDimensionRules:
+    """The kernel rule (dim V > dim W: infimum cosine 0) and the meet rule
+    (dim V + dim W > n: supremum cosine 1) decide exactly, from ranks."""
+
+    def test_rules_are_exact_and_the_svd_gives_the_rest(self):
+        seen = {"meet": 0, "kernel": 0, "open": 0}
+        for v, w in ranked_pairs(90, 600):
+            n, p, k = v.ambient_dim, v.dim, w.dim
+            rep = cosine_angles(v, w)
+            if p + k > n:
+                seen["meet"] += 1
+                assert rep.s == 1.0
+            if p > k:
+                seen["kernel"] += 1
+                assert rep.r == 0.0
+                assert check_rs_relation(v, w) == 0.0
+            if p <= k and p + k <= n:
+                seen["open"] += 1
+                sv = np.linalg.svd(w.basis.T @ v.basis, compute_uv=False)
+                assert rep.r == min(1.0, max(0.0, float(sv[-1])))
+                assert rep.s == min(1.0, float(sv[0]))
+        assert min(seen.values()) >= 50
+
+    def test_no_svd_where_both_rules_decide(self, monkeypatch):
+        pairs = [(v, w) for v, w in ranked_pairs(91, 300)
+                 if v.dim > w.dim and v.dim + w.dim > v.ambient_dim]
+        assert len(pairs) >= 50
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for v, w in pairs:
+            assert angles._inf_sup_cos(v.basis, w.basis) == (0.0, 1.0)
+        assert calls == []
 
 
 class TestAngleSums:
@@ -218,62 +256,4 @@ class TestAngleSums:
             dim = int(rng.integers(2, 6))
             w = random_subspace(rng, dim)
             rep = cosine_angles(full_space(dim), w)
-            assert rep.s == pytest.approx(1.0, abs=1e-12)
-
-
-def member_subspaces(structure):
-    """The member subspaces of a frame or fusion frame, one at a time."""
-    offsets = np.cumsum(structure.ranks)[:-1]
-    return [Subspace(b) for b in np.split(structure.unit_columns, offsets, axis=1)]
-
-
-class TestStackedKernels:
-    """The rank-stacked kernels behind ``verify_angle_sums`` give every
-    member the bits of the pairwise ``cosine_angles`` and ``gap_direct``."""
-
-    @staticmethod
-    def assert_matches_pairwise(structure, reference):
-        members = member_subspaces(structure)
-        seen = []
-        for indices, blocks in _rank_stacks(structure.ranks, structure.unit_columns):
-            r, s = angles._inf_sup_cos(reference.basis, blocks)
-            gap = angles._gap(reference.basis, blocks)
-            for j, i in enumerate(indices):
-                report = cosine_angles(reference, members[i])
-                assert r[j] == report.r and s[j] == report.s
-                assert gap[j] == gap_direct(reference, members[i])
-            seen.extend(indices.tolist())
-        assert sorted(seen) == list(range(len(members)))
-
-    @staticmethod
-    def references(rng, dim):
-        return {
-            "full": full_space(dim),
-            "line": vector_span(rng.standard_normal(dim)),
-            "middle": random_subspace(rng, dim, dim // 2),
-        }
-
-    @pytest.mark.parametrize("reference", ["full", "line", "middle"])
-    def test_frames(self, reference):
-        rng = np.random.default_rng(70)
-        for dim, count in [(2, 3), (4, 9), (6, 12)]:
-            f = Frame(rng.standard_normal((count, dim)))
-            self.assert_matches_pairwise(f, self.references(rng, dim)[reference])
-
-    @pytest.mark.parametrize("reference", ["full", "line", "middle"])
-    def test_mixed_rank_fusion_frames(self, reference):
-        rng = np.random.default_rng(71)
-        for dim, count in [(3, 4), (5, 10), (7, 14)]:
-            ff = random_fusion_frame(rng, dim, count)
-            assert len(set(ff.ranks)) > 1
-            self.assert_matches_pairwise(ff, self.references(rng, dim)[reference])
-
-    def test_rank_group_of_600_members(self):
-        # One rank group of 600 lines in R^10 is one stack, and every
-        # member still gets the bits of its own pairwise call.
-        rng = np.random.default_rng(72)
-        f = Frame(rng.standard_normal((600, 10)))
-        stacks = list(_rank_stacks(f.ranks, f.unit_columns))
-        assert len(stacks) == 1 and stacks[0][1].shape == (600, 10, 1)
-        for reference in self.references(rng, 10).values():
-            self.assert_matches_pairwise(f, reference)
+            assert rep.s == 1.0  # the meet rule

@@ -29,6 +29,7 @@ from framekit import (
     redundancy_bounds,
     replay_instance,
     run_random_suite,
+    subspace_from_spanning,
     verify_angle_sums,
     verify_fusion_perturbed_bounds,
     verify_fusion_redundancy_perturbation,
@@ -343,7 +344,12 @@ class TestAngleSums:
                 structure = unit_fusion(rng, dim, 2 * dim)
             offsets = np.cumsum(structure.ranks)[:-1]
             subs = [Subspace(b) for b in np.split(structure.unit_columns, offsets, axis=1)]
-            for reference in (full_space(dim), vector_span(rng.standard_normal(dim))):
+            references = (
+                full_space(dim),
+                vector_span(rng.standard_normal(dim)),
+                subspace_from_spanning(rng.standard_normal((dim // 2, dim))),
+            )
+            for reference in references:
                 verdict = verify_angle_sums(structure, reference)
                 sum_r2, sum_s2 = redundancy_angle_sums(subs, reference)
                 gap_worst = 0.0
@@ -354,24 +360,23 @@ class TestAngleSums:
                 assert verdict.predicted == {"lower": sum_r2, "upper": sum_s2}
                 assert verdict.observed["gap_link_worst"] == gap_worst
 
-    def test_svds_per_rank_chunk(self, monkeypatch):
-        # One stacked SVD for the cosines of each rank, however many
-        # members have it.  The gaps take one more only where the members
-        # are at least as large as the reference: below rank n the full
-        # space's gap is 1 with no SVD, and a line takes both.
+    def test_svd_only_for_full_rank_members(self, monkeypatch):
+        # At the full space the ranks decide every extreme of a member of
+        # rank below n (infimum 0, supremum 1, gap 1): no SVD.  A
+        # full-rank member takes two, for its infimum cosine and its gap.
         rng = np.random.default_rng(27)
         ff = unit_fusion(rng, 5, 12)
         assert max(ff.ranks) < 5
-        ranks = len(set(ff.ranks))
-        assert ranks < ff.count
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         verify_angle_sums(ff, full_space(5))
-        assert len(calls) == ranks
-        calls.clear()
-        verify_angle_sums(Frame(rng.standard_normal((30, 5))), vector_span(rng.standard_normal(5)))
-        assert len(calls) == 2
+        verify_angle_sums(Frame(rng.standard_normal((30, 5))), full_space(5))
+        assert calls == []
+        full = FusionFrame(ff.members + ((full_space(5), 1.0),) * 3)
+        verdict = verify_angle_sums(full, full_space(5))
+        assert len(calls) == 2 * 3
+        assert verdict.predicted["upper"] == full.count
 
 
 class TestSuite:
