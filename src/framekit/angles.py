@@ -3,11 +3,12 @@
 The ranks decide every extreme they can, with no SVD: where
 dim V > dim W, V has a unit vector orthogonal to W, so the infimum cosine
 is 0 and the gap 1 (the kernel rule); where dim V + dim W > n, V and W
-share a unit vector, so the supremum cosine is 1 (the meet rule).
+share a unit vector, so the supremum cosine is 1 (the meet rule); where
+dim W = n, P_W = I, so both cosines are 1 and the gap 0 (the full rule).
 The angle report derives theta and the gap from the infimum cosine, so
 the trigonometric identities hold by construction; only ``gap_direct``
 recomputes the gap spectrally, which turns "gap equals the sine of the
-angle" into an actual two-route test where dim V <= dim W.
+angle" into an actual two-route test where dim V <= dim W < n.
 """
 
 from __future__ import annotations
@@ -33,11 +34,14 @@ class AngleReport(_Record):
 
 def _inf_sup_cos(vbasis: np.ndarray, wbasis: np.ndarray) -> tuple[float, float]:
     """Extreme values of ||P_W f|| over unit f in V, from orthonormal bases:
-    0 and 1 where the kernel and meet rules decide them, else from one SVD
-    of ``W^T V``.  A zero-column W (the trivial subspace) gives zeros."""
+    where the full, kernel and meet rules decide them, by dimension count,
+    else from one SVD of ``W^T V``.  A zero-column W (the trivial subspace)
+    gives zeros."""
     (n, p), k = vbasis.shape, wbasis.shape[1]
     if k == 0:
         return 0.0, 0.0
+    if k == n:
+        return 1.0, 1.0
     kernel, meet = p > k, p + k > n
     if kernel and meet:
         return 0.0, 1.0
@@ -49,9 +53,13 @@ def _inf_sup_cos(vbasis: np.ndarray, wbasis: np.ndarray) -> tuple[float, float]:
 
 def _gap(vbasis: np.ndarray, wbasis: np.ndarray) -> float:
     """Norm of (I - P_W) on V, capped at 1: exactly 1 by the kernel rule
-    where dim V > dim W, else from one SVD."""
-    if vbasis.shape[1] > wbasis.shape[1]:
+    where dim V > dim W, exactly 0 by the full rule where dim W = n, else
+    from one SVD."""
+    (n, p), k = vbasis.shape, wbasis.shape[1]
+    if p > k:
         return 1.0
+    if k == n:
+        return 0.0
     residual_map = vbasis - wbasis @ (wbasis.T @ vbasis)
     return min(1.0, float(np.linalg.svd(residual_map, compute_uv=False)[0]))
 
@@ -81,8 +89,8 @@ def cosine_angles(v: Subspace, w: Subspace) -> AngleReport:
 
 def gap_direct(v: Subspace, w: Subspace) -> float:
     """Largest distance from a unit vector of V to W: the operator norm of
-    (I - P_W) restricted to V, computed spectrally where dim V <= dim W
-    and exactly 1 above that."""
+    (I - P_W) restricted to V, computed spectrally where dim V <= dim W < n,
+    exactly 1 where dim V > dim W and exactly 0 where W is R^n."""
     _check_pair(v, w)
     return _gap(v.basis, w.basis)
 

@@ -127,11 +127,7 @@ def structure_from_dict(doc) -> Frame | FusionFrame:
 def structure_to_dict(obj: Frame | FusionFrame) -> dict:
     """Frame-file document for a structure (lists of plain floats)."""
     if isinstance(obj, Frame):
-        doc = {
-            "dim": obj.dim,
-            "kind": "frame",
-            "vectors": [[float(x) for x in row] for row in obj.vectors],
-        }
+        doc = {"dim": obj.dim, "kind": "frame", "vectors": obj.vectors.tolist()}
         if obj.labels is not None:
             doc["labels"] = list(obj.labels)
         return doc
@@ -139,13 +135,7 @@ def structure_to_dict(obj: Frame | FusionFrame) -> dict:
         return {
             "dim": obj.dim,
             "kind": "fusion",
-            "subspaces": [
-                {
-                    "weight": float(w),
-                    "basis": [[float(x) for x in col] for col in s.basis.T],
-                }
-                for s, w in obj.members
-            ],
+            "subspaces": [{"weight": float(w), "basis": s.basis.T.tolist()} for s, w in obj.members],
         }
     raise TypeError(f"expected Frame or FusionFrame, got {type(obj)}")
 

@@ -111,8 +111,8 @@ class _GeodesicPath:
     (n-by-N).  Member i turns in the plane of ``[U_i v_i, q_i]`` alone,
     by the one principal angle ``t theta_i``, so while that is at most
     pi/2, ``||P - P(t)|| = sin(t theta_i)``; at ``theta_i = 0`` it stays
-    bit-fixed.  ``path(t)`` lists the moved bases, ``columns(t)`` stacks
-    them n-by-K.  ``g = [U_1 v_1 ... U_N v_N, q_1 ... q_N]`` is the only
+    bit-fixed.  ``columns(t)``, the one way to move, stacks the moved
+    bases n-by-K.  ``g = [U_1 v_1 ... U_N v_N, q_1 ... q_N]`` is the only
     copy of the planes; ``angles`` and ``owner`` give the angle and member
     of each of its columns.  ``P - P(t)`` is ``sin(t theta)`` times a
     reflection of the plane, so at every ``t``
@@ -122,7 +122,7 @@ class _GeodesicPath:
     def __init__(self, u, ranks, v, q, thetas):
         starts = np.cumsum(ranks) - ranks
         self._member = np.repeat(np.arange(len(thetas)), ranks)
-        self._u, self._v, self._offsets, self.thetas = u, v, starts[1:], thetas
+        self._u, self._v, self.thetas = u, v, thetas
         self.g = np.concatenate([np.add.reduceat(u * v, starts, axis=1), q], axis=1)
         self.angles = np.concatenate([thetas, thetas])
         self.owner = np.tile(np.arange(len(thetas)), 2)
@@ -132,27 +132,23 @@ class _GeodesicPath:
         turn = (np.cos(t * self.thetas) - 1.0) * uv + np.sin(t * self.thetas) * q
         return self._u + turn[:, self._member] * self._v
 
-    def __call__(self, t: float) -> list[np.ndarray]:
-        return np.split(self.columns(t), self._offsets, axis=1)
-
     def fusion_constant(self, weights):
-        """``t ->`` the fusion constant from the start to step ``t`` by the
-        closed form, scaling ``g`` into one buffer."""
-        column_weights, scaled = weights[self.owner], np.empty_like(self.g)
-        return lambda t: _gram_norm(np.multiply(self.g, column_weights * np.sin(t * self.angles), out=scaled))
+        """``t ->`` the fusion constant from the start to step ``t``, in closed form."""
+        column_weights = weights[self.owner]
+        return lambda t: _gram_norm(self.g * (column_weights * np.sin(t * self.angles)))
 
 
-def _land(measure, slope: float, ends, target_mu: float) -> tuple[float, float]:
-    """Step ``t`` until ``measure(t)`` lies within TARGET_WINDOW of
-    ``target_mu``; returns the step and its constant.  The first step is
-    ``target_mu / slope`` (the first end for a zero or non-finite slope),
-    each later one the secant through the origin, kept strictly inside the
-    bracket or else its midpoint.  Each of the increasing ``ends`` is
-    measured only when a step reaches it; GenerationError means the last
-    one stays below the window.  After LAND_MAX_ITER steps the highest
-    step below the window is remeasured and returned."""
-    ends = iter(ends)
-    lo, hi, hi_measured = 0.0, next(ends), False
+def _land(measure, slope: float, end: float, target_mu: float) -> tuple[float, float]:
+    """Step ``t`` in ``(0, end]`` until ``measure(t)`` lies within
+    TARGET_WINDOW of ``target_mu``; returns the step and its constant, and
+    that step is always the last one measured.  The first step is
+    ``target_mu / slope`` (``end`` for a zero or non-finite slope), each
+    later one the secant through the origin, kept strictly inside the
+    bracket or else its midpoint.  ``end`` is measured only when a step
+    reaches it; GenerationError means its constant stays below the window.
+    After LAND_MAX_ITER steps the highest step below the window is
+    remeasured and returned."""
+    lo, hi, hi_measured = 0.0, end, False
     t = target_mu / slope if 0.0 < slope < math.inf else hi
     for _ in range(LAND_MAX_ITER):
         if not hi_measured and t >= hi:
@@ -164,10 +160,10 @@ def _land(measure, slope: float, ends, target_mu: float) -> tuple[float, float]:
             return t, mu
         if mu > target_mu:
             hi, hi_measured = t, True
+        elif t == hi:
+            raise GenerationError(f"target {target_mu} unreachable: the geodesic bracket reaches {mu:.6g}")
         else:
             lo = t
-            if t == hi and (hi := next(ends, None)) is None:  # the last end stays below
-                raise GenerationError(f"target {target_mu} unreachable: the geodesic bracket reaches {mu:.6g}")
         t = t * target_mu / mu if mu > 0.0 else math.inf
     return lo, measure(lo)
 
@@ -185,15 +181,16 @@ def generate_perturbed_frame(
     a great circle, the one-dimensional case of the subspace geodesics of
     ``generate_perturbed_fusion``, and ``_land`` lands the common step
     within 5% of the target, from the slope at 0 (the norm of the tangents
-    times the lengths).  The step runs to 1, or, when the constant there
-    falls short, on to the step that turns the vector with the largest
-    angle by pi; GenerationError means the target lies above what both
-    reach; steps measure raw arrays and one Frame is built at the landing.
+    times the lengths).  The step runs up to the one that turns the vector
+    with the largest angle by pi; GenerationError means the target lies
+    above what that reaches.  Each step is a Frame measured by
+    ``frame_perturbation_mu``, and the last one is returned.
     Each turning direction is projected off its vector twice, so norms
     move by rounding only, about 1e-16 relative: a target below that
     times the largest norm comes back outside the window.  Zero vectors
     (see ``frames.ZERO_VECTOR_TOL``) stay as they are.  Targets from
-    ``MAX_FRAME_TARGET`` up raise GenerationError in both modes.
+    ``MAX_FRAME_TARGET`` up raise GenerationError in both modes.  Both
+    return the constant ``frame_perturbation_mu(phi, psi)`` holds.
     """
     if not target_mu > 0:
         raise PreconditionError(f"target_mu must be positive, got {target_mu}")
@@ -227,15 +224,17 @@ def generate_perturbed_frame(
     thetas = np.where(movable, angles, 0.0)
     path = _GeodesicPath(units, (1,) * phi.count, np.ones(phi.count), q, thetas)
 
-    # The same n-by-N difference that frame_perturbation_mu measures.
+    built = []
+
     def measure(t: float) -> float:
-        return linalg._top_singular_value(phi.synthesis_columns - path.columns(t) * lengths)
+        built.append(Frame((path.columns(t) * lengths).T, labels=phi.labels))
+        return frame_perturbation_mu(phi, built[-1]).mu
 
     slope = linalg._top_singular_value(q * (thetas * lengths))
-    # At the second end the vector with the largest angle has turned by
-    # pi, so its own difference is twice its norm.
-    t, mu = _land(measure, slope, (1.0, np.pi / angles.max()), target_mu)
-    return Frame((path.columns(t) * lengths).T, labels=phi.labels), mu
+    # At the end the vector with the largest angle has turned by pi, so
+    # its own difference is twice its norm.
+    _, mu = _land(measure, slope, np.pi / angles.max(), target_mu)
+    return built[-1], mu
 
 
 def generate_perturbed_fusion(
@@ -279,6 +278,7 @@ def generate_perturbed_fusion(
     # sin(t angles) replaced by angles; as sin^2 x <= x^2, no step
     # overshoots t * slope.
     slope = _gram_norm(path.g * (weights[path.owner] * path.angles))
-    t, _ = _land(path.fusion_constant(weights), slope, (np.pi / (2.0 * thetas[top]),), target_mu)
-    v = FusionFrame(tuple((_orthonormal_subspace(b), wt) for b, wt in zip(path(t), weights)))
+    t, _ = _land(path.fusion_constant(weights), slope, np.pi / (2.0 * thetas[top]), target_mu)
+    bases = np.split(path.columns(t), starts[1:], axis=1)
+    v = FusionFrame(tuple((_orthonormal_subspace(b), wt) for b, wt in zip(bases, weights)))
     return v, _fusion_constant(w, v)

@@ -283,10 +283,10 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
 
     The members are the blocks of the unit columns: the vectors' spans of
     a frame, the subspaces of a fusion frame, summed in order.  The ranks
-    decide what they can (see ``angles``), so at the full space only
-    full-rank members take SVDs.  The redundancy equalities are
-    reported as residuals: at the only subspace containing the whole unit
-    sphere (the full space) the angle sums evaluate to 0 and N, which
+    decide what they can (see ``angles``), so at the full space no member
+    takes an SVD.  The redundancy equalities are reported as residuals:
+    at the only subspace containing the whole unit sphere (the full space)
+    the angle sums evaluate to the count of full-rank members and N, which
     generically differ from the spectral redundancies.
     """
     ids = {Frame: "angle_sum_frames", FusionFrame: "angle_sum_fusion"}

@@ -336,6 +336,21 @@ class TestVerify:
         assert code == 1
         assert doc["results"]["inequality_failures"] == 1
 
+    def test_full_space_member_passes_angle_sum_fusion(self, capsys, tmp_path):
+        # R^3 from a random spanning set and span{e1}: the full member's
+        # cosines and gap are decided by its rank, so its gap link is 0.
+        rows = np.random.default_rng(45).standard_normal((3, 3)).tolist()
+        path = write_json(tmp_path / "full.json", {"dim": 3, "kind": "fusion", "subspaces": [
+            {"weight": 1.0, "basis": rows},
+            {"weight": 1.0, "basis": [[1.0, 0.0, 0.0]]},
+        ]})
+        code, doc = run_json(
+            capsys, ["verify", path, path, "--theorem", "angle_sum_fusion", "--format", "json"]
+        )
+        assert code == 0
+        (verdict,) = doc["results"]["verdicts"]
+        assert verdict["inequality_pass"] and verdict["observed"]["gap_link_worst"] == 0.0
+
     def test_kind_mismatch_exits_3(self, capsys, tmp_path, onb_file):
         fusion = write_json(
             tmp_path / "fus.json",

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from framekit import Frame, FusionFrame, fileio, subspace_from_spanning
+from framekit import Frame, FusionFrame, Subspace, fileio, subspace_from_spanning
 from framekit.errors import NumericError
 from framekit.fileio import (
     FrameFileError,
@@ -132,6 +132,25 @@ class TestDocumentShape:
         assert doc["kind"] == "fusion"
         assert doc["subspaces"][0]["weight"] == 2.0
         assert doc["subspaces"][0]["basis"] == [[1.0, 0.0]]
+
+    def test_document_text_is_that_of_per_entry_floats(self):
+        # The written text over the whole exponent range, signed zeros,
+        # subnormals and the largest binade is the text of a per-entry
+        # float() copy, and it reads back bit for bit.
+        rng = np.random.default_rng(71)
+        grid = rng.standard_normal((300, 50)) * 10.0 ** rng.integers(-300, 301, size=(300, 50))
+        grid[0, :4] = [-0.0, 1e-320, 2.0**1023, -(2.0**1023)]
+        text = json.dumps(structure_to_dict(Frame(grid)))
+        plain = {"dim": 50, "kind": "frame", "vectors": [[float(x) for x in row] for row in grid]}
+        assert text == json.dumps(plain)
+        back = structure_from_dict(json.loads(text)).vectors
+        assert np.array_equal(back, grid) and np.signbit(back[0, 0])
+        basis = np.eye(3)
+        basis[0, 1], basis[1, 0] = -0.0, 1e-320
+        text = json.dumps(structure_to_dict(FusionFrame(((Subspace(basis), 2.0),))))
+        plain = {"dim": 3, "kind": "fusion",
+                 "subspaces": [{"weight": 2.0, "basis": [[float(x) for x in col] for col in basis.T]}]}
+        assert text == json.dumps(plain)
 
     def test_written_file_is_plain_json(self, tmp_path):
         path = tmp_path / "f.json"

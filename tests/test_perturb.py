@@ -289,7 +289,7 @@ class TestGeneratePerturbedFrame:
 
     def test_norm_preserving_extends_a_short_bracket(self, monkeypatch):
         # Suite seed 23, instance 3780: at step 1 the turns of this basis
-        # reach 0.88 of the target; the second bracket end lands it.
+        # reach 0.88 of the target, and a step past 1 lands it.
         pairs = []
 
         def record(phi, target_mu, seed, norm_preserving=False):
@@ -310,18 +310,18 @@ class TestGeneratePerturbedFrame:
         assert np.array_equal(psi.vectors[2], phi.vectors[2])
         assert np.allclose(psi.norms(), phi.norms(), rtol=1e-14, atol=0.0)
 
-    def test_norm_preserving_builds_one_frame(self, monkeypatch):
-        # Landing steps measure raw arrays; only the step the generator
-        # lands on becomes a Frame.
+    def test_norm_preserving_fills_the_pair_memo(self, monkeypatch):
+        # Each landing step is a Frame measured by frame_perturbation_mu,
+        # and the last one is returned: its constant is already in the
+        # pair memo, so reading it again takes no SVD.
         rng = np.random.default_rng(61)
         phi = Frame(rng.standard_normal((9, 4)))
-        built = []
-        post_init = Frame.__post_init__
-        monkeypatch.setattr(Frame, "__post_init__", lambda f: built.append(1) or post_init(f))
         psi, achieved = generate_perturbed_frame(phi, 0.3, seed=17, norm_preserving=True)
-        assert len(built) == 1
-        monkeypatch.undo()
-        assert achieved == frame_perturbation_mu(phi, psi).mu
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        assert frame_perturbation_mu(phi, psi).mu == achieved
+        assert calls == []
 
     def test_norm_preserving_needs_two_dimensions(self):
         with pytest.raises(GenerationError):
@@ -403,9 +403,9 @@ class TestGeneratePerturbedFusion:
         # Landing steps take the closed form; only the landing step
         # evaluates the geodesic path.
         calls = []
-        call = perturb._GeodesicPath.__call__
+        columns = perturb._GeodesicPath.columns
         monkeypatch.setattr(
-            perturb._GeodesicPath, "__call__", lambda self, t: calls.append(t) or call(self, t)
+            perturb._GeodesicPath, "columns", lambda self, t: calls.append(t) or columns(self, t)
         )
         rng = np.random.default_rng(59)
         w = theorems.random_fusion_frame(rng, 6, 8)
@@ -464,7 +464,7 @@ class TestLand:
         # A zero slope starts at the bracket's end, whose constant already
         # lands: one measurement.
         calls = []
-        t, mu = perturb._land(lambda t: calls.append(t) or t, 0.0, (1.0,), 1.02)
+        t, mu = perturb._land(lambda t: calls.append(t) or t, 0.0, 1.0, 1.02)
         assert (t, mu) == (1.0, 1.0)
         assert calls == [1.0]
 
@@ -474,38 +474,38 @@ class TestLand:
         # constant lies below the target, is measured once more.
         calls = []
         t, mu = perturb._land(
-            lambda t: calls.append(t) or (0.0 if t < 0.5 else 2.0), 1.0, (1.0,), 1.0
+            lambda t: calls.append(t) or (0.0 if t < 0.5 else 2.0), 1.0, 1.0, 1.0
         )
         assert len(calls) == perturb.LAND_MAX_ITER + 1 == 101
         assert t == pytest.approx(0.5) and t < 0.5
         assert mu == 0.0 <= (1.0 + perturb.TARGET_WINDOW) * 1.0
 
     def test_constant_below_the_window_at_every_end_raises(self):
-        # 0.4 t never reaches 1: each end is measured once, when a step
-        # reaches it, and the last one names what the bracket reaches.
+        # 0.4 t never reaches 1: the first step, 2.5, passes the end, which
+        # is measured once and names what the bracket reaches.
         calls = []
         with pytest.raises(GenerationError, match="reaches 0.8$"):
-            perturb._land(lambda t: calls.append(t) or 0.4 * t, 0.4, (1.0, 2.0), 1.0)
-        assert calls == [1.0, 2.0]
+            perturb._land(lambda t: calls.append(t) or 0.4 * t, 0.4, 2.0, 1.0)
+        assert calls == [2.0]
 
     @pytest.mark.parametrize("slope", [0.0, math.inf, math.nan])
     def test_unusable_slope_starts_at_the_first_end(self, slope):
         # From the end at 4, the secant through the origin of the linear
         # constant t lands on the target at once.
         calls = []
-        assert perturb._land(lambda t: calls.append(t) or t, slope, (4.0,), 1.0) == (1.0, 1.0)
+        assert perturb._land(lambda t: calls.append(t) or t, slope, 4.0, 1.0) == (1.0, 1.0)
         assert calls == [4.0, 1.0]
 
     def test_exact_slope_lands_in_one_measurement(self):
         calls = []
-        t, mu = perturb._land(lambda t: calls.append(t) or math.sin(t), 1.0, (math.pi / 2,), 0.3)
+        t, mu = perturb._land(lambda t: calls.append(t) or math.sin(t), 1.0, math.pi / 2, 0.3)
         assert calls == [0.3] and t == 0.3 and mu == math.sin(0.3)
 
     def test_secant_climbs_from_below(self):
         # sin(t) / t falls, so each secant step stays below the target and
         # the steps grow until one lands; no end is measured.
         calls = []
-        t, mu = perturb._land(lambda t: calls.append(t) or math.sin(t), 1.0, (math.pi / 2,), 0.98)
+        t, mu = perturb._land(lambda t: calls.append(t) or math.sin(t), 1.0, math.pi / 2, 0.98)
         assert abs(mu - 0.98) <= 0.05 * 0.98
         assert calls == sorted(calls) and len(calls) == 3 and math.pi / 2 not in calls
 
@@ -515,9 +515,9 @@ class TestLand:
         firsts = []
         land = perturb._land
 
-        def spy(measure, slope, ends, target_mu):
+        def spy(measure, slope, end, target_mu):
             firsts.append(measure(target_mu / slope) / target_mu)
-            return land(measure, slope, ends, target_mu)
+            return land(measure, slope, end, target_mu)
 
         monkeypatch.setattr(perturb, "_land", spy)
         for seed in range(60):
@@ -534,10 +534,10 @@ class TestLand:
         landings, measurements = [], []
         land = perturb._land
 
-        def count(measure, slope, ends, target_mu):
+        def count(measure, slope, end, target_mu):
             landings.append(1)
             measurements.append(1)
-            return land(lambda t: measurements.append(1) or measure(t), slope, ends, target_mu)
+            return land(lambda t: measurements.append(1) or measure(t), slope, end, target_mu)
 
         monkeypatch.setattr(perturb, "_land", count)
         config = theorems.SuiteConfig(seed=901)
@@ -573,7 +573,7 @@ class TestGeodesic:
             assert np.max(np.abs(u.T @ q)) <= 1e-15
             (theta,) = path.thetas
             for t in np.linspace(0.0, np.pi / (2.0 * theta), 7):
-                (y,) = path(t)
+                y = path.columns(t)
                 assert np.max(np.abs(y.T @ y - np.eye(k))) <= 1e-12
                 gap = np.linalg.norm(u @ u.T - y @ y.T, 2)
                 assert gap == pytest.approx(math.sin(t * theta), abs=1e-12)
@@ -596,7 +596,7 @@ class TestGeodesic:
                 np.hstack(bases)[:, own], (u.shape[1],), v[own], q[:, [i]], theta
             )
             for t in (0.0, 0.3, 1.0, 2.7) + ((0.5 * np.pi / theta[0],) if theta[0] else ()):
-                assert np.array_equal(path(t)[i], alone(t)[0])
+                assert np.array_equal(path.columns(t)[:, own], alone.columns(t))
 
     def test_closed_form_constant_matches_measured_constant(self):
         # sum_i w_i^2 (P_i - P_i(t))^2 = g diag(w^2 sin^2(t angles)) g^T
@@ -617,7 +617,7 @@ class TestGeodesic:
         assert closed(0.0) == 0.0
         thetas = path.thetas
         for t in np.linspace(0.0, np.pi / min(thetas[thetas > 0]), 13)[1:]:
-            moved = path(t)
+            moved = np.split(path.columns(t), np.cumsum([u.shape[1] for u in bases])[:-1], axis=1)
             assert np.array_equal(moved[5], bases[5])
             v = FusionFrame(tuple((Subspace(u), wt) for u, wt in zip(moved, weights)))
             measured = perturb._fusion_constant(w, v)

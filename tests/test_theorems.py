@@ -360,10 +360,10 @@ class TestAngleSums:
                 assert verdict.predicted == {"lower": sum_r2, "upper": sum_s2}
                 assert verdict.observed["gap_link_worst"] == gap_worst
 
-    def test_svd_only_for_full_rank_members(self, monkeypatch):
-        # At the full space the ranks decide every extreme of a member of
-        # rank below n (infimum 0, supremum 1, gap 1): no SVD.  A
-        # full-rank member takes two, for its infimum cosine and its gap.
+    def test_no_svd_at_the_full_space(self, monkeypatch):
+        # At the full space the ranks decide every extreme: a member of
+        # rank below n has infimum 0, supremum 1 and gap 1, a full-rank
+        # member (P_W = I) infimum 1, supremum 1 and gap 0.
         rng = np.random.default_rng(27)
         ff = unit_fusion(rng, 5, 12)
         assert max(ff.ranks) < 5
@@ -375,8 +375,23 @@ class TestAngleSums:
         assert calls == []
         full = FusionFrame(ff.members + ((full_space(5), 1.0),) * 3)
         verdict = verify_angle_sums(full, full_space(5))
-        assert len(calls) == 2 * 3
+        assert calls == []
         assert verdict.predicted["upper"] == full.count
+        assert verdict.observed["gap_link_worst"] == 0.0
+
+    def test_full_rank_members_pass_the_gap_link(self):
+        # A member spanning R^n is decided by the full rule: its infimum
+        # cosine is exactly 1 and its gap exactly 0, so the link is 0.
+        # A spectral infimum of 1 - eps left a link of about 1.5e-8 and
+        # failed most of these frames.
+        rng = np.random.default_rng(45)
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            ff = FusionFrame(((subspace_from_spanning(rng.standard_normal((n, n))), 1.0),))
+            verdict = verify_angle_sums(ff, full_space(n))
+            assert verdict.inequality_pass
+            assert verdict.observed["gap_link_worst"] == 0.0
+            assert verdict.predicted == {"lower": 1.0, "upper": 1.0}
 
 
 class TestSuite:
@@ -447,6 +462,23 @@ class TestSuite:
         replay_instance(SuiteConfig(), 0)
         assert len(differences) == 2
         assert len(stacks) == len(set(stacks)) > 0
+
+    def test_no_svd_input_repeats_within_an_instance(self, monkeypatch):
+        # Every generator returns the constant its pair's memo holds, so a
+        # verifier reading it again decomposes nothing twice.
+        inputs = []
+        svd = np.linalg.svd
+
+        def record(a, *args, **kwargs):
+            inputs.append((np.shape(a), np.asarray(a).tobytes()))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", record)
+        config = SuiteConfig(seed=905)
+        for index in range(50):
+            inputs.clear()
+            replay_instance(config, index)
+            assert len(inputs) == len(set(inputs)) > 0, index
 
     def test_suite_and_replay_follow_registry_order(self):
         ids = tuple(t.id for t in THEOREMS)

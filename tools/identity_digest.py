@@ -14,8 +14,10 @@ framekit is imported from the ``src/`` next to this directory.  One
 - per CLI run (``analyze``, ``verify``, ``angles`` and ``perturb``): its
   stdout, stderr, exit code and written file.  The inputs are the
   ``cli-files`` benchmark inputs for seeds 1 and 2
-  (``benchmarks/workloads.write_cli_inputs``) and small edge files whose
-  products overflow or that hold zero vectors.
+  (``benchmarks/workloads.write_cli_inputs``), small edge files whose
+  products overflow or that hold zero vectors.  Two of them hold R^3,
+  from a seeded Gaussian spanning set: once beside span{e1} (for
+  ``verify``) and once alone (for ``angles``, which takes one subspace).
 
 Each run is in-process but behaves as a fresh process: warnings are
 shown once per run, native output on file descriptors 1 and 2 (such as a
@@ -42,6 +44,8 @@ import traceback
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
@@ -87,6 +91,11 @@ def write_edge_inputs(outdir: Path) -> dict[str, Path]:
             {"weight": a, "basis": [[1.0, 0.0]]},
             {"weight": b, "basis": [[0.6, 0.8]]},
         ]}
+    full = {"weight": 1.0, "basis": np.random.default_rng(45).standard_normal((3, 3)).tolist()}
+    docs["full-space-3"] = {"dim": 3, "kind": "fusion", "subspaces": [
+        full, {"weight": 1.0, "basis": [[1.0, 0.0, 0.0]]},
+    ]}
+    docs["full-space-3-alone"] = {"dim": 3, "kind": "fusion", "subspaces": [full]}
     paths = {}
     for name, doc in docs.items():
         paths[name] = outdir / f"{name}.json"
