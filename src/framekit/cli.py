@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import DimensionError, FramekitError, GenerationError, PreconditionError
-from .fileio import FrameFileError, file_digest, load_structure, write_structure
+from .fileio import FrameFileError, _json_text, file_digest, load_structure, write_structure
 from .frames import Frame, is_riesz_basis, optimal_frame_bounds, redundancy_bounds
 from .fusion import is_orthonormal_fusion_basis, subspace_from_spanning
 from .angles import check_rs_relation, cosine_angles, gap_direct
@@ -96,7 +96,7 @@ def _make_report(command: str, inputs: dict[str, str], results: dict, seeds: dic
 
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_json_text(report))
     else:
         print("\n".join(_render_text(report)))
 

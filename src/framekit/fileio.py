@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 from itertools import chain
 from pathlib import Path
@@ -159,8 +160,44 @@ def load_structure(path) -> Frame | FusionFrame:
     return structure_from_dict(doc)
 
 
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for a value at the
+    indentation ``pad``.
+
+    Plain finite floats are written by ``repr``, a list of them joined in
+    one call, where the standard library's indenting encoder formats one
+    value at a time in Python.  Every other scalar, and every key, goes
+    through ``json.dumps``.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # A key that is not a string is converted, or rejected, as the
+        # standard library does: ``{key: null}`` less its braces and value.
+        items = (
+            f"{json.dumps(k) if isinstance(k, str) else json.dumps({k: None})[1:-7]}: "
+            f"{_json_text(v, inner)}"
+            for k, v in obj.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        # A sum of finite floats is NaN or infinite only when it
+        # overflows; such a list takes the general route.
+        if set(map(type, obj)) == {float} and math.isfinite(sum(obj)):
+            items = map(repr, obj)
+        else:
+            items = (_json_text(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if type(obj) is float and math.isfinite(obj):
+        return repr(obj)
+    return json.dumps(obj)
+
+
 def write_structure(path, obj: Frame | FusionFrame) -> None:
-    Path(path).write_text(json.dumps(structure_to_dict(obj), indent=2) + "\n")
+    Path(path).write_text(_json_text(structure_to_dict(obj)) + "\n")
 
 
 def file_digest(path) -> str:

@@ -15,6 +15,8 @@ return; numpy forms ``c c^T`` exactly symmetric.  The SVDs of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, NumericError
@@ -69,17 +71,57 @@ def _top_singular_value(m: np.ndarray) -> float:
     return float(_finite(np.linalg.svd(m, compute_uv=False))[0])
 
 
+def _rank_pass(scaled: np.ndarray, q: np.ndarray, cutoff: float) -> list[int]:
+    """The columns of ``scaled`` the greedy rule keeps, decided in one pass.
+
+    ``q`` is an orthonormal basis of the first ``j`` columns, all kept;
+    column ``j`` is dropped.  Each later column is kept when its residual
+    against the columns kept before it has norm above ``cutoff``; a kept
+    column deflates the later ones by its unit residual.  Projections are
+    taken twice, as in classical Gram-Schmidt with reorthogonalization.
+    Once ``n`` columns are kept the rest are kept uninspected, since R has
+    only ``n`` diagonal entries.
+    """
+    n, m = scaled.shape
+    j = q.shape[1]
+    keep = list(range(j))
+    rest = scaled[:, j + 1:]
+    for _ in range(2):
+        rest = rest - q @ (q.T @ rest)
+    i = 0  # the first column of ``rest`` not yet decided
+    while len(keep) < n:
+        norms = np.linalg.norm(rest[:, i:], axis=0)
+        above = np.flatnonzero(norms > cutoff)
+        if not above.size:
+            return keep
+        i += int(above[0])
+        keep.append(j + 1 + i)
+        u = rest[:, i] / norms[above[0]]
+        later = rest[:, i + 1:]
+        for _ in range(2):
+            later -= np.outer(u, u @ later)
+        i += 1
+    return keep + list(range(j + 1 + i, m))
+
+
 def orthonormalize(vectors) -> tuple[np.ndarray, int]:
     """Orthonormal basis for the span of ``vectors`` via Householder QR.
 
     The vectors are taken greedily in input order: one is dropped when its
     residual against the vectors already kept has norm <= ``RANK_TOL``
-    times the largest input norm, so the rank does not change when the
-    input is rescaled.  That residual is ``|R_jj|`` in the QR
-    factorization of the kept columns; a column failing the rule is
-    dropped and the rest is factored again, so full-rank input takes one
-    QR.  Columns are signed so that ``diag R > 0``, which makes the basis
-    the modified Gram-Schmidt basis of the kept vectors, up to rounding.
+    times the largest input norm.  Both sides are measured in units of
+    ``2^e``, with ``e`` the exponent of the largest |entry|: the scaling
+    is exact, and no square overflows or underflows in those units, so
+    the rank does not change when the input is rescaled.
+
+    The residual is ``|R_jj|`` in the QR factorization of the columns, so
+    full-rank input takes one QR.  At the first short entry, one decision
+    pass (``_rank_pass``) settles every later column, and the kept
+    columns are factored once more: dependent input takes two QRs.  Should
+    that QR still find a short entry, its column is dropped and the rest
+    is factored again.  Columns are signed so that ``diag R > 0``, which
+    makes the basis the modified Gram-Schmidt basis of the kept vectors,
+    up to rounding.
 
     Parameters
     ----------
@@ -97,13 +139,20 @@ def orthonormalize(vectors) -> tuple[np.ndarray, int]:
     except ValueError as exc:
         raise DimensionError(f"vectors must have equal lengths ({exc})") from None
     cols = as_matrix(rows).T
-    cutoff = RANK_TOL * np.max(np.linalg.norm(cols, axis=0))
+    e = math.frexp(np.abs(cols).max(initial=0.0))[1]
+    scaled = np.ldexp(cols, -e)
+    cutoff = RANK_TOL * np.linalg.norm(scaled, axis=0).max()
+    q, r = np.linalg.qr(cols)
     keep = list(range(cols.shape[1]))
-    while keep:
-        q, r = np.linalg.qr(cols[:, keep])
+    while True:
         diag = np.diagonal(r)
-        short = np.flatnonzero(np.abs(diag) <= cutoff)
+        short = np.flatnonzero(np.abs(np.ldexp(diag, -e)) <= cutoff)
         if not short.size:
             return q * np.sign(diag), q.shape[1]
-        del keep[short[0]]
-    return np.zeros((cols.shape[0], 0)), 0
+        if len(keep) == cols.shape[1]:
+            keep = _rank_pass(scaled, q[:, : short[0]], cutoff)
+        else:  # the pass kept a column that this QR finds short
+            del keep[short[0]]
+        if not keep:
+            return np.zeros((cols.shape[0], 0)), 0
+        q, r = np.linalg.qr(cols[:, keep])

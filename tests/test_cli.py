@@ -729,3 +729,36 @@ class TestParserReuse:
         fresh = [run(argv) for argv in sequence]
         assert reused == fresh
         assert len({text for _, text in reused}) == len(sequence)
+
+
+class TestJsonReports:
+    """``--format json`` prints the standard library's indented dump of
+    the report the command built."""
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "angles", "perturb", "suite"])
+    @pytest.mark.parametrize("kind", [Frame, FusionFrame])
+    def test_stdout_is_the_stdlib_dump(self, capsys, monkeypatch, verify_pairs, tmp_path, command, kind):
+        original, perturbed = verify_pairs[kind]
+        argv = {
+            "analyze": ["analyze", original],
+            "verify": ["verify", original, perturbed],
+            "angles": ["angles", original, original],
+            "perturb": ["perturb", original, "--mu", "0.05", "--out", str(tmp_path / "out.json")],
+            "suite": ["suite", "--instances", "3", "--seed", "5"],
+        }[command]
+        reports = []
+        json_text = cli._json_text
+
+        def recorded(report):
+            reports.append(report)
+            return json_text(report)
+
+        monkeypatch.setattr(cli, "_json_text", recorded)
+        code = main([*argv, "--format", "json"])
+        out = capsys.readouterr().out
+        if command == "angles" and kind is FusionFrame:
+            assert code == 3 and not reports  # a multi-member fusion file
+            return
+        assert code in (0, 1)  # a verify check fails on the oblique frame pair
+        assert len(reports) == 1
+        assert out == json.dumps(reports[0], indent=2) + "\n"

@@ -275,3 +275,66 @@ class TestStoredBases:
         doc = {"dim": 2, "kind": "fusion", "subspaces": [{"weight": 1.0, "basis": rows}]}
         with pytest.raises(NumericError, match="^matrix contains non-finite entries$"):
             structure_from_dict(doc)
+
+
+def stdlib_text(obj):
+    return json.dumps(obj, indent=2)
+
+
+class TestJsonText:
+    """``fileio._json_text`` writes ``json.dumps(obj, indent=2)`` byte for
+    byte."""
+
+    LABELS = ("α", 'quote " mark', "back\\slash", "tab\tand\nnewline", " ", "😀", "\x00\x1f")
+
+    def test_structures(self, tmp_path):
+        rng = np.random.default_rng(73)
+        structures = [random_frame(rng) for _ in range(20)] + [random_fusion(rng) for _ in range(20)]
+        structures.append(Frame(rng.standard_normal((len(self.LABELS), 3)), labels=self.LABELS))
+        structures.append(Frame(rng.standard_normal((300, 50))))
+        for i, obj in enumerate(structures):
+            doc = structure_to_dict(obj)
+            assert fileio._json_text(doc) == stdlib_text(doc)
+            path = tmp_path / f"s{i}.json"
+            write_structure(path, obj)
+            assert path.read_text() == stdlib_text(doc) + "\n"
+
+    def test_report_shaped_documents(self):
+        floats = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                  float("nan"), float("inf"), float("-inf"), 0.1, 1e-7, 1e16]
+        doc = {
+            "tool_version": "1.0",
+            "inputs": {},
+            "results": {
+                "empty_list": [],
+                "empty_dict": {},
+                "nested_empties": [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
+                "tuple": (1, 2.5, "x"),
+                "tuple_of_floats": (0.5, -2.0),
+                "flags": [True, False, None],
+                "bool": True,
+                "none": None,
+                "int": -(2**70),
+                "floats": floats,
+                "each_float": {repr(x): x for x in floats},
+                "float64_items": [np.float64(0.1), np.float64(-0.0), 1.5],
+                "float64_only": [np.float64(2.5), np.float64(np.inf)],
+                "float64_value": np.float64(1e-300),
+                "sum_overflows": [1e308, 1e308, -1.0],
+                "rows": [[1.0, 2.0], [3.0, float("nan")], [], [4, 5.0]],
+                "labels": list(self.LABELS),
+                "verdicts": [{"theorem_id": "t", "margin": 1e-12, "notes": []}],
+            },
+            "seeds": {"seed": 42},
+        }
+        for obj in (doc, doc["results"], [], {}, [[]], 1.5, "é", None, floats, tuple(floats)):
+            assert fileio._json_text(obj) == stdlib_text(obj)
+
+    def test_keys_convert_as_in_the_standard_library(self):
+        doc = {1: [1.0], 2.5: {}, True: None, None: "n", float("nan"): 0, "é\"": 1}
+        assert fileio._json_text(doc) == stdlib_text(doc)
+        for bad in ({(1, 2): 1.0}, {"a": np.int64(1)}, {"a": [np.float32(1.0)]}):
+            with pytest.raises(TypeError):
+                stdlib_text(bad)
+            with pytest.raises(TypeError):
+                fileio._json_text(bad)

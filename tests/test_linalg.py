@@ -190,10 +190,138 @@ class TestOrthonormalize:
         assert linalg.orthonormalize(1e-11 * np.eye(2))[1] == 2
         vecs = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]])
         assert linalg.orthonormalize(vecs)[1] == 2
-        for scale in (1e-11, 1e11):
+        for scale in (1e-11, 1e11, 1e-170, 1e160, 1e-300, 1e300):
             assert linalg.orthonormalize(scale * vecs)[1] == 2
 
     def test_empty_input(self):
         basis, rank = linalg.orthonormalize([])
         assert rank == 0
         assert basis.shape == (0, 0)
+
+
+def reference_drop_loop(vectors):
+    """The greedy rule with one Householder QR per dropped vector: factor
+    the kept columns, drop the first whose ``|R_jj|`` is at most the
+    cutoff, and factor the rest again."""
+    cols = np.asarray(vectors, dtype=float).T
+    cutoff = linalg.RANK_TOL * np.max(np.linalg.norm(cols, axis=0))
+    keep = list(range(cols.shape[1]))
+    while keep:
+        q, r = np.linalg.qr(cols[:, keep])
+        diag = np.diagonal(r)
+        short = np.flatnonzero(np.abs(diag) <= cutoff)
+        if not short.size:
+            return q * np.sign(diag), q.shape[1]
+        del keep[short[0]]
+    return np.zeros((cols.shape[0], 0)), 0
+
+
+def pass_case_vectors(rng, case, n):
+    """Input vectors in R^n that reach the rank pass, or skip it."""
+    if case in ("full_rank", "dependent_first", "dependent_middle", "dependent_last",
+                "duplicate", "wide"):
+        return case_vectors(rng, case, n)
+    if case == "zero_rows":
+        vecs = rng.standard_normal((n + 2, n))
+        vecs[rng.choice(n + 2, size=3, replace=False)] = 0.0
+        return vecs
+    if case == "all_zero":
+        return np.zeros((int(rng.integers(1, 2 * n)), n))
+    if case == "fills_mid_list":
+        # A drop at column 1, then n - 1 new directions fill R^n, and the
+        # three columns after them are kept uninspected.
+        v = rng.standard_normal(n)
+        return np.vstack([v, 2.0 * v, rng.standard_normal((n + 2, n))])
+    # Seeded random combinations: rank k < n, some rows sparse
+    # combinations of the base, so drops fall throughout the list.
+    k = int(rng.integers(1, n))
+    base = rng.standard_normal((k, n)) * rng.uniform(0.5, 2.0, (k, 1))
+    coef = rng.standard_normal((int(rng.integers(k, 3 * n)), k))
+    coef *= rng.random(coef.shape) < 0.6
+    return coef @ base
+
+
+PASS_CASES = ["full_rank", "dependent_first", "dependent_middle", "dependent_last",
+              "duplicate", "zero_rows", "all_zero", "wide", "fills_mid_list", "combinations"]
+
+
+class TestRankPass:
+    """``orthonormalize`` decides the columns after the first drop in one
+    pass; its ranks and bases are those of one QR per dropped vector."""
+
+    @staticmethod
+    def count_qr(monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        return calls
+
+    @pytest.mark.parametrize("case", PASS_CASES)
+    def test_bit_equal_to_drop_loop(self, case, monkeypatch):
+        rng = np.random.default_rng(31)
+        calls = self.count_qr(monkeypatch)
+        for _ in range(40):
+            vecs = pass_case_vectors(rng, case, int(rng.integers(3, 12)))
+            ref_basis, ref_rank = reference_drop_loop(vecs)
+            calls.clear()
+            basis, rank = linalg.orthonormalize(vecs)
+            assert len(calls) <= 2
+            assert rank == ref_rank
+            assert basis.shape == ref_basis.shape
+            assert np.array_equal(basis, ref_basis)
+
+    def test_structured_sets_at_many_scales_bit_equal(self):
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            vecs = pass_case_vectors(rng, "combinations", int(rng.integers(2, 12)))
+            vecs *= 10.0 ** rng.uniform(-100, 100)
+            ref_basis, ref_rank = reference_drop_loop(vecs)
+            basis, rank = linalg.orthonormalize(vecs)
+            assert rank == ref_rank and np.array_equal(basis, ref_basis)
+
+    def test_full_rank_input_takes_one_qr(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        calls = self.count_qr(monkeypatch)
+        for shape in ((3, 5), (5, 5), (9, 5), (300, 50)):
+            calls.clear()
+            assert linalg.orthonormalize(rng.standard_normal(shape))[1] == min(shape)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("count, rank, n, loop_qrs", [(120, 20, 48, 101), (300, 10, 50, 291)])
+    def test_dependent_input_takes_two_qrs(self, monkeypatch, count, rank, n, loop_qrs):
+        rng = np.random.default_rng(43)
+        vecs = rng.standard_normal((count, rank)) @ rng.standard_normal((rank, n))
+        calls = self.count_qr(monkeypatch)
+        ref_basis, _ = reference_drop_loop(vecs)
+        assert len(calls) == loop_qrs
+        calls.clear()
+        basis, got = linalg.orthonormalize(vecs)
+        assert got == rank and len(calls) <= 2
+        assert np.array_equal(basis, ref_basis)
+
+
+class TestScaleFreeRank:
+    """Rank decisions are taken in units of the largest entry's binade,
+    so no norm overflows or underflows."""
+
+    @pytest.mark.parametrize("case", PASS_CASES)
+    def test_rank_unchanged_by_power_of_two_scaling(self, case):
+        rng = np.random.default_rng(47)
+        sets = [pass_case_vectors(rng, case, int(rng.integers(3, 12))) for _ in range(4)]
+        rank_two = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]])
+        for vecs in [rank_two, *sets]:
+            rank = linalg.orthonormalize(vecs)[1]
+            for k in [*range(-1000, 1000, 40), 1000]:
+                assert linalg.orthonormalize(np.ldexp(vecs, k))[1] == rank, k
+
+    def test_entry_whose_square_overflows(self):
+        # (0, 1) lies 1e-200 of the largest norm off the first vector's line.
+        basis, rank = linalg.orthonormalize([[1e200, 0.0], [0.0, 1.0]])
+        assert rank == 1
+        assert np.array_equal(np.abs(basis), [[1.0], [0.0]])
+        assert linalg.orthonormalize([[1e200, 0.0], [0.0, 1e195]])[1] == 2

@@ -18,6 +18,11 @@ framekit is imported from the ``src/`` next to this directory.  One
   products overflow or that hold zero vectors.  Two of them hold R^3,
   from a seeded Gaussian spanning set: once beside span{e1} (for
   ``verify``) and once alone (for ``angles``, which takes one subspace).
+  A set of its own reaches the rank decisions at a few hundred vectors:
+  a seeded frame of 300 vectors of rank 10 in R^50 (``analyze``,
+  ``angles``) and a 40-member fusion file in R^50 whose basis rows repeat
+  and combine (``analyze``, ``verify``).  It stays out of the edge set,
+  whose runs take every pair of inputs.
 
 Each run is in-process but behaves as a fresh process: warnings are
 shown once per run, native output on file descriptors 1 and 2 (such as a
@@ -103,6 +108,38 @@ def write_edge_inputs(outdir: Path) -> dict[str, Path]:
     return paths
 
 
+def write_wide_inputs(outdir: Path) -> dict[str, Path]:
+    outdir.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(19)
+    frame = rng.standard_normal((300, 10)) @ rng.standard_normal((10, 50))
+    subspaces = []
+    for i in range(40):
+        k = 1 + i % 12
+        base = rng.standard_normal((k, 50)) * rng.uniform(0.1, 10.0, size=(k, 1))
+        rows = np.vstack([base, base[: 1 + i % 3], rng.standard_normal((1 + i % 4, k)) @ base])
+        subspaces.append({"weight": float(rng.uniform(0.5, 2.0)),
+                          "basis": rows[rng.permutation(len(rows))].tolist()})
+    docs = {
+        "frame-300-rank-10": {"dim": 50, "kind": "frame", "vectors": frame.tolist()},
+        "fusion-40-repeated": {"dim": 50, "kind": "fusion", "subspaces": subspaces},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = outdir / f"{name}.json"
+        paths[name].write_text(json.dumps(doc) + "\n")
+    return paths
+
+
+def wide_runs(files: dict[str, Path]):
+    """``(label, argv, out_file)`` of the runs on the wide input set."""
+    for name in sorted(files):
+        for fmt in ("text", "json"):
+            yield f"wide/analyze/{name}/{fmt}", ["analyze", str(files[name]), "--format", fmt], None
+    frame, fusion = str(files["frame-300-rank-10"]), str(files["fusion-40-repeated"])
+    yield "wide/angles/frame-300-rank-10", ["angles", frame, frame, "--format", "json"], None
+    yield "wide/verify/fusion-40-repeated", ["verify", fusion, fusion, "--format", "json"], None
+
+
 class Runner:
     """Runs ``framekit.cli.main`` as if in a fresh process per call."""
 
@@ -180,6 +217,7 @@ def main() -> int:
                 files = write_cli_inputs(framekit, seed, work / f"seed{seed}")
                 jobs.extend(cli_runs(files, f"seed{seed}", work / "out.json"))
             jobs.extend(cli_runs(write_edge_inputs(work / "edge"), "edge", work / "out.json"))
+            jobs.extend(wide_runs(write_wide_inputs(work / "wide")))
             if args.dump is not None:
                 args.dump.mkdir(parents=True, exist_ok=True)
             for i, (label, argv, out_file) in enumerate(jobs):
