@@ -130,12 +130,9 @@ def full_space(n: int) -> Subspace:
 
 
 def vector_span(vec) -> Subspace:
-    """One-dimensional span of a nonzero vector."""
-    v = linalg.as_vector(vec)
-    norm = np.linalg.norm(v)
-    if norm == 0:
-        raise DegenerateInputError("cannot span a zero vector")
-    return Subspace((v / norm)[:, None])
+    """One-dimensional span of a nonzero vector: ``subspace_from_spanning``
+    of the one vector, so zero is decided by the same scale-free rule."""
+    return subspace_from_spanning([linalg.as_vector(vec)])
 
 
 def projection_matrix(s: Subspace) -> np.ndarray:

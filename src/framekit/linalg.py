@@ -116,12 +116,13 @@ def orthonormalize(vectors) -> tuple[np.ndarray, int]:
 
     The residual is ``|R_jj|`` in the QR factorization of the columns, so
     full-rank input takes one QR.  At the first short entry, one decision
-    pass (``_rank_pass``) settles every later column, and the kept
-    columns are factored once more: dependent input takes two QRs.  Should
-    that QR still find a short entry, its column is dropped and the rest
-    is factored again.  Columns are signed so that ``diag R > 0``, which
-    makes the basis the modified Gram-Schmidt basis of the kept vectors,
-    up to rounding.
+    pass (``_rank_pass``) settles every later column once, and the kept
+    columns are factored once more: no input takes more than two QRs.
+    Ranks and bases are those of dropping one vector per QR, except for a
+    vector whose residual lies within rounding of the cutoff (about 1e-6
+    relative to it), where the pass decides.  Columns are signed so that
+    ``diag R > 0``, which makes the basis the modified Gram-Schmidt basis
+    of the kept vectors, up to rounding.
 
     Parameters
     ----------
@@ -143,16 +144,7 @@ def orthonormalize(vectors) -> tuple[np.ndarray, int]:
     scaled = np.ldexp(cols, -e)
     cutoff = RANK_TOL * np.linalg.norm(scaled, axis=0).max()
     q, r = np.linalg.qr(cols)
-    keep = list(range(cols.shape[1]))
-    while True:
-        diag = np.diagonal(r)
-        short = np.flatnonzero(np.abs(np.ldexp(diag, -e)) <= cutoff)
-        if not short.size:
-            return q * np.sign(diag), q.shape[1]
-        if len(keep) == cols.shape[1]:
-            keep = _rank_pass(scaled, q[:, : short[0]], cutoff)
-        else:  # the pass kept a column that this QR finds short
-            del keep[short[0]]
-        if not keep:
-            return np.zeros((cols.shape[0], 0)), 0
-        q, r = np.linalg.qr(cols[:, keep])
+    short = np.flatnonzero(np.abs(np.ldexp(np.diagonal(r), -e)) <= cutoff)
+    if short.size:
+        q, r = np.linalg.qr(cols[:, _rank_pass(scaled, q[:, : short[0]], cutoff)])
+    return q * np.sign(np.diagonal(r)), q.shape[1]

@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from framekit import (
     normalize_frame,
     optimal_frame_bounds,
 )
-from framekit import cli, theorems
+from framekit import cli, cosine_angles, theorems
 from framekit.cli import build_parser, main
 from framekit.fileio import load_structure, write_structure
 from framekit.theorems import THEOREMS, random_fusion_frame
@@ -472,6 +474,20 @@ class TestAngles:
         )
         assert main(["angles", onb_file, other]) == 3
 
+    def test_single_subspace_fusion_files(self, capsys, tmp_path):
+        rng = np.random.default_rng(61)
+        paths = []
+        for name, rows in (("v", rng.standard_normal((3, 5))),
+                           ("w", rng.standard_normal((2, 2)) @ rng.standard_normal((2, 5)))):
+            rows = np.vstack([rows, rows[0] + rows[1]])  # a dependent row: ranks 3 and 2
+            doc = {"dim": 5, "kind": "fusion", "subspaces": [{"weight": 2.0, "basis": rows.tolist()}]}
+            paths.append(write_json(tmp_path / f"{name}.json", doc))
+        code, doc = run_json(capsys, ["angles", *paths, "--format", "json"])
+        assert code == 0
+        v, w = (load_structure(p).subspaces[0] for p in paths)
+        assert (doc["results"]["dim_v"], doc["results"]["dim_w"]) == (v.dim, w.dim) == (3, 2)
+        assert doc["results"]["angles"] == json.loads(json.dumps(cosine_angles(v, w).to_dict()))
+
     def test_multi_subspace_fusion_rejected(self, capsys, tmp_path, onb_file):
         fusion = write_json(
             tmp_path / "two.json",
@@ -702,6 +718,19 @@ class TestOverflow:
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert main(["verify", *paths]) == 3
         assert one_error_line(capsys) == "error: matrix contains non-finite entries\n"
+
+
+class TestConsoleEntry:
+    def test_module_run_matches_main(self, capsys, verify_pairs):
+        # ``python -m framekit.cli`` runs ``entry()`` on ``sys.argv``, as the
+        # ``framekit`` console script does.
+        argv = ["analyze", verify_pairs[FusionFrame][0], "--format", "json"]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-m", "framekit.cli", *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        code = main(argv)
+        assert (run.returncode, run.stdout) == (code, capsys.readouterr().out)
 
 
 class TestParserReuse:

@@ -133,17 +133,35 @@ class TestSubspaceFromSpanning:
 
 
 class TestVectorSpan:
+    """``vector_span`` is ``subspace_from_spanning`` of one vector."""
+
     def test_only_the_zero_vector_is_rejected(self):
         assert np.array_equal(vector_span([1e-13, 0.0]).basis, [[1.0], [0.0]])
         with pytest.raises(DegenerateInputError):
             vector_span([0.0, 0.0])
 
-    def test_overflowing_norm_still_rejected(self):
-        # The norm overflows to inf and the quotient is the zero vector,
-        # which the checked constructor rejects as no unit vector.
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(PreconditionError, match="not orthonormal"):
-                vector_span([1e200, 1e200])
+    def test_overflowing_and_subnormal_norms_span_a_line(self):
+        # The norm of [1e200, 1e200] overflows and [1e-320, 1e-320] is
+        # subnormal; both are decided in units of their largest entry's binade.
+        for vec in ([1e200, 1e200], [1e-320, 1e-320]):
+            basis = vector_span(vec).basis
+            assert basis.shape == (2, 1)
+            assert np.allclose(basis, np.sqrt(0.5), rtol=1e-15, atol=0.0)
+
+    def test_zero_decision_unchanged_by_power_of_two_scaling(self):
+        rng = np.random.default_rng(53)
+        vecs = [rng.standard_normal(int(rng.integers(1, 6))) for _ in range(6)]
+        for v in [*vecs, np.array([1.0, 1e-300, 0.0]), np.zeros(3)]:
+            for k in range(-1000, 1001, 40):
+                if not v.any():
+                    with pytest.raises(DegenerateInputError):
+                        vector_span(np.ldexp(v, k))
+                    continue
+                basis = vector_span(np.ldexp(v, k)).basis
+                assert basis.shape == (v.size, 1)
+                assert abs(np.linalg.norm(basis) - 1.0) <= 1e-15
+                line = np.abs(v) / np.linalg.norm(v)
+                assert np.allclose(np.abs(basis[:, 0]), line, rtol=1e-14, atol=1e-15)
 
 
 class TestProjectionMatrix:

@@ -247,7 +247,8 @@ PASS_CASES = ["full_rank", "dependent_first", "dependent_middle", "dependent_las
 
 class TestRankPass:
     """``orthonormalize`` decides the columns after the first drop in one
-    pass; its ranks and bases are those of one QR per dropped vector."""
+    pass; away from the cutoff its ranks and bases are those of one QR per
+    dropped vector (``TestNearCutoff`` takes the band around it)."""
 
     @staticmethod
     def count_qr(monkeypatch):
@@ -303,6 +304,44 @@ class TestRankPass:
         basis, got = linalg.orthonormalize(vecs)
         assert got == rank and len(calls) <= 2
         assert np.array_equal(basis, ref_basis)
+
+
+def near_cutoff_vectors(rng):
+    """Vectors in R^n, n in [3, 8], whose third residual lies within 2e-6
+    of the cutoff, relative to it: ``a q1``, ``b a q1`` (the first drop),
+    ``c q1 + 1e-10 M (1 + u) q2`` and ``q3, ..., qn``, for the columns
+    ``q_i`` of a random orthogonal matrix and ``M = max(|a|, |b a|, |c|)``
+    (the ``q2`` part moves the third norm by ~1e-20, below rounding)."""
+    n = int(rng.integers(3, 9))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a, b, c = rng.standard_normal(3)
+    m = max(abs(a), abs(b * a), abs(c))
+    near = c * q[:, 0] + 1e-10 * m * (1 + rng.uniform(-2e-6, 2e-6)) * q[:, 1]
+    return np.vstack([a * q[:, 0], b * a * q[:, 0], near, q[:, 2:].T])
+
+
+class TestNearCutoff:
+    """Within rounding of the cutoff the pass decides alone: it may keep a
+    vector whose ``|R_jj|`` the second QR finds short, or drop one the drop
+    loop keeps.  No third QR is taken in either direction."""
+
+    def test_two_qrs_and_ranks_within_one_of_drop_loop(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        calls = TestRankPass.count_qr(monkeypatch)
+        offsets = {-1: 0, 0: 0, 1: 0}
+        for _ in range(1000):
+            vecs = near_cutoff_vectors(rng)
+            ref_basis, ref_rank = reference_drop_loop(vecs)
+            calls.clear()
+            basis, rank = linalg.orthonormalize(vecs)
+            assert len(calls) <= 2
+            offsets[rank - ref_rank] += 1
+            if rank == ref_rank:
+                assert np.array_equal(basis, ref_basis)
+            assert basis.shape == (vecs.shape[1], rank)
+            assert np.max(np.abs(basis.T @ basis - np.eye(rank))) <= 1e-12
+        # The family straddles the cutoff: the pass goes each way.
+        assert offsets[1] and offsets[-1]
 
 
 class TestScaleFreeRank:

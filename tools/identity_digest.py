@@ -21,8 +21,12 @@ framekit is imported from the ``src/`` next to this directory.  One
   A set of its own reaches the rank decisions at a few hundred vectors:
   a seeded frame of 300 vectors of rank 10 in R^50 (``analyze``,
   ``angles``) and a 40-member fusion file in R^50 whose basis rows repeat
-  and combine (``analyze``, ``verify``).  It stays out of the edge set,
-  whose runs take every pair of inputs.
+  and combine (``analyze``, ``verify``).  Two files of the set hold
+  draws whose one vector lies within rounding of the rank cutoff, so a
+  change to the rank rule shows in their digests: a frame (draw 8) and a
+  one-member fusion file (draw 12) of ``near_cutoff_rows`` (``analyze``,
+  ``angles``).  The set stays out of the edge set, whose runs take every
+  pair of inputs.
 
 Each run is in-process but behaves as a fresh process: warnings are
 shown once per run, native output on file descriptors 1 and 2 (such as a
@@ -108,8 +112,27 @@ def write_edge_inputs(outdir: Path) -> dict[str, Path]:
     return paths
 
 
+def near_cutoff_rows(seed: int) -> np.ndarray:
+    """One draw of the near-cutoff family: ``a q1``, ``b a q1`` (a drop),
+    ``c q1 + 1e-10 M (1 + u) q2`` and ``q3, ..., qn``, for the columns of a
+    random orthogonal n-by-n matrix, n in [3, 8], ``M = max(|a|, |b a|,
+    |c|)`` and u uniform in +-2e-6: the third vector's residual lies within
+    rounding of the rank cutoff."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a, b, c = rng.standard_normal(3)
+    m = max(abs(a), abs(b * a), abs(c))
+    near = c * q[:, 0] + 1e-10 * m * (1 + rng.uniform(-2e-6, 2e-6)) * q[:, 1]
+    return np.vstack([a * q[:, 0], b * a * q[:, 0], near, q[:, 2:].T])
+
+
 def write_wide_inputs(outdir: Path) -> dict[str, Path]:
     outdir.mkdir(parents=True, exist_ok=True)
+    # Draw 8 keeps the near vector in the one decision pass, though the
+    # QR of the kept columns finds its |R_jj| short; draw 12 drops it in
+    # the pass, though one QR per dropped vector keeps it.
+    near_keep, near_drop = near_cutoff_rows(8), near_cutoff_rows(12)
     rng = np.random.default_rng(19)
     frame = rng.standard_normal((300, 10)) @ rng.standard_normal((10, 50))
     subspaces = []
@@ -122,6 +145,10 @@ def write_wide_inputs(outdir: Path) -> dict[str, Path]:
     docs = {
         "frame-300-rank-10": {"dim": 50, "kind": "frame", "vectors": frame.tolist()},
         "fusion-40-repeated": {"dim": 50, "kind": "fusion", "subspaces": subspaces},
+        "near-cutoff-frame": {"dim": near_keep.shape[1], "kind": "frame",
+                              "vectors": near_keep.tolist()},
+        "near-cutoff-fusion": {"dim": near_drop.shape[1], "kind": "fusion",
+                               "subspaces": [{"weight": 1.0, "basis": near_drop.tolist()}]},
     }
     paths = {}
     for name, doc in docs.items():
@@ -138,6 +165,8 @@ def wide_runs(files: dict[str, Path]):
     frame, fusion = str(files["frame-300-rank-10"]), str(files["fusion-40-repeated"])
     yield "wide/angles/frame-300-rank-10", ["angles", frame, frame, "--format", "json"], None
     yield "wide/verify/fusion-40-repeated", ["verify", fusion, fusion, "--format", "json"], None
+    for name in ("near-cutoff-frame", "near-cutoff-fusion"):
+        yield f"wide/angles/{name}", ["angles", str(files[name]), str(files[name]), "--format", "json"], None
 
 
 class Runner:
