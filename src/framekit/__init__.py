@@ -15,20 +15,16 @@ from .frames import (
     BoundsReport,
     Frame,
     RedundancyProfile,
-    frame_operator,
     is_riesz_basis,
-    normalize_frame,
     optimal_frame_bounds,
     redundancy_at,
     redundancy_bounds,
-    redundancy_oracle,
 )
 from .fusion import (
     FusionFrame,
     Subspace,
     full_space,
     is_orthonormal_fusion_basis,
-    projection_matrix,
     subspace_from_spanning,
     vector_span,
 )
@@ -45,7 +41,6 @@ from .angles import (
     cosine_angles,
     gap_direct,
     orthogonal_complement,
-    redundancy_angle_sums,
 )
 from .theorems import (
     SuiteConfig,

@@ -102,15 +102,3 @@ def check_rs_relation(v: Subspace, w: Subspace) -> float:
     r = _inf_sup_cos(v.basis, w.basis)[0]
     s_comp = _inf_sup_cos(v.basis, orthogonal_complement(w))[1]
     return abs(r - float(np.sqrt(max(0.0, 1.0 - s_comp * s_comp))))
-
-
-def redundancy_angle_sums(subspace_list, wprime: Subspace) -> tuple[float, float]:
-    """Sum of squared infimum and supremum cosines from ``wprime`` to each
-    listed subspace."""
-    sum_r2 = 0.0
-    sum_s2 = 0.0
-    for sub in subspace_list:
-        report = cosine_angles(wprime, sub)
-        sum_r2 += report.r * report.r
-        sum_s2 += report.s * report.s
-    return sum_r2, sum_s2

@@ -1,17 +1,18 @@
-"""Frames in R^n: operators, optimal bounds, Riesz detection, redundancy.
+"""Frames in R^n: optimal bounds, Riesz detection, redundancy.
 
 A frame of N vectors in R^n is the fusion frame of the vectors' spans,
 weighted by their norms.  Both kinds hold the same n-by-K column stacks:
 ``synthesis_columns`` (the vectors, or ``[w_1 U_1 ... w_N U_N]``),
 ``unit_columns`` (the normalized vectors, or ``[U_1 ... U_N]``) and the
-block widths ``ranks`` (1 per vector).  The operator ``T T^T``, its
-optimal bounds, the redundancy (the extreme eigenvalues of ``U U^T``)
-and its sampling oracle are written once against them.  Both kinds are
-immutable and measure each stack and its spectrum once, read-only.
+block widths ``ranks`` (1 per vector).  The optimal bounds (the extreme
+eigenvalues of the operator ``T T^T``) and the redundancy (those of
+``U U^T``) are written once against them.  Both kinds are immutable and
+measure each stack and its spectrum once, read-only.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -100,7 +101,9 @@ class Frame(_Spectra):
         return self.vectors.shape[0]
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.vectors, axis=1)
+        """Vector norms, summed in units of the largest entry's binade (exact)."""
+        e = math.frexp(np.abs(self.vectors).max())[1]
+        return np.ldexp(np.linalg.norm(np.ldexp(self.vectors, -e), axis=1), e)
 
     @property
     def synthesis_columns(self) -> np.ndarray:
@@ -177,13 +180,6 @@ def bounds_from_extremes(low: float, high: float) -> BoundsReport:
     )
 
 
-def frame_operator(f: Frame | FusionFrame) -> np.ndarray:
-    """``T T^T`` for the synthesis columns ``T``: the sum of ``v_i v_i^T``
-    for a frame, of ``w_i^2 P_i`` for a fusion frame."""
-    t = f.synthesis_columns
-    return t @ t.T
-
-
 def optimal_frame_bounds(f: Frame | FusionFrame) -> BoundsReport:
     """Optimal bounds: the extreme eigenvalues of the operator."""
     eigs = f._operator_eigenvalues
@@ -195,11 +191,6 @@ def is_riesz_basis(f: Frame) -> bool:
     if f.count != f.dim:
         return False
     return optimal_frame_bounds(f).is_frame
-
-
-def normalize_frame(f: Frame) -> Frame:
-    """Rescale every vector to unit norm (errors on zero vectors)."""
-    return Frame(f.unit_columns.T, labels=f.labels)
 
 
 def redundancy_at(f: Frame | FusionFrame, x) -> float:
@@ -215,34 +206,9 @@ def redundancy_at(f: Frame | FusionFrame, x) -> float:
 
 def redundancy_bounds(f: Frame | FusionFrame) -> RedundancyProfile:
     """Lower/upper redundancy: the extreme eigenvalues of ``U U^T`` for the
-    unit columns ``U``, with mean ``K / n``.  ``redundancy_oracle``
-    provides the independent check."""
+    unit columns ``U``, with mean ``K / n``."""
     eigs = f._unit_eigenvalues
     b = bounds_from_extremes(eigs[0], eigs[-1])
     return RedundancyProfile(
         lower=b.lower, upper=b.upper, uniform=b.is_tight, mean=f.unit_columns.shape[1] / f.dim
     )
-
-
-def redundancy_oracle(f: Frame | FusionFrame, samples: int, seed: int) -> tuple[float, float]:
-    """Observed (min, max) of the redundancy function on sampled unit vectors.
-
-    Samples seeded Gaussian directions, normalizes them onto the sphere,
-    and evaluates the redundancy function directly.  Deterministic per seed.
-    """
-    if samples < 1:
-        raise PreconditionError(f"samples must be >= 1, got {samples}")
-    u = f.unit_columns
-    rng = np.random.default_rng(seed)
-    lo, hi = np.inf, -np.inf
-    remaining = samples
-    while remaining > 0:
-        block = min(remaining, 32768)
-        x = rng.standard_normal((block, f.dim))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        coeffs = x @ u
-        vals = np.einsum("ij,ij->i", coeffs, coeffs)
-        lo = min(lo, float(vals.min()))
-        hi = max(hi, float(vals.max()))
-        remaining -= block
-    return lo, hi

@@ -1,7 +1,7 @@
-"""Fusion frames: weighted subspaces, projections, bounds, redundancy.
+"""Fusion frames: weighted subspaces, bounds, redundancy.
 
-Subspaces are stored as orthonormal bases (rank explicit, projector
-invariants checkable); orthogonal projectors are derived on demand.  A
+Subspaces are stored as orthonormal bases ``B`` (rank explicit), so the
+orthogonal projector is ``B B^T`` wherever one is needed.  A
 fusion frame exposes the column stacks of ``frames.Frame``, so its
 operator, bounds and redundancy are the functions of ``frames``, which
 take either kind.  Fusion redundancy sums bare projections and ignores
@@ -133,11 +133,6 @@ def vector_span(vec) -> Subspace:
     """One-dimensional span of a nonzero vector: ``subspace_from_spanning``
     of the one vector, so zero is decided by the same scale-free rule."""
     return subspace_from_spanning([linalg.as_vector(vec)])
-
-
-def projection_matrix(s: Subspace) -> np.ndarray:
-    """Orthogonal projector onto the subspace (basis times its transpose)."""
-    return s.basis @ s.basis.T
 
 
 def is_orthonormal_fusion_basis(ff: FusionFrame) -> bool:

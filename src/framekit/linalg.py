@@ -67,8 +67,12 @@ def _gram_eigenvalues(c: np.ndarray) -> np.ndarray:
 
 
 def _top_singular_value(m: np.ndarray) -> float:
-    """The spectral norm of a non-empty matrix: its largest singular value."""
-    return float(_finite(np.linalg.svd(m, compute_uv=False))[0])
+    """The spectral norm of a non-empty matrix: its largest singular value.
+    An overflowed matrix gives NaN or a LAPACK error; both raise NumericError."""
+    try:
+        return float(_finite(np.linalg.svd(m, compute_uv=False))[0])
+    except np.linalg.LinAlgError:
+        raise NumericError("matrix contains non-finite entries") from None
 
 
 def _rank_pass(scaled: np.ndarray, q: np.ndarray, cutoff: float) -> list[int]:

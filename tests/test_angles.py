@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from framekit import (
+    Frame,
+    FusionFrame,
     angles,
     check_rs_relation,
     cosine_angles,
     full_space,
     gap_direct,
     orthogonal_complement,
-    redundancy_angle_sums,
     subspace_from_spanning,
     vector_span,
+    verify_angle_sums,
 )
 from framekit.errors import DimensionError
 
@@ -115,8 +117,14 @@ class TestCosineAngles:
 
 class TestGapDirect:
     def test_same_subspace(self):
-        v = vector_span([2.0, 1.0])
-        assert gap_direct(v, v) == pytest.approx(0.0, abs=1e-7)
+        # The spectral route reads a subspace against itself at rounding
+        # level (worst 2.1e-15 over these draws), where arccos of the
+        # infimum cosine would keep only half the digits.
+        rng = np.random.default_rng(60)
+        for _ in range(2000):
+            dim = int(rng.integers(2, 12))
+            v = random_subspace(rng, dim, int(rng.integers(1, dim)))
+            assert gap_direct(v, v) <= 1e-14
 
     def test_orthogonal(self):
         assert gap_direct(vector_span([1.0, 0.0]), vector_span([0.0, 1.0])) == pytest.approx(1.0)
@@ -232,23 +240,24 @@ class TestDimensionRules:
 
 
 class TestAngleSums:
+    """``verify_angle_sums`` predicts the sums of squared infimum (lower)
+    and supremum (upper) cosines from the reference to each member."""
+
     def test_one_dimensional_space(self):
-        spans = [vector_span([2.0]) for _ in range(4)]
-        sum_r2, sum_s2 = redundancy_angle_sums(spans, full_space(1))
-        assert sum_r2 == pytest.approx(4.0, abs=1e-12)
-        assert sum_s2 == pytest.approx(4.0, abs=1e-12)
+        sums = verify_angle_sums(Frame([[2.0]] * 4), full_space(1)).predicted
+        assert sums["lower"] == pytest.approx(4.0, abs=1e-12)
+        assert sums["upper"] == pytest.approx(4.0, abs=1e-12)
 
     def test_full_space_reference_with_lines(self):
         rng = np.random.default_rng(63)
-        spans = [vector_span(rng.standard_normal(3)) for _ in range(5)]
-        sum_r2, sum_s2 = redundancy_angle_sums(spans, full_space(3))
-        assert sum_r2 == pytest.approx(0.0, abs=1e-12)
-        assert sum_s2 == pytest.approx(5.0, abs=1e-10)
+        sums = verify_angle_sums(Frame(rng.standard_normal((5, 3))), full_space(3)).predicted
+        assert sums["lower"] == pytest.approx(0.0, abs=1e-12)
+        assert sums["upper"] == pytest.approx(5.0, abs=1e-10)
 
     def test_reference_equal_to_member_contributes_one(self):
         w1 = vector_span([1.0, 1.0, 0.0])
-        sum_r2, _ = redundancy_angle_sums([w1], w1)
-        assert sum_r2 == pytest.approx(1.0, abs=1e-12)
+        sums = verify_angle_sums(FusionFrame(((w1, 1.0),)), w1).predicted
+        assert sums["lower"] == pytest.approx(1.0, abs=1e-12)
 
     def test_supremum_cosine_to_full_space_is_one(self):
         rng = np.random.default_rng(64)

@@ -8,10 +8,10 @@ from framekit import (
     FusionFrame,
     SuiteConfig,
     full_space,
+    generate_perturbed_frame,
     linalg,
     optimal_frame_bounds,
     redundancy_at,
-    redundancy_oracle,
     verify_angle_sums,
     vector_span,
 )
@@ -39,7 +39,6 @@ CASES = {
     "orthonormalize-ragged": (lambda: linalg.orthonormalize([[1.0, 0.0], [1.0]]), DimensionError,
                               "equal lengths"),
     "frame-no-columns": (lambda: Frame(np.zeros((2, 0))), DimensionError, "ambient dimension"),
-    "oracle-no-samples": (lambda: redundancy_oracle(PLANE, 0, seed=1), PreconditionError, "samples"),
     "fusion-no-members": (lambda: FusionFrame(()), DimensionError, "at least one subspace"),
     "fusion-mixed-dims": (lambda: FusionFrame(((full_space(2), 1.0), (full_space(3), 1.0))),
                           DimensionError, r"member 1 lives in R\^3"),
@@ -72,3 +71,14 @@ def test_eigensolver_failure_on_an_overflowed_operator():
     with pytest.warns(RuntimeWarning, match="overflow"):
         with pytest.raises(NumericError, match="non-finite"):
             optimal_frame_bounds(Frame(vecs))
+
+
+def test_svd_failure_on_an_overflowed_slope():
+    # Turning [1e308, 0] at its full length overflows the tangent columns
+    # of the landing slope to inf (and inf times 0 to NaN), on which
+    # LAPACK's SVD fails to converge.
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(NumericError, match="non-finite"):
+            generate_perturbed_frame(
+                Frame([[1e308, 0.0], [0.0, 1.0]]), 0.5, seed=7, norm_preserving=True
+            )

@@ -16,7 +16,6 @@ from framekit import (
     FusionFrame,
     generate_perturbed_frame,
     generate_perturbed_fusion,
-    normalize_frame,
     optimal_frame_bounds,
 )
 from framekit import cli, cosine_angles, theorems
@@ -55,7 +54,7 @@ def verify_pairs(tmp_path_factory):
     hypothesis holds."""
     rng = np.random.default_rng(90)
     root = tmp_path_factory.mktemp("pairs")
-    phi = Frame(1.5 * normalize_frame(Frame(rng.standard_normal((3, 3)))).vectors)
+    phi = Frame(1.5 * Frame(rng.standard_normal((3, 3))).unit_columns.T)
     target = 0.3 * math.sqrt(optimal_frame_bounds(phi).lower)
     psi, _ = generate_perturbed_frame(phi, target, seed=91, norm_preserving=True)
     w = random_fusion_frame(rng, 3, 4)
@@ -403,7 +402,7 @@ class TestVerify:
 
     def test_full_battery_on_perturbed_pair(self, capsys, tmp_path):
         rng = np.random.default_rng(81)
-        phi = normalize_frame(Frame(rng.standard_normal((6, 3))))
+        phi = Frame(Frame(rng.standard_normal((6, 3))).unit_columns.T)
         src = tmp_path / "phi.json"
         write_structure(src, phi)
         out = str(tmp_path / "psi.json")

@@ -7,18 +7,16 @@ from framekit import (
     Frame,
     FusionFrame,
     Subspace,
-    frame_operator,
     full_space,
     is_orthonormal_fusion_basis,
     optimal_frame_bounds,
-    projection_matrix,
     redundancy_at,
     redundancy_bounds,
-    redundancy_oracle,
     subspace_from_spanning,
     vector_span,
 )
 from framekit.errors import DegenerateInputError, DimensionError, PreconditionError
+from references import redundancy_oracle
 
 
 def axis_span(n, i):
@@ -125,7 +123,7 @@ class TestSubspaceFromSpanning:
     def test_plane_from_two_vectors(self):
         sub = subspace_from_spanning([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
         assert sub.dim == 2
-        assert np.allclose(projection_matrix(sub), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+        assert np.allclose(sub.basis @ sub.basis.T, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -166,42 +164,51 @@ class TestVectorSpan:
 
 class TestProjectionMatrix:
     def test_axis(self):
-        assert np.allclose(projection_matrix(axis_span(2, 0)), [[1, 0], [0, 0]])
+        b = axis_span(2, 0).basis
+        assert np.allclose(b @ b.T, [[1, 0], [0, 0]])
 
     def test_full_space_is_identity(self):
-        assert np.allclose(projection_matrix(full_space(3)), np.eye(3))
+        b = full_space(3).basis
+        assert np.allclose(b @ b.T, np.eye(3))
 
     def test_diagonal_line(self):
-        sub = vector_span([1.0, 1.0])
-        assert np.allclose(projection_matrix(sub), [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+        b = vector_span([1.0, 1.0]).basis
+        assert np.allclose(b @ b.T, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_idempotent_and_symmetric(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            sub = subspace_from_spanning(rng.standard_normal((rng.integers(1, 4), 4)))
-            p = projection_matrix(sub)
+            b = subspace_from_spanning(rng.standard_normal((rng.integers(1, 4), 4))).basis
+            p = b @ b.T
             assert np.max(np.abs(p @ p - p)) <= 1e-10
             assert np.max(np.abs(p - p.T)) <= 1e-12
 
 
+def operator(ff):
+    """The fusion frame operator ``T T^T`` of the synthesis columns ``T``."""
+    t = ff.synthesis_columns
+    return t @ t.T
+
+
 class TestFusionOperator:
     def test_orthonormal_fusion_basis_gives_identity(self):
-        assert np.allclose(frame_operator(coordinate_fusion(2)), np.eye(2))
+        assert np.allclose(operator(coordinate_fusion(2)), np.eye(2))
 
     def test_weights_enter_squared(self):
         ff = coordinate_fusion(2, weights=[2.0, 1.0])
-        assert np.allclose(frame_operator(ff), np.diag([4.0, 1.0]))
+        assert np.allclose(operator(ff), np.diag([4.0, 1.0]))
 
     def test_single_full_member(self):
         ff = FusionFrame(((full_space(3), 1.0),))
-        assert np.allclose(frame_operator(ff), np.eye(3))
+        assert np.allclose(operator(ff), np.eye(3))
 
     def test_matches_weighted_projector_sum(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
             ff = random_fusion(rng, 5, 4, weights=list(rng.uniform(0.5, 2.0, 4)))
-            loop = sum(w * w * projection_matrix(s) for s, w in ff.members)
-            assert np.allclose(frame_operator(ff), loop, rtol=0.0, atol=1e-12)
+            loop = sum(w * w * (s.basis @ s.basis.T) for s, w in ff.members)
+            assert np.allclose(operator(ff), loop, rtol=0.0, atol=1e-12)
+            assert np.allclose(ff._operator_eigenvalues, np.linalg.eigvalsh(loop), rtol=0, atol=1e-12)
 
     def test_column_stacks(self):
         ff = FusionFrame(((full_space(2), 2.0), (axis_span(2, 1), 0.5)))
@@ -213,7 +220,7 @@ class TestFusionOperator:
         rng = np.random.default_rng(22)
         for _ in range(20):
             ff = random_fusion(rng, 5, int(rng.integers(1, 6)))
-            trace = np.trace(frame_operator(ff))
+            trace = np.trace(operator(ff))
             assert trace == pytest.approx(sum(s.dim for s in ff.subspaces), abs=1e-9)
 
 
@@ -237,10 +244,10 @@ class TestFusionBounds:
     def test_parseval_iff_operator_is_identity(self):
         near = coordinate_fusion(3)
         assert optimal_frame_bounds(near).is_parseval
-        assert np.max(np.abs(frame_operator(near) - np.eye(3))) <= 1e-9
+        assert np.max(np.abs(operator(near) - np.eye(3))) <= 1e-9
         skew = coordinate_fusion(3, weights=[1.0, 1.0, 1.1])
         assert not optimal_frame_bounds(skew).is_parseval
-        assert np.max(np.abs(frame_operator(skew) - np.eye(3))) > 1e-9
+        assert np.max(np.abs(operator(skew) - np.eye(3))) > 1e-9
 
 
 class TestFusionRedundancy:

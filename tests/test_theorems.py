@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,9 +24,7 @@ from framekit import (
     gap_direct,
     generate_perturbed_frame,
     generate_perturbed_fusion,
-    normalize_frame,
     optimal_frame_bounds,
-    redundancy_angle_sums,
     redundancy_bounds,
     replay_instance,
     run_random_suite,
@@ -115,7 +114,7 @@ class TestPerturbedFrameBounds:
 class TestNormalizedPerturbation:
     def test_unit_norms_give_identical_constant(self):
         rng = np.random.default_rng(7)
-        phi = normalize_frame(Frame(rng.standard_normal((6, 3))))
+        phi = Frame(Frame(rng.standard_normal((6, 3))).unit_columns.T)
         psi, _ = generate_perturbed_frame(phi, 0.2, seed=8, norm_preserving=True)
         verdict = verify_normalized_perturbation(phi, psi)
         mu = verdict.predicted["mu"]
@@ -126,8 +125,7 @@ class TestNormalizedPerturbation:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_common_scale_divides_the_constant(self, alpha):
         rng = np.random.default_rng(9)
-        base = normalize_frame(Frame(rng.standard_normal((5, 3))))
-        phi = Frame(alpha * base.vectors)
+        phi = Frame(alpha * Frame(rng.standard_normal((5, 3))).unit_columns.T)
         psi, _ = generate_perturbed_frame(phi, 0.1 * alpha, seed=10, norm_preserving=True)
         verdict = verify_normalized_perturbation(phi, psi)
         assert verdict.observed["mu_normalized"] == pytest.approx(
@@ -153,14 +151,39 @@ class TestNormalizedPerturbation:
         )
 
     def test_overflowed_norm_gates(self):
-        # The first vector's norm overflows to inf, while its frame
-        # operator stays finite; an infinite norm difference gates.
+        # The first vector's norm is summed in its largest entry's binade,
+        # with no overflow, so the true norm difference gates; the warning
+        # left comes from the frame constant's per-index difference norms.
         phi = Frame([[1e154, 1e154], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert phi.norms()[0] == pytest.approx(math.sqrt(2) * 1e154, rel=1e-15)
         with pytest.warns(RuntimeWarning, match="overflow"):
             verdict = verify_normalized_perturbation(phi, Frame(np.eye(2)))
         assert verdict.notes == (
-            "gate failed: vector norms differ by inf; the lemma needs equal norms"
+            "gate failed: vector norms differ by 1.414e+154; the lemma needs equal norms"
         )
+
+
+def test_equal_norms_pairs_decide_alike_in_every_binade():
+    # Scaling a pair by 2^k moves each norm by exactly 2^k and leaves the
+    # unit columns and the equal-norms verdicts as they are, down to
+    # 2^-1000, where every sum of squares underflows.
+    rows = [t for t in THEOREMS if t.id in ("normalized_perturbation", "angle_sum_frames")]
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        dim = int(rng.integers(2, 7))
+        phi = Frame(float(rng.uniform(0.5, 2.0))
+                    * Frame(rng.standard_normal((int(rng.integers(dim, 13)), dim))).unit_columns.T)
+        target = float(rng.uniform(0.1, 0.9)) * math.sqrt(optimal_frame_bounds(phi).lower)
+        psi, _ = generate_perturbed_frame(phi, target, int(rng.integers(2**31)), norm_preserving=True)
+        for k in range(-1000, 1, 50):
+            a, b = Frame(np.ldexp(phi.vectors, k)), Frame(np.ldexp(psi.vectors, k))
+            assert np.array_equal(a.norms(), np.ldexp(phi.norms(), k))
+            assert np.array_equal(a.unit_columns, phi.unit_columns)
+            for row in rows:
+                verdict = row.run(a, b)
+                assert verdict.hypotheses_met and verdict.inequality_pass, (row.id, k)
 
 
 class TestRedundancyPerturbation:
@@ -176,7 +199,7 @@ class TestRedundancyPerturbation:
             dim = int(rng.integers(2, 6))
             count = int(rng.integers(dim, 10))
             scale = float(rng.uniform(0.5, 2.0))
-            phi = Frame(scale * normalize_frame(Frame(rng.standard_normal((count, dim)))).vectors)
+            phi = Frame(scale * Frame(rng.standard_normal((count, dim))).unit_columns.T)
             target = float(rng.uniform(0.1, 0.9)) * math.sqrt(optimal_frame_bounds(phi).lower)
             psi, _ = generate_perturbed_frame(
                 phi, target, seed=int(rng.integers(2**31)), norm_preserving=True
@@ -187,7 +210,7 @@ class TestRedundancyPerturbation:
 
     def test_generic_instances_have_positive_residuals(self):
         rng = np.random.default_rng(14)
-        phi = normalize_frame(Frame(rng.standard_normal((8, 3))))
+        phi = Frame(Frame(rng.standard_normal((8, 3))).unit_columns.T)
         psi, _ = generate_perturbed_frame(phi, 0.4, seed=15, norm_preserving=True)
         verdict = verify_redundancy_perturbation(phi, psi)
         assert verdict.inequality_pass
@@ -351,10 +374,12 @@ class TestAngleSums:
             )
             for reference in references:
                 verdict = verify_angle_sums(structure, reference)
-                sum_r2, sum_s2 = redundancy_angle_sums(subs, reference)
-                gap_worst = 0.0
+                sum_r2 = sum_s2 = gap_worst = 0.0
                 for sub in subs:
-                    r = cosine_angles(reference, sub).r
+                    angle = cosine_angles(reference, sub)
+                    r, s = angle.r, angle.s
+                    sum_r2 += r * r
+                    sum_s2 += s * s
                     delta = gap_direct(reference, sub)
                     gap_worst = max(gap_worst, abs(delta - math.sqrt(max(0.0, 1.0 - r * r))))
                 assert verdict.predicted == {"lower": sum_r2, "upper": sum_s2}
@@ -550,7 +575,7 @@ def _band_cases():
     extremes, leading ``predicted`` keys, asserted sides) for the four
     perturbation statements, each on a pair whose hypotheses hold."""
     rng = np.random.default_rng(17)
-    phi = Frame(1.5 * normalize_frame(Frame(rng.standard_normal((6, 3)))).vectors)
+    phi = Frame(1.5 * Frame(rng.standard_normal((6, 3))).unit_columns.T)
     target = 0.3 * math.sqrt(optimal_frame_bounds(phi).lower)
     psi, _ = generate_perturbed_frame(phi, target, seed=3, norm_preserving=True)
     w = unit_fusion(rng, 3, 5)
@@ -559,7 +584,7 @@ def _band_cases():
     # root of the lower redundancy, so only the upper side is asserted.
     tall, flipped = Frame([[10.0], [1.0]]), Frame([[10.0], [-1.0]])
     mu = frame_perturbation_mu(phi, psi).mu
-    mu_n = frame_perturbation_mu(normalize_frame(phi), normalize_frame(psi)).mu
+    mu_n = frame_perturbation_mu(Frame(phi.unit_columns.T), Frame(psi.unit_columns.T)).mu
     fusion_c = fusion_perturbation_mu(w, v).mu * math.sqrt(5)
     both = ("lower", "upper")
     return [

@@ -25,8 +25,11 @@ framekit is imported from the ``src/`` next to this directory.  One
   draws whose one vector lies within rounding of the rank cutoff, so a
   change to the rank rule shows in their digests: a frame (draw 8) and a
   one-member fusion file (draw 12) of ``near_cutoff_rows`` (``analyze``,
-  ``angles``).  The set stays out of the edge set, whose runs take every
-  pair of inputs.
+  ``angles``).  It also holds a seeded equal-norms pair, a normalized
+  6-by-3 Gaussian frame times 1.5 and its norm-preserving perturbation,
+  scaled by 2^-600 and by 2^600, where the vectors' sums of squares
+  underflow or overflow (``analyze``, and ``verify`` of each pair).  The
+  set stays out of the edge set, whose runs take every pair of inputs.
 
 Each run is in-process but behaves as a fresh process: warnings are
 shown once per run, native output on file descriptors 1 and 2 (such as a
@@ -83,6 +86,8 @@ EDGE_FRAMES = {
     "zero-vector": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
     "all-zero": [[0.0, 0.0], [0.0, 0.0]],
 }
+# Powers of two by which the wide set scales its equal-norms pair.
+EQUAL_NORMS_SCALES = (-600, 600)
 EDGE_WEIGHTS = {
     "weight-1e200": (1e200, 1.0),
     "weight-1e154": (1e154, 1e154),
@@ -142,7 +147,15 @@ def write_wide_inputs(outdir: Path) -> dict[str, Path]:
         rows = np.vstack([base, base[: 1 + i % 3], rng.standard_normal((1 + i % 4, k)) @ base])
         subspaces.append({"weight": float(rng.uniform(0.5, 2.0)),
                           "basis": rows[rng.permutation(len(rows))].tolist()})
+    eq_rng = np.random.default_rng(23)
+    phi = framekit.Frame(1.5 * framekit.Frame(eq_rng.standard_normal((6, 3))).unit_columns.T)
+    psi, _ = framekit.generate_perturbed_frame(phi, 0.3, seed=24, norm_preserving=True)
     docs = {
+        f"equal-norms-2^{k}-{name}": {"dim": 3, "kind": "frame",
+                                      "vectors": np.ldexp(f.vectors, k).tolist()}
+        for k in EQUAL_NORMS_SCALES for name, f in (("phi", phi), ("psi", psi))
+    }
+    docs |= {
         "frame-300-rank-10": {"dim": 50, "kind": "frame", "vectors": frame.tolist()},
         "fusion-40-repeated": {"dim": 50, "kind": "fusion", "subspaces": subspaces},
         "near-cutoff-frame": {"dim": near_keep.shape[1], "kind": "frame",
@@ -167,6 +180,9 @@ def wide_runs(files: dict[str, Path]):
     yield "wide/verify/fusion-40-repeated", ["verify", fusion, fusion, "--format", "json"], None
     for name in ("near-cutoff-frame", "near-cutoff-fusion"):
         yield f"wide/angles/{name}", ["angles", str(files[name]), str(files[name]), "--format", "json"], None
+    for k in EQUAL_NORMS_SCALES:
+        pair = [str(files[f"equal-norms-2^{k}-{name}"]) for name in ("phi", "psi")]
+        yield f"wide/verify/equal-norms-2^{k}", ["verify", *pair, "--format", "json"], None
 
 
 class Runner:
