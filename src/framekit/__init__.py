@@ -39,7 +39,6 @@ from .angles import (
     AngleReport,
     check_rs_relation,
     cosine_angles,
-    gap_direct,
     orthogonal_complement,
 )
 from .theorems import (

@@ -5,10 +5,10 @@ dim V > dim W, V has a unit vector orthogonal to W, so the infimum cosine
 is 0 and the gap 1 (the kernel rule); where dim V + dim W > n, V and W
 share a unit vector, so the supremum cosine is 1 (the meet rule); where
 dim W = n, P_W = I, so both cosines are 1 and the gap 0 (the full rule).
-The angle report derives theta and the gap from the infimum cosine, so
-the trigonometric identities hold by construction; only ``gap_direct``
-recomputes the gap spectrally, which turns "gap equals the sine of the
-angle" into an actual two-route test where dim V <= dim W < n.
+Elsewhere the cosines come from one SVD of W^T V and the gap, the sine of
+the largest angle, from one SVD of (I - P_W) V, so theta = arctan2(gap, r)
+keeps its digits at every angle (Bjorck & Golub, Math. Comp. 27 (1973)).
+Identities linking two routes compare squares, which hold to rounding.
 """
 
 from __future__ import annotations
@@ -78,27 +78,18 @@ def orthogonal_complement(s: Subspace) -> np.ndarray:
 
 
 def cosine_angles(v: Subspace, w: Subspace) -> AngleReport:
-    """Infimum and supremum cosine of the angle from V to W, with the
-    derived angle and gap."""
+    """Infimum and supremum cosine of the angle from V to W, the spectral
+    gap, and the angle theta = arctan2(gap, r)."""
     _check_pair(v, w)
     r, s = _inf_sup_cos(v.basis, w.basis)
-    theta = float(np.arccos(np.clip(r, 0.0, 1.0)))
-    gap = float(np.sqrt(max(0.0, 1.0 - r * r)))
-    return AngleReport(r=r, s=s, theta=theta, gap=gap)
-
-
-def gap_direct(v: Subspace, w: Subspace) -> float:
-    """Largest distance from a unit vector of V to W: the operator norm of
-    (I - P_W) restricted to V, computed spectrally where dim V <= dim W < n,
-    exactly 1 where dim V > dim W and exactly 0 where W is R^n."""
-    _check_pair(v, w)
-    return _gap(v.basis, w.basis)
+    gap = _gap(v.basis, w.basis)
+    return AngleReport(r=r, s=s, theta=float(np.arctan2(gap, r)), gap=gap)
 
 
 def check_rs_relation(v: Subspace, w: Subspace) -> float:
-    """Residual of the complement identity linking the infimum cosine to
-    the supremum cosine against the orthogonal complement."""
+    """Residual |r(V, W)^2 + s(V, W^perp)^2 - 1| of the complement
+    identity: r and s(V, W^perp) are the cosine and sine of one angle."""
     _check_pair(v, w)
     r = _inf_sup_cos(v.basis, w.basis)[0]
     s_comp = _inf_sup_cos(v.basis, orthogonal_complement(w))[1]
-    return abs(r - float(np.sqrt(max(0.0, 1.0 - s_comp * s_comp))))
+    return abs(r * r + s_comp * s_comp - 1.0)

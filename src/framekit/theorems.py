@@ -48,7 +48,8 @@ from .perturb import (
 
 # Absolute slack for every asserted inequality.
 INEQ_SLACK = 1e-9
-# Tolerance for exact identities (gap link).
+# Tolerance for the gap link |r^2 + gap^2 - 1|, which holds to rounding; it
+# stays 1e-10 as suite reports print IDENTITY_TOL minus a link of exactly 0.
 IDENTITY_TOL = 1e-10
 # Two frames have equal norms when their vector norms differ by at most
 # this fraction of the largest norm of the pair.
@@ -279,7 +280,7 @@ def verify_fusion_redundancy_perturbation(w: FusionFrame, v: FusionFrame) -> The
 
 def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) -> TheoremVerdict:
     """Compare spectral redundancies with the angle-sum expressions at a
-    reference subspace, asserting only the gap/cosine link per member.
+    reference subspace, asserting only the gap link r^2 + gap^2 = 1 per member.
 
     The members are the blocks of the unit columns: the vectors' spans of
     a frame, the subspaces of a fusion frame, summed in order.  The ranks
@@ -308,7 +309,7 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
         delta = _gap(wprime.basis, block)
         sum_r2 += r * r
         sum_s2 += s * s
-        gap_worst = max(gap_worst, abs(delta - math.sqrt(max(0.0, 1.0 - r * r))))
+        gap_worst = max(gap_worst, abs(r * r + delta * delta - 1.0))
     return TheoremVerdict(
         theorem_id=theorem_id,
         hypotheses_met=True,

@@ -26,7 +26,7 @@ from framekit import (
     verify_redundancy_perturbation,
     verify_riesz_redundancy,
 )
-from framekit.angles import check_rs_relation, cosine_angles, gap_direct
+from framekit.angles import check_rs_relation, cosine_angles
 from framekit.cli import main
 from framekit.fileio import load_structure, write_structure
 from framekit.theorems import random_frame, random_fusion_frame, random_orthogonal_basis
@@ -225,7 +225,7 @@ def test_criterion_07_angle_identities():
         w = subspace_from_spanning(rng.standard_normal((rank_w, dim)))
         rep = cosine_angles(v, w)
         order_ok &= rep.r <= rep.s + 1e-12
-        worst_gap = max(worst_gap, abs(gap_direct(v, w) - rep.gap))
+        worst_gap = max(worst_gap, abs(rep.r * rep.r + rep.gap * rep.gap - 1.0))
         worst_rs = max(worst_rs, check_rs_relation(v, w))
 
     # gap link across the angle-sum suite (reference = full space)
@@ -234,7 +234,7 @@ def test_criterion_07_angle_identities():
         dim = int(rng.integers(2, 7))
         frame = random_frame(rng, dim, int(rng.integers(dim, 10)))
         link_ok &= verify_angle_sums(frame, full_space(dim)).inequality_pass
-    ok = worst_gap <= 1e-10 and worst_rs <= 1e-10 and order_ok and link_ok
+    ok = worst_gap <= 1e-13 and worst_rs <= 1e-13 and order_ok and link_ok
     report(
         7,
         "angle identities on 500 pairs",

@@ -450,7 +450,22 @@ class TestAngles:
         code, doc = run_json(capsys, ["angles", onb_file, onb_file, "--format", "json"])
         assert code == 0
         assert doc["results"]["angles"]["r"] == pytest.approx(1.0, abs=1e-12)
-        assert doc["results"]["angles"]["gap"] == pytest.approx(0.0, abs=1e-7)
+        assert 0.0 <= doc["results"]["angles"]["gap"] <= 1e-14
+        assert 0.0 <= doc["results"]["angles"]["theta"] <= 1e-14
+
+    def test_proper_span_against_itself(self, capsys, tmp_path):
+        # A span of rank below n takes the spectral routes; the angle, the
+        # gap and the link still read at rounding level.
+        rng = np.random.default_rng(66)
+        vectors = rng.standard_normal((12, 4)) @ rng.standard_normal((4, 7))
+        a = write_json(tmp_path / "a.json", {"dim": 7, "kind": "frame", "vectors": vectors.tolist()})
+        code, doc = run_json(capsys, ["angles", a, a, "--format", "json"])
+        assert code == 0
+        results = doc["results"]
+        assert results["dim_v"] == results["dim_w"] == 4
+        for value in (results["angles"]["theta"], results["angles"]["gap"],
+                      results["gap_link_residual"]):
+            assert 0.0 <= value <= 1e-14
 
     def test_orthogonal_lines(self, capsys, tmp_path):
         a = write_json(tmp_path / "a.json", {"dim": 2, "kind": "frame", "vectors": [[1.0, 0.0]]})

@@ -21,7 +21,6 @@ from framekit import (
     full_space,
     frame_perturbation_mu,
     fusion_perturbation_mu,
-    gap_direct,
     generate_perturbed_frame,
     generate_perturbed_fusion,
     optimal_frame_bounds,
@@ -377,11 +376,10 @@ class TestAngleSums:
                 sum_r2 = sum_s2 = gap_worst = 0.0
                 for sub in subs:
                     angle = cosine_angles(reference, sub)
-                    r, s = angle.r, angle.s
+                    r, s, gap = angle.r, angle.s, angle.gap
                     sum_r2 += r * r
                     sum_s2 += s * s
-                    delta = gap_direct(reference, sub)
-                    gap_worst = max(gap_worst, abs(delta - math.sqrt(max(0.0, 1.0 - r * r))))
+                    gap_worst = max(gap_worst, abs(r * r + gap * gap - 1.0))
                 assert verdict.predicted == {"lower": sum_r2, "upper": sum_s2}
                 assert verdict.observed["gap_link_worst"] == gap_worst
 

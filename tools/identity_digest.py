@@ -28,8 +28,13 @@ framekit is imported from the ``src/`` next to this directory.  One
   ``angles``).  It also holds a seeded equal-norms pair, a normalized
   6-by-3 Gaussian frame times 1.5 and its norm-preserving perturbation,
   scaled by 2^-600 and by 2^600, where the vectors' sums of squares
-  underflow or overflow (``analyze``, and ``verify`` of each pair).  The
-  set stays out of the edge set, whose runs take every pair of inputs.
+  underflow or overflow (``analyze``, and ``verify`` of each pair).  And
+  it holds a pair with a known small angle: a seeded rank-3 subspace of
+  R^8 and its copy with one basis column turned 1e-9 rad off the
+  subspace, as one-member fusion files (``analyze``, and ``angles`` in
+  both orders), so a change to the angle's precision shows in their
+  digests.  The set stays out of the edge set, whose runs take every
+  pair of inputs.
 
 Each run is in-process but behaves as a fresh process: warnings are
 shown once per run, native output on file descriptors 1 and 2 (such as a
@@ -88,6 +93,9 @@ EDGE_FRAMES = {
 }
 # Powers of two by which the wide set scales its equal-norms pair.
 EQUAL_NORMS_SCALES = (-600, 600)
+# The angle by which the wide set turns one basis column of its
+# small-angle pair off the subspace.
+SMALL_ANGLE = 1e-9
 EDGE_WEIGHTS = {
     "weight-1e200": (1e200, 1.0),
     "weight-1e154": (1e154, 1e154),
@@ -150,6 +158,9 @@ def write_wide_inputs(outdir: Path) -> dict[str, Path]:
     eq_rng = np.random.default_rng(23)
     phi = framekit.Frame(1.5 * framekit.Frame(eq_rng.standard_normal((6, 3))).unit_columns.T)
     psi, _ = framekit.generate_perturbed_frame(phi, 0.3, seed=24, norm_preserving=True)
+    q = np.linalg.qr(np.random.default_rng(25).standard_normal((8, 8)))[0]
+    turned = q[:, :3].copy()
+    turned[:, 2] = np.cos(SMALL_ANGLE) * q[:, 2] + np.sin(SMALL_ANGLE) * q[:, 3]
     docs = {
         f"equal-norms-2^{k}-{name}": {"dim": 3, "kind": "frame",
                                       "vectors": np.ldexp(f.vectors, k).tolist()}
@@ -162,6 +173,11 @@ def write_wide_inputs(outdir: Path) -> dict[str, Path]:
                               "vectors": near_keep.tolist()},
         "near-cutoff-fusion": {"dim": near_drop.shape[1], "kind": "fusion",
                                "subspaces": [{"weight": 1.0, "basis": near_drop.tolist()}]},
+    }
+    docs |= {
+        f"small-angle-{name}": {"dim": 8, "kind": "fusion",
+                                "subspaces": [{"weight": 1.0, "basis": basis.T.tolist()}]}
+        for name, basis in (("v", q[:, :3]), ("w", turned))
     }
     paths = {}
     for name, doc in docs.items():
@@ -183,6 +199,9 @@ def wide_runs(files: dict[str, Path]):
     for k in EQUAL_NORMS_SCALES:
         pair = [str(files[f"equal-norms-2^{k}-{name}"]) for name in ("phi", "psi")]
         yield f"wide/verify/equal-norms-2^{k}", ["verify", *pair, "--format", "json"], None
+    for a, b in (("v", "w"), ("w", "v")):
+        pair = [str(files[f"small-angle-{name}"]) for name in (a, b)]
+        yield f"wide/angles/small-angle-{a}/{b}", ["angles", *pair, "--format", "json"], None
 
 
 class Runner:
