@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .frames import _Record
+from .frames import _pair_memo, _Record
 from .fusion import Subspace
 
 
@@ -77,11 +77,17 @@ def orthogonal_complement(s: Subspace) -> np.ndarray:
     return u[:, s.dim :]
 
 
+def _cosines(v: Subspace, w: Subspace) -> tuple[float, float]:
+    """``_inf_sup_cos`` of the pair's bases, measured once per pair (see
+    ``frames._pair_memo``)."""
+    return _pair_memo(v, w, "_cosines", lambda v, w: _inf_sup_cos(v.basis, w.basis))
+
+
 def cosine_angles(v: Subspace, w: Subspace) -> AngleReport:
     """Infimum and supremum cosine of the angle from V to W, the spectral
     gap, and the angle theta = arctan2(gap, r)."""
     _check_pair(v, w)
-    r, s = _inf_sup_cos(v.basis, w.basis)
+    r, s = _cosines(v, w)
     gap = _gap(v.basis, w.basis)
     return AngleReport(r=r, s=s, theta=float(np.arctan2(gap, r)), gap=gap)
 
@@ -90,6 +96,6 @@ def check_rs_relation(v: Subspace, w: Subspace) -> float:
     """Residual |r(V, W)^2 + s(V, W^perp)^2 - 1| of the complement
     identity: r and s(V, W^perp) are the cosine and sine of one angle."""
     _check_pair(v, w)
-    r = _inf_sup_cos(v.basis, w.basis)[0]
+    r = _cosines(v, w)[0]
     s_comp = _inf_sup_cos(v.basis, orthogonal_complement(w))[1]
     return abs(r * r + s_comp * s_comp - 1.0)

@@ -101,9 +101,14 @@ class Frame(_Spectra):
         return self.vectors.shape[0]
 
     def norms(self) -> np.ndarray:
-        """Vector norms, summed in units of the largest entry's binade (exact)."""
+        """Vector norms, summed in units of the largest entry's binade
+        (exact), measured once and read-only."""
+        return self._norms
+
+    @cached_property
+    def _norms(self) -> np.ndarray:
         e = math.frexp(np.abs(self.vectors).max())[1]
-        return np.ldexp(np.linalg.norm(np.ldexp(self.vectors, -e), axis=1), e)
+        return _read_only(np.ldexp(np.linalg.norm(np.ldexp(self.vectors, -e), axis=1), e))
 
     @property
     def synthesis_columns(self) -> np.ndarray:

@@ -5,7 +5,10 @@ orthogonal projector is ``B B^T`` wherever one is needed.  A
 fusion frame exposes the column stacks of ``frames.Frame``, so its
 operator, bounds and redundancy are the functions of ``frames``, which
 take either kind.  Fusion redundancy sums bare projections and ignores
-the weights: it is read off the stacked bases ``[U_1 ... U_N]``.
+the weights: it is read off the stacked bases ``[U_1 ... U_N]``; the
+synthesis stack is that stack times each column's weight.  A fusion
+frame framekit makes itself is built from its n-by-K stack by
+``_stacked``, which keeps the stack and copies the members out of it.
 """
 
 from __future__ import annotations
@@ -89,15 +92,19 @@ class FusionFrame(_Spectra):
         return np.array([w for _, w in self.members])
 
     def with_unit_weights(self) -> "FusionFrame":
-        """The same subspaces at weight 1: ``self`` when every weight is 1."""
+        """The same subspaces at weight 1, sharing this frame's read-only
+        unit stack: ``self`` when every weight is 1."""
         if all(w == 1.0 for _, w in self.members):
             return self
-        return FusionFrame(tuple((s, 1.0) for s, _ in self.members))
+        unit = FusionFrame(tuple((s, 1.0) for s, _ in self.members))
+        unit.__dict__["unit_columns"] = self.unit_columns
+        return unit
 
     @cached_property
     def synthesis_columns(self) -> np.ndarray:
-        """``[w_1 U_1 ... w_N U_N]``: n-by-K, K the sum of the ranks."""
-        return _read_only(np.hstack([w * s.basis for s, w in self.members]))
+        """``[w_1 U_1 ... w_N U_N]``: n-by-K, K the sum of the ranks, as
+        one product of the unit stack with each column's weight."""
+        return _read_only(self.unit_columns * np.repeat(self.weights, self.ranks))
 
     @cached_property
     def unit_columns(self) -> np.ndarray:
@@ -114,6 +121,20 @@ def _orthonormal_subspace(basis: np.ndarray) -> Subspace:
     s = object.__new__(Subspace)
     object.__setattr__(s, "basis", _read_only(basis.copy()))
     return s
+
+
+def _stacked(cols: np.ndarray, ranks, weights) -> FusionFrame:
+    """Fusion frame of an n-by-K stack framekit made itself, whose blocks
+    of widths ``ranks`` are orthonormal by construction: its members are
+    unchecked copies of the blocks, and ``unit_columns`` is ``cols``."""
+    ff = object.__new__(FusionFrame)
+    ends = np.cumsum(ranks).tolist()
+    object.__setattr__(ff, "members", tuple(
+        (_orthonormal_subspace(cols[:, end - rank : end]), float(w))
+        for end, rank, w in zip(ends, ranks, weights)
+    ))
+    ff.__dict__["unit_columns"] = _read_only(cols)
+    return ff
 
 
 def subspace_from_spanning(vectors) -> Subspace:

@@ -4,6 +4,9 @@ Matrices are plain float64 numpy arrays. Everything here is pure and
 deterministic.  ``RANK_TOL`` is the one relative rank tolerance: the
 rank-deciding ``orthonormalize`` applies it, and so does the framehood
 rule of ``frames.bounds_from_extremes``; neither takes another value.
+Its cutoff and column signs are set in ``_qr_stack`` alone, which
+``orthonormalize`` calls on its one set and the random fusion draws on
+all blocks of one rank.
 
 Validators guard the public boundary; inside it, numpy takes the
 spectra, and the result is checked wherever a product can overflow.  The
@@ -14,8 +17,6 @@ return; numpy forms ``c c^T`` exactly symmetric.  The SVDs of
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -108,6 +109,22 @@ def _rank_pass(scaled: np.ndarray, q: np.ndarray, cutoff: float) -> list[int]:
     return keep + list(range(j + 1 + i, m))
 
 
+def _qr_stack(cols: np.ndarray):
+    """The rank rule's one factorization of an n-by-m column set, or of a
+    stack of them in one ``np.linalg.qr``, which factors each set with
+    the bits of its own QR.  Per set: Q signed so that ``diag R > 0``,
+    the exponent ``e`` of the largest |entry|, the cutoff (``RANK_TOL``
+    times the largest column norm in units of ``2^e``) and the mask of
+    the diagonal entries of R at or below it in those units."""
+    e = np.frexp(np.abs(cols).max(axis=(-2, -1), initial=0.0))[1]
+    scaled = np.ldexp(cols, -e[..., None, None])
+    cutoff = RANK_TOL * np.linalg.norm(scaled, axis=-2).max(axis=-1, initial=0.0)
+    q, r = np.linalg.qr(cols)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    short = np.abs(np.ldexp(d, -e[..., None])) <= cutoff[..., None]
+    return q * np.sign(d)[..., None, :], e, cutoff, short
+
+
 def orthonormalize(vectors) -> tuple[np.ndarray, int]:
     """Orthonormal basis for the span of ``vectors`` via Householder QR.
 
@@ -118,15 +135,15 @@ def orthonormalize(vectors) -> tuple[np.ndarray, int]:
     is exact, and no square overflows or underflows in those units, so
     the rank does not change when the input is rescaled.
 
-    The residual is ``|R_jj|`` in the QR factorization of the columns, so
-    full-rank input takes one QR.  At the first short entry, one decision
-    pass (``_rank_pass``) settles every later column once, and the kept
-    columns are factored once more: no input takes more than two QRs.
-    Ranks and bases are those of dropping one vector per QR, except for a
-    vector whose residual lies within rounding of the cutoff (about 1e-6
-    relative to it), where the pass decides.  Columns are signed so that
-    ``diag R > 0``, which makes the basis the modified Gram-Schmidt basis
-    of the kept vectors, up to rounding.
+    The residual is ``|R_jj|`` in the QR factorization of the columns
+    (``_qr_stack``), so full-rank input takes one QR.  At the first short
+    entry, one decision pass (``_rank_pass``) settles every later column
+    once, and the kept columns are factored once more: no input takes
+    more than two QRs.  Ranks and bases are those of dropping one vector
+    per QR, except for a vector whose residual lies within rounding of
+    the cutoff (about 1e-6 relative to it), where the pass decides.
+    Columns are signed so that ``diag R > 0``, which makes the basis the
+    modified Gram-Schmidt basis of the kept vectors, up to rounding.
 
     Parameters
     ----------
@@ -144,11 +161,10 @@ def orthonormalize(vectors) -> tuple[np.ndarray, int]:
     except ValueError as exc:
         raise DimensionError(f"vectors must have equal lengths ({exc})") from None
     cols = as_matrix(rows).T
-    e = math.frexp(np.abs(cols).max(initial=0.0))[1]
-    scaled = np.ldexp(cols, -e)
-    cutoff = RANK_TOL * np.linalg.norm(scaled, axis=0).max()
-    q, r = np.linalg.qr(cols)
-    short = np.flatnonzero(np.abs(np.ldexp(np.diagonal(r), -e)) <= cutoff)
+    q, e, cutoff, short = _qr_stack(cols)
+    short = np.flatnonzero(short)
     if short.size:
-        q, r = np.linalg.qr(cols[:, _rank_pass(scaled, q[:, : short[0]], cutoff)])
-    return q * np.sign(np.diagonal(r)), q.shape[1]
+        # Negating a column of Q leaves every projection's bits unchanged.
+        keep = _rank_pass(np.ldexp(cols, -e), q[:, : short[0]], cutoff)
+        q = _qr_stack(cols[:, keep])[0]
+    return q, q.shape[1]

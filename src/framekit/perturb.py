@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
 from .frames import Frame, _nonzero, _pair_memo, _Record
-from .fusion import FusionFrame, _orthonormal_subspace
+from .fusion import FusionFrame, _stacked
 
 # Relative window the geodesic generators must land in.
 TARGET_WINDOW = 0.05
@@ -125,10 +125,10 @@ class _GeodesicPath:
         self._u, self._v, self.thetas = u, v, thetas
         self.g = np.concatenate([np.add.reduceat(u * v, starts, axis=1), q], axis=1)
         self.angles = np.concatenate([thetas, thetas])
-        self.owner = np.tile(np.arange(len(thetas)), 2)
+        self.owner = np.arange(2 * len(thetas)) % len(thetas)
 
     def columns(self, t: float) -> np.ndarray:
-        uv, q = np.split(self.g, 2, axis=1)
+        uv, q = self.g[:, : len(self.thetas)], self.g[:, len(self.thetas) :]
         turn = (np.cos(t * self.thetas) - 1.0) * uv + np.sin(t * self.thetas) * q
         return self._u + turn[:, self._member] * self._v
 
@@ -243,6 +243,8 @@ def generate_perturbed_fusion(
     """Move every subspace along a Grassmann geodesic in a seeded random
     horizontal direction (ranks and weights kept) and step the common
     step until the measured constant lands within 5% of ``target_mu``.
+    The perturbed frame is built from the moved n-by-K stack itself
+    (``fusion._stacked``), with no split and restack.
 
     Member i turns in one plane (see ``_GeodesicPath``): ``v_i`` is a
     seeded unit vector of its basis coordinates, and ``theta_i q_i`` the
@@ -279,6 +281,5 @@ def generate_perturbed_fusion(
     # overshoots t * slope.
     slope = _gram_norm(path.g * (weights[path.owner] * path.angles))
     t, _ = _land(path.fusion_constant(weights), slope, np.pi / (2.0 * thetas[top]), target_mu)
-    bases = np.split(path.columns(t), starts[1:], axis=1)
-    v = FusionFrame(tuple((_orthonormal_subspace(b), wt) for b, wt in zip(bases, weights)))
+    v = _stacked(path.columns(t), w.ranks, weights)
     return v, _fusion_constant(w, v)

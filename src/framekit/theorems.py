@@ -38,7 +38,7 @@ from .frames import (
     is_riesz_basis,
     redundancy_bounds,
 )
-from .fusion import FusionFrame, Subspace, full_space, subspace_from_spanning
+from .fusion import FusionFrame, Subspace, _stacked, full_space, subspace_from_spanning
 from .perturb import (
     _fusion_constant,
     frame_perturbation_mu,
@@ -282,13 +282,14 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
     """Compare spectral redundancies with the angle-sum expressions at a
     reference subspace, asserting only the gap link r^2 + gap^2 = 1 per member.
 
-    The members are the blocks of the unit columns: the vectors' spans of
-    a frame, the subspaces of a fusion frame, summed in order.  The ranks
-    decide what they can (see ``angles``), so at the full space no member
-    takes an SVD.  The redundancy equalities are reported as residuals:
-    at the only subspace containing the whole unit sphere (the full space)
-    the angle sums evaluate to the count of full-rank members and N, which
-    generically differ from the spectral redundancies.
+    The members are the blocks of the unit columns, sliced by rank: the
+    vectors' spans of a frame, the subspaces of a fusion frame, summed in
+    order.  The ranks decide what they can (see ``angles``), so at the
+    full space no member takes an SVD.  The redundancy equalities are
+    reported as residuals: at the only subspace containing the whole unit
+    sphere (the full space) the angle sums evaluate to the count of
+    full-rank members and N, which generically differ from the spectral
+    redundancies.
     """
     ids = {Frame: "angle_sum_frames", FusionFrame: "angle_sum_fusion"}
     theorem_id = ids.get(type(frame_or_fusion))
@@ -301,10 +302,12 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
         )
     profile = redundancy_bounds(frame_or_fusion)
     sum_r2 = sum_s2 = gap_worst = 0.0
-    offsets = np.cumsum(frame_or_fusion.ranks)[:-1]
-    for block in np.split(frame_or_fusion.unit_columns, offsets, axis=1):
-        # C layout, as a member's Subspace holds it: an SVD gives the pairwise bits.
-        block = np.ascontiguousarray(block)
+    u, start = frame_or_fusion.unit_columns, 0
+    for rank in frame_or_fusion.ranks:
+        # C layout, as a member's Subspace holds it: an SVD gives the
+        # pairwise bits.  A frame's n-by-1 blocks are C-contiguous already.
+        block = np.ascontiguousarray(u[:, start : start + rank])
+        start += rank
         r, s = _inf_sup_cos(wprime.basis, block)
         delta = _gap(wprime.basis, block)
         sum_r2 += r * r
@@ -529,18 +532,26 @@ def random_fusion_frame(
     max_rank: int | None = None,
     unit_weights: bool = False,
 ) -> FusionFrame:
-    """Random spanning fusion frame with subspace ranks in [1, dim-1]."""
+    """Random spanning fusion frame with subspace ranks in [1, dim-1]:
+    per member, in order, a rank, a Gaussian block of that many vectors
+    and a weight.  The blocks of one rank take one stacked QR
+    (``linalg._qr_stack``), with the bits of one QR each; a block with a
+    short diagonal entry is spanned by ``subspace_from_spanning``."""
     if dim < 2:
         raise GenerationError("random fusion frames need ambient dimension >= 2")
     cap = dim - 1 if max_rank is None else max(1, min(max_rank, dim - 1))
     for _ in range(MAX_TRIES):
-        members = []
+        blocks, weights = [], []
         for _ in range(count):
-            rank = int(rng.integers(1, cap + 1))
-            sub = subspace_from_spanning(rng.standard_normal((rank, dim)))
-            weight = 1.0 if unit_weights else float(rng.uniform(0.5, 2.0))
-            members.append((sub, weight))
-        ff = FusionFrame(tuple(members))
+            blocks.append(rng.standard_normal((int(rng.integers(1, cap + 1)), dim)))
+            weights.append(1.0 if unit_weights else float(rng.uniform(0.5, 2.0)))
+        bases = [None] * count
+        for rank in {len(b) for b in blocks}:
+            group = [i for i, b in enumerate(blocks) if len(b) == rank]
+            q, _, _, short = linalg._qr_stack(np.stack([blocks[i] for i in group]).swapaxes(1, 2))
+            for i, basis, fallback in zip(group, q, short.any(axis=1).tolist()):
+                bases[i] = subspace_from_spanning(blocks[i]).basis if fallback else basis
+        ff = _stacked(np.hstack(bases), [b.shape[1] for b in bases], weights)
         if optimal_frame_bounds(ff).lower >= MIN_LOWER:
             return ff
     raise GenerationError(

@@ -467,6 +467,25 @@ class TestAngles:
                       results["gap_link_residual"]):
             assert 0.0 <= value <= 1e-14
 
+    def test_one_cosine_measurement_per_pair(self, capsys, tmp_path, monkeypatch):
+        # cosine_angles and check_rs_relation share the SVD of W^T V: a
+        # rank-3 span against a rank-5 span in R^7 takes four SVDs, of
+        # W^T V, of the gap's (I - P_W) V, of W for its complement and of
+        # the complement's product with V.
+        rng = np.random.default_rng(67)
+        paths = [
+            write_json(tmp_path / f"{k}.json",
+                       {"dim": 7, "kind": "frame", "vectors": rng.standard_normal((k, 7)).tolist()})
+            for k in (3, 5)
+        ]
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+        code, doc = run_json(capsys, ["angles", *paths, "--format", "json"])
+        assert code == 0
+        assert (doc["results"]["dim_v"], doc["results"]["dim_w"]) == (3, 5)
+        assert len(calls) == 4
+
     def test_orthogonal_lines(self, capsys, tmp_path):
         a = write_json(tmp_path / "a.json", {"dim": 2, "kind": "frame", "vectors": [[1.0, 0.0]]})
         b = write_json(tmp_path / "b.json", {"dim": 2, "kind": "frame", "vectors": [[0.0, 1.0]]})

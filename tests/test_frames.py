@@ -82,6 +82,14 @@ class TestCachedValues:
                 with pytest.raises(ValueError):
                     cached.flags.writeable = True
 
+    def test_norms_are_measured_once_and_read_only(self):
+        f = Frame(np.random.default_rng(33).standard_normal((5, 3)))
+        norms = f.norms()
+        assert f.norms() is norms
+        assert norms.tobytes() == np.linalg.norm(f.vectors, axis=1).tobytes()
+        with pytest.raises(ValueError):
+            norms[0] = 0.0
+
     def test_zero_vector_raises_on_every_access(self):
         f = Frame([[1.0, 0.0], [0.0, 0.0]])
         for _ in range(2):

@@ -15,7 +15,10 @@ from framekit import (
     subspace_from_spanning,
     vector_span,
 )
+from framekit import fusion, generate_perturbed_fusion
 from framekit.errors import DegenerateInputError, DimensionError, PreconditionError
+from framekit.fileio import load_structure, write_structure
+from framekit.theorems import random_fusion_frame
 from references import redundancy_oracle
 
 
@@ -111,6 +114,48 @@ class TestCachedValues:
         assert copy is not weighted
         assert all(a is b for a, b in zip(copy.subspaces, weighted.subspaces))
         assert copy.weights.tolist() == [1.0, 1.0, 1.0]
+        assert copy.unit_columns is weighted.unit_columns
+
+
+def member_stack(ff):
+    """``[w_1 U_1 ... w_N U_N]`` stacked member by member."""
+    return np.hstack([w * s.basis for s, w in ff.members])
+
+
+class TestStacked:
+    """``fusion._stacked`` builds a fusion frame from a stack framekit
+    made itself: the same frame as the public constructor's, bit for bit."""
+
+    def test_equals_the_public_constructor(self):
+        rng = np.random.default_rng(35)
+        for _ in range(30):
+            dim, count = int(rng.integers(2, 8)), int(rng.integers(1, 10))
+            public = random_fusion(rng, dim, count, weights=list(rng.uniform(0.5, 2.0, count)))
+            cols = np.hstack([s.basis for s in public.subspaces])
+            stacked = fusion._stacked(cols, public.ranks, public.weights)
+            assert stacked.unit_columns is not cols and stacked.unit_columns.base is cols
+            assert stacked.ranks == public.ranks
+            assert stacked.weights.tobytes() == public.weights.tobytes()
+            for (a, wa), (b, wb) in zip(stacked.members, public.members):
+                assert type(wa) is float and wa == wb
+                assert a.basis.flags.c_contiguous and not a.basis.flags.writeable
+                assert a.basis.tobytes() == b.basis.tobytes()
+            for name in ("synthesis_columns", "unit_columns", "_operator_eigenvalues",
+                         "_unit_eigenvalues"):
+                assert getattr(stacked, name).tobytes() == getattr(public, name).tobytes(), name
+
+    def test_synthesis_product_matches_the_member_stack(self, tmp_path):
+        # Loaded, drawn and generated fusion frames alike.
+        rng = np.random.default_rng(36)
+        frames = []
+        for i in range(10):
+            dim = int(rng.integers(2, 8))
+            drawn = random_fusion_frame(rng, dim, int(rng.integers(dim, 13)))
+            path = tmp_path / f"w{i}.json"
+            write_structure(path, drawn)
+            frames += [drawn, load_structure(path), generate_perturbed_fusion(drawn, 0.1, seed=i)[0]]
+        for ff in frames:
+            assert ff.synthesis_columns.tobytes() == member_stack(ff).tobytes()
 
 
 class TestSubspaceFromSpanning:

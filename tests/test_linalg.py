@@ -364,3 +364,54 @@ class TestScaleFreeRank:
         assert rank == 1
         assert np.array_equal(np.abs(basis), [[1.0], [0.0]])
         assert linalg.orthonormalize([[1e200, 0.0], [0.0, 1e195]])[1] == 2
+
+
+class TestQrStack:
+    """``_qr_stack`` is the one rank rule's factorization: a set factored
+    in a stack has the bits of its own ``orthonormalize``."""
+
+    @pytest.mark.parametrize("scale", [0, 600, -600])
+    def test_stacked_sets_match_orthonormalize_bit_for_bit(self, scale):
+        rng = np.random.default_rng(71)
+        fallbacks = 0
+        for n in range(2, 13):
+            for k in range(1, n):
+                blocks = np.ldexp(rng.standard_normal((4, k, n)), scale)
+                if k > 1:
+                    blocks[1, -1] = blocks[1, 0]  # a repeated row
+                blocks[2, int(rng.integers(k))] = 0.0  # a zero row
+                q, e, cutoff, short = linalg._qr_stack(blocks.swapaxes(1, 2))
+                assert q.shape == (4, n, k) and short.shape == (4, k)
+                for j, block in enumerate(blocks):
+                    basis, rank = linalg.orthonormalize(block)
+                    # A short set takes the fallback; every other set
+                    # keeps its bits and its full rank.
+                    assert short[j].any() == (rank < k)
+                    if short[j].any():
+                        fallbacks += 1
+                    else:
+                        assert np.array_equal(q[j], basis)
+        assert fallbacks == sum(2 if k > 1 else 1 for n in range(2, 13) for k in range(1, n))
+
+    def test_exponent_and_cutoff_are_scale_free(self):
+        rng = np.random.default_rng(72)
+        blocks = rng.standard_normal((3, 4, 9)).swapaxes(1, 2)
+        _, e, cutoff, short = linalg._qr_stack(blocks)
+        for k in (-700, 700):
+            _, e_k, cutoff_k, short_k = linalg._qr_stack(np.ldexp(blocks, k))
+            assert np.array_equal(e_k, e + k)
+            assert np.array_equal(cutoff_k, cutoff) and np.array_equal(short_k, short)
+
+    def test_orthonormalize_factors_through_the_kernel(self, monkeypatch):
+        # Full-rank input takes one kernel call; a short one takes a second
+        # for the kept columns, and no QR runs outside the kernel.
+        calls = []
+        kernel = linalg._qr_stack
+        monkeypatch.setattr(linalg, "_qr_stack", lambda c: calls.append(c.shape) or kernel(c))
+        qrs = TestRankPass.count_qr(monkeypatch)
+        rng = np.random.default_rng(73)
+        linalg.orthonormalize(rng.standard_normal((3, 5)))
+        assert calls == [(5, 3)] and len(qrs) == 1
+        calls.clear()
+        linalg.orthonormalize([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert calls == [(3, 3), (3, 2)] and len(qrs) == 3

@@ -19,7 +19,7 @@ from framekit import (
     subspace_from_spanning,
     vector_span,
 )
-from framekit import cli, linalg, perturb, theorems
+from framekit import cli, fusion, linalg, perturb, theorems
 from framekit.errors import DimensionError, GenerationError, PreconditionError
 from framekit.fileio import load_structure, write_structure
 from framekit.fusion import full_space
@@ -377,13 +377,14 @@ class TestGeneratePerturbedFusion:
 
     def test_generation_builds_one_subspace_per_member(self, monkeypatch):
         # Landing steps measure raw geodesic bases; only the step the
-        # generator lands on becomes a FusionFrame, through the unchecked
-        # constructor of bases orthonormal by construction.
+        # generator lands on becomes a FusionFrame, built from its stack
+        # by ``fusion._stacked`` through the unchecked constructor of
+        # bases orthonormal by construction.
         built = []
-        make = perturb._orthonormal_subspace
+        make = fusion._orthonormal_subspace
         rng = np.random.default_rng(58)
         w = theorems.random_fusion_frame(rng, 6, 8)
-        monkeypatch.setattr(perturb, "_orthonormal_subspace", lambda b: built.append(1) or make(b))
+        monkeypatch.setattr(fusion, "_orthonormal_subspace", lambda b: built.append(1) or make(b))
         _, achieved = generate_perturbed_fusion(w, 0.3, seed=14)
         assert abs(achieved - 0.3) <= 0.05 * 0.3
         assert len(built) == 8

@@ -35,10 +35,15 @@ from framekit import (
     subspace_from_spanning,
     vector_span,
 )
-from framekit import fusion, perturb
+from framekit import fusion
 from framekit.errors import FramekitError, GenerationError
 from framekit.fileio import FrameFileError, load_structure, structure_from_dict, write_structure
-from framekit.theorems import THEOREMS, verify_normalized_perturbation, verify_redundancy_perturbation
+from framekit.theorems import (
+    THEOREMS,
+    random_fusion_frame,
+    verify_normalized_perturbation,
+    verify_redundancy_perturbation,
+)
 
 settings.register_profile("framekit", derandomize=True, database=None, deadline=None)
 settings.load_profile("framekit")
@@ -207,16 +212,15 @@ def spanning_sets(draw):
 @given(spanning_sets(), fusion_frames(), seeds)
 def test_unchecked_bases_pass_the_gram_check(v, ff, seed):
     # Every basis that skips the constructor's checks: the QR factor of a
-    # spanning set and the landing bases of a generation.
+    # spanning set, the stacked draws of a random fusion frame and the
+    # landing bases of a generation, all made by ``fusion``.
     bases = []
-    patches = []
-    for module in (fusion, perturb):
-        make = module._orthonormal_subspace
-        patches.append(mock.patch.object(
-            module, "_orthonormal_subspace", lambda b, make=make: bases.append(b) or make(b)
-        ))
-    with patches[0], patches[1]:
+    make = fusion._orthonormal_subspace
+    with mock.patch.object(
+        fusion, "_orthonormal_subspace", lambda b: bases.append(b) or make(b)
+    ):
         subspace_from_spanning(v)
+        random_fusion_frame(np.random.default_rng(seed), ff.dim, ff.count + ff.dim)
         with suppress(GenerationError):  # every member may be the whole space
             generate_perturbed_fusion(ff, 0.1 * ff.weights.min(), seed)
     assert bases

@@ -40,6 +40,7 @@ from framekit import (
 from framekit import linalg, perturb
 from framekit.errors import DimensionError, PreconditionError
 from framekit.theorems import (
+    MIN_LOWER,
     THEOREM_IDS,
     THEOREMS,
     TheoremTally,
@@ -415,6 +416,68 @@ class TestAngleSums:
             assert verdict.inequality_pass
             assert verdict.observed["gap_link_worst"] == 0.0
             assert verdict.predicted == {"lower": 1.0, "upper": 1.0}
+
+
+class TestRandomFusionFrame:
+    def test_one_qr_per_distinct_rank(self, monkeypatch):
+        # The Gaussian blocks of one rank are factored in one stacked QR.
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape) or qr(a, *args))
+        ff = random_fusion_frame(np.random.default_rng(74), 5, 12)
+        ranks = sorted(set(ff.ranks))
+        assert len(ranks) > 1
+        assert sorted(shape[2] for shape in calls) == ranks
+        assert sum(shape[0] for shape in calls) == ff.count
+
+    def test_draws_keep_the_bits_of_one_span_per_member(self):
+        # The reference draws rank, block and weight per member, in order,
+        # and spans each block on its own.
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            ff = random_fusion_frame(rng, int(rng.integers(2, 9)), int(rng.integers(2, 14)))
+            rng = np.random.default_rng(seed)
+            dim, count = int(rng.integers(2, 9)), int(rng.integers(2, 14))
+            while True:
+                members = []
+                for _ in range(count):
+                    block = rng.standard_normal((int(rng.integers(1, dim)), dim))
+                    members.append((subspace_from_spanning(block), float(rng.uniform(0.5, 2.0))))
+                reference = FusionFrame(tuple(members))
+                if optimal_frame_bounds(reference).lower >= MIN_LOWER:
+                    break
+            assert ff.weights.tobytes() == reference.weights.tobytes()
+            assert ff.unit_columns.tobytes() == reference.unit_columns.tobytes()
+            for a, b in zip(ff.subspaces, reference.subspaces):
+                assert a.basis.tobytes() == b.basis.tobytes()
+
+
+    def test_a_short_block_is_spanned_on_its_own(self):
+        # Blocks whose last row repeats their first have a short diagonal
+        # entry: those members leave the stack for subspace_from_spanning
+        # and come out one rank lower, with its bits.
+        class RepeatingRows:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def standard_normal(self, shape):
+                block = self.rng.standard_normal(shape)
+                block[-1] = block[0]
+                return block
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        ff = random_fusion_frame(RepeatingRows(75), 6, 10)
+        rng = RepeatingRows(75)
+        blocks = []
+        for _ in range(10):
+            blocks.append(rng.standard_normal((int(rng.integers(1, 6)), 6)))
+            rng.uniform(0.5, 2.0)
+        assert ff.ranks == tuple(max(1, len(b) - 1) for b in blocks)
+        assert any(len(b) > 1 for b in blocks)
+        for sub, block in zip(ff.subspaces, blocks):
+            assert sub.basis.tobytes() == subspace_from_spanning(block).basis.tobytes()
 
 
 class TestSuite:

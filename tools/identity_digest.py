@@ -9,8 +9,11 @@ Run it on the parent tree and on the changed tree, then diff the two:
 framekit is imported from the ``src/`` next to this directory.  One
 ``<sha256>  <label>`` line is printed per item:
 
-- the suite reports of the default config (text and JSON) and of
-  ``--dim-min 8 --dim-max 12 --count-min 8 --count-max 20 --seed 3``;
+- the suite reports of the default config (text and JSON), of
+  ``--dim-min 8 --dim-max 12 --count-min 8 --count-max 20 --seed 3`` and
+  of 20 instances at n = N = 50 (``--seed 5``), whose fusion draws fill
+  about 32 rank groups each, so a change to the bits of the stacked
+  factorization shows in its digest;
 - per CLI run (``analyze``, ``verify``, ``angles`` and ``perturb``): its
   stdout, stderr, exit code and written file.  The inputs are the
   ``cli-files`` benchmark inputs for seeds 1 and 2
@@ -76,6 +79,9 @@ SUITES = (
     ("suite-default-json", ["--format", "json"]),
     ("suite-dim8-json", ["--dim-min", "8", "--dim-max", "12", "--count-min", "8",
                          "--count-max", "20", "--seed", "3", "--format", "json"]),
+    ("suite-n50-json", ["--instances", "20", "--dim-min", "50", "--dim-max", "50",
+                        "--count-min", "50", "--count-max", "50", "--seed", "5",
+                        "--format", "json"]),
 )
 PERTURB_MUS = ("0.05", "0.5", "3", "1e-300", "1e150", "1e160", "1e308")
 EDGE_FRAMES = {
