@@ -47,6 +47,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
+def _blocks(f):
+    """Column views of ``f.unit_columns``, one per member, of widths ``f.ranks``."""
+    u, end = f.unit_columns, 0
+    for rank in f.ranks:
+        yield u[:, end : end + rank]
+        end += rank
+
+
 def _pair_memo(a, b, name: str, compute):
     """``compute(a, b)``, kept in ``b.__dict__`` beside a weak reference to
     ``a`` (so no cycle) and reused only for that object, not an equal copy."""

@@ -6,9 +6,9 @@ fusion frame exposes the column stacks of ``frames.Frame``, so its
 operator, bounds and redundancy are the functions of ``frames``, which
 take either kind.  Fusion redundancy sums bare projections and ignores
 the weights: it is read off the stacked bases ``[U_1 ... U_N]``; the
-synthesis stack is that stack times each column's weight.  A fusion
-frame framekit makes itself is built from its n-by-K stack by
-``_stacked``, which keeps the stack and copies the members out of it.
+synthesis stack is that stack times each column's weight.  That stack,
+its ranks and the weights are a fusion frame's state (``_stacked``);
+its members are copied out of the stack when first read.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, DimensionError, PreconditionError
-from .frames import _read_only, _Spectra
+from .frames import _blocks, _read_only, _Spectra
 
 # Orthonormality defect admitted in a stored basis.
 BASIS_TOL = 1e-10
@@ -55,65 +55,60 @@ class Subspace:
         return self.basis.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FusionFrame(_Spectra):
-    """Ordered list of (subspace, positive weight) pairs in a common R^n."""
+    """Ordered list of (subspace, positive weight) pairs in a common R^n,
+    held as its stack ``[U_1 ... U_N]``, ranks and read-only weights.  The
+    constructor checks the members it is given, keeps them and stacks them."""
 
-    members: tuple[tuple[Subspace, float], ...]
+    unit_columns: np.ndarray
+    ranks: tuple[int, ...]
+    weights: np.ndarray
 
-    def __post_init__(self):
-        members = tuple((s, float(w)) for s, w in self.members)
+    def __init__(self, members):
+        members = tuple((s, float(w)) for s, w in members)
         if not members:
             raise DimensionError("a fusion frame needs at least one subspace")
         n = members[0][0].ambient_dim
         for i, (s, w) in enumerate(members):
             if s.ambient_dim != n:
-                raise DimensionError(
-                    f"member {i} lives in R^{s.ambient_dim}, expected R^{n}"
-                )
+                raise DimensionError(f"member {i} lives in R^{s.ambient_dim}, expected R^{n}")
             if not w > 0:
                 raise PreconditionError(f"weight {i} must be positive, got {w}")
-        object.__setattr__(self, "members", members)
+        subspaces, weights = zip(*members)
+        stacked = _stacked(np.hstack([s.basis for s in subspaces]), [s.dim for s in subspaces], weights)
+        self.__dict__.update(vars(stacked), members=members)
 
     @property
     def dim(self) -> int:
-        return self.members[0][0].ambient_dim
+        return self.unit_columns.shape[0]
 
     @property
     def count(self) -> int:
-        return len(self.members)
+        return len(self.ranks)
+
+    @cached_property
+    def members(self) -> tuple[tuple[Subspace, float], ...]:
+        """The (subspace, weight) pairs; the subspaces are read-only
+        C-layout copies of the blocks of the stack, unchecked."""
+        return tuple((_orthonormal_subspace(b), float(w)) for b, w in zip(_blocks(self), self.weights))
 
     @property
     def subspaces(self) -> tuple[Subspace, ...]:
         return tuple(s for s, _ in self.members)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.members])
-
     def with_unit_weights(self) -> "FusionFrame":
         """The same subspaces at weight 1, sharing this frame's read-only
         unit stack: ``self`` when every weight is 1."""
-        if all(w == 1.0 for _, w in self.members):
+        if (self.weights == 1.0).all():
             return self
-        unit = FusionFrame(tuple((s, 1.0) for s, _ in self.members))
-        unit.__dict__["unit_columns"] = self.unit_columns
-        return unit
+        return _stacked(self.unit_columns, self.ranks, np.ones(self.count))
 
     @cached_property
     def synthesis_columns(self) -> np.ndarray:
         """``[w_1 U_1 ... w_N U_N]``: n-by-K, K the sum of the ranks, as
         one product of the unit stack with each column's weight."""
         return _read_only(self.unit_columns * np.repeat(self.weights, self.ranks))
-
-    @cached_property
-    def unit_columns(self) -> np.ndarray:
-        """``[U_1 ... U_N]``: the stacked orthonormal bases."""
-        return _read_only(np.hstack([s.basis for s, _ in self.members]))
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(s.dim for s, _ in self.members)
 
 
 def _orthonormal_subspace(basis: np.ndarray) -> Subspace:
@@ -124,16 +119,15 @@ def _orthonormal_subspace(basis: np.ndarray) -> Subspace:
 
 
 def _stacked(cols: np.ndarray, ranks, weights) -> FusionFrame:
-    """Fusion frame of an n-by-K stack framekit made itself, whose blocks
-    of widths ``ranks`` are orthonormal by construction: its members are
-    unchecked copies of the blocks, and ``unit_columns`` is ``cols``."""
+    """Fusion frame of an n-by-K stack whose blocks of widths ``ranks``
+    are orthonormal, unchecked: ``cols`` is its ``unit_columns``, made
+    read-only unless it is already.  It builds no member."""
     ff = object.__new__(FusionFrame)
-    ends = np.cumsum(ranks).tolist()
-    object.__setattr__(ff, "members", tuple(
-        (_orthonormal_subspace(cols[:, end - rank : end]), float(w))
-        for end, rank, w in zip(ends, ranks, weights)
-    ))
-    ff.__dict__["unit_columns"] = _read_only(cols)
+    ff.__dict__.update(
+        unit_columns=_read_only(cols) if cols.flags.writeable else cols,
+        ranks=tuple(ranks),
+        weights=_read_only(np.array(weights, dtype=float)),
+    )
     return ff
 
 

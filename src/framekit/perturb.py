@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
-from .frames import Frame, _nonzero, _pair_memo, _Record
+from .frames import Frame, _blocks, _nonzero, _pair_memo, _Record
 from .fusion import FusionFrame, _stacked
 
 # Relative window the geodesic generators must land in.
@@ -64,16 +64,15 @@ def _gram_norm(c: np.ndarray) -> float:
 
 def _projector_differences(w: FusionFrame, v: FusionFrame) -> np.ndarray:
     """``C = [w_1 P_1 - v_1 Q_1 ... w_N P_N - v_N Q_N]``, n-by-Nn, filled
-    block by block into one buffer."""
+    block by block into one buffer from column slices of the unit stacks."""
     if w.dim != v.dim or w.count != v.count:
         raise DimensionError(
             f"fusion frames have shapes {(w.count, w.dim)} vs {(v.count, v.dim)}"
         )
     n = w.dim
     c = np.empty((n, n * w.count))
-    for i, ((s, a), (t, b)) in enumerate(zip(w.members, v.members)):
-        block = c[:, i * n : (i + 1) * n]
-        np.subtract(a * (s.basis @ s.basis.T), b * (t.basis @ t.basis.T), out=block)
+    for i, (s, t, a, b) in enumerate(zip(_blocks(w), _blocks(v), w.weights, v.weights)):
+        np.subtract(a * (s @ s.T), b * (t @ t.T), out=c[:, i * n : (i + 1) * n])
     return c
 
 
@@ -243,8 +242,8 @@ def generate_perturbed_fusion(
     """Move every subspace along a Grassmann geodesic in a seeded random
     horizontal direction (ranks and weights kept) and step the common
     step until the measured constant lands within 5% of ``target_mu``.
-    The perturbed frame is built from the moved n-by-K stack itself
-    (``fusion._stacked``), with no split and restack.
+    The perturbed frame is built from the moved n-by-K stack alone
+    (``fusion._stacked``).
 
     Member i turns in one plane (see ``_GeodesicPath``): ``v_i`` is a
     seeded unit vector of its basis coordinates, and ``theta_i q_i`` the

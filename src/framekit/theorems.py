@@ -32,6 +32,7 @@ from .angles import _gap, _inf_sup_cos
 from .errors import DegenerateInputError, DimensionError, GenerationError, PreconditionError
 from .frames import (
     Frame,
+    _blocks,
     _pair_memo,
     _Record,
     optimal_frame_bounds,
@@ -302,12 +303,10 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
         )
     profile = redundancy_bounds(frame_or_fusion)
     sum_r2 = sum_s2 = gap_worst = 0.0
-    u, start = frame_or_fusion.unit_columns, 0
-    for rank in frame_or_fusion.ranks:
+    for block in _blocks(frame_or_fusion):
         # C layout, as a member's Subspace holds it: an SVD gives the
         # pairwise bits.  A frame's n-by-1 blocks are C-contiguous already.
-        block = np.ascontiguousarray(u[:, start : start + rank])
-        start += rank
+        block = np.ascontiguousarray(block)
         r, s = _inf_sup_cos(wprime.basis, block)
         delta = _gap(wprime.basis, block)
         sum_r2 += r * r
@@ -541,13 +540,13 @@ def random_fusion_frame(
         raise GenerationError("random fusion frames need ambient dimension >= 2")
     cap = dim - 1 if max_rank is None else max(1, min(max_rank, dim - 1))
     for _ in range(MAX_TRIES):
-        blocks, weights = [], []
-        for _ in range(count):
+        blocks, weights, groups = [], [], {}
+        for i in range(count):
             blocks.append(rng.standard_normal((int(rng.integers(1, cap + 1)), dim)))
+            groups.setdefault(len(blocks[-1]), []).append(i)
             weights.append(1.0 if unit_weights else float(rng.uniform(0.5, 2.0)))
         bases = [None] * count
-        for rank in {len(b) for b in blocks}:
-            group = [i for i, b in enumerate(blocks) if len(b) == rank]
+        for group in groups.values():
             q, _, _, short = linalg._qr_stack(np.stack([blocks[i] for i in group]).swapaxes(1, 2))
             for i, basis, fallback in zip(group, q, short.any(axis=1).tolist()):
                 bases[i] = subspace_from_spanning(blocks[i]).basis if fallback else basis

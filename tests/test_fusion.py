@@ -15,7 +15,7 @@ from framekit import (
     subspace_from_spanning,
     vector_span,
 )
-from framekit import fusion, generate_perturbed_fusion
+from framekit import fusion, generate_perturbed_fusion, perturb
 from framekit.errors import DegenerateInputError, DimensionError, PreconditionError
 from framekit.fileio import load_structure, write_structure
 from framekit.theorems import random_fusion_frame
@@ -112,7 +112,7 @@ class TestCachedValues:
         weighted = random_fusion(rng, 4, 3, weights=[1.0, 2.0, 1.0])
         copy = weighted.with_unit_weights()
         assert copy is not weighted
-        assert all(a is b for a, b in zip(copy.subspaces, weighted.subspaces))
+        assert all(a.basis.tobytes() == b.basis.tobytes() for a, b in zip(copy.subspaces, weighted.subspaces))
         assert copy.weights.tolist() == [1.0, 1.0, 1.0]
         assert copy.unit_columns is weighted.unit_columns
 
@@ -123,39 +123,74 @@ def member_stack(ff):
 
 
 class TestStacked:
-    """``fusion._stacked`` builds a fusion frame from a stack framekit
-    made itself: the same frame as the public constructor's, bit for bit."""
+    """``fusion._stacked`` builds a fusion frame from its stack, ranks and
+    weights alone: the same frame as the public constructor's, bit for
+    bit, whose members are built only when read."""
 
     def test_equals_the_public_constructor(self):
         rng = np.random.default_rng(35)
         for _ in range(30):
             dim, count = int(rng.integers(2, 8)), int(rng.integers(1, 10))
-            public = random_fusion(rng, dim, count, weights=list(rng.uniform(0.5, 2.0, count)))
-            cols = np.hstack([s.basis for s in public.subspaces])
-            stacked = fusion._stacked(cols, public.ranks, public.weights)
+            given = [(subspace_from_spanning(rng.standard_normal((int(rng.integers(1, dim)), dim))),
+                      float(rng.uniform(0.5, 2.0))) for _ in range(count)]
+            public = FusionFrame(given)
+            assert all(public.members[i][0] is s for i, (s, _) in enumerate(given))
+            cols = np.hstack([s.basis for s, _ in given])
+            stacked = fusion._stacked(cols, [s.dim for s, _ in given], [w for _, w in given])
+            assert "members" not in vars(stacked)
             assert stacked.unit_columns is not cols and stacked.unit_columns.base is cols
             assert stacked.ranks == public.ranks
             assert stacked.weights.tobytes() == public.weights.tobytes()
+            assert not stacked.weights.flags.writeable
             for (a, wa), (b, wb) in zip(stacked.members, public.members):
                 assert type(wa) is float and wa == wb
                 assert a.basis.flags.c_contiguous and not a.basis.flags.writeable
                 assert a.basis.tobytes() == b.basis.tobytes()
+            assert stacked.members is stacked.members
             for name in ("synthesis_columns", "unit_columns", "_operator_eigenvalues",
                          "_unit_eigenvalues"):
                 assert getattr(stacked, name).tobytes() == getattr(public, name).tobytes(), name
 
-    def test_synthesis_product_matches_the_member_stack(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def pairs(self, tmp_path_factory):
+        """Drawn pairs at n 2-12 and at n = 50 (independent draws, so
+        member ranks differ), a public frame in R^50 holding every rank
+        1-49, each first frame with its generated perturbation, and some
+        of these pairs loaded back from files (the public constructor)."""
+        tmp_path = tmp_path_factory.mktemp("pairs")
+        rng = np.random.default_rng(37)
+        out = []
+        for dim in [*range(2, 13), 50]:
+            count = int(rng.integers(dim, 15)) if dim < 50 else 50
+            w, v = (random_fusion_frame(rng, dim, count) for _ in range(2))
+            out += [(w, v), (w, generate_perturbed_fusion(w, 0.1, seed=dim)[0])]
+        every_rank = FusionFrame([(subspace_from_spanning(rng.standard_normal((k, 50))), 1.0) for k in range(1, 50)])
+        out.append((every_rank, generate_perturbed_fusion(every_rank, 0.2, seed=51)[0]))
+        loaded = []
+        for i, pair in enumerate(out[:6] + out[-3:]):
+            for ff, name in zip(pair, "wv"):
+                write_structure(tmp_path / f"{name}{i}.json", ff)
+            loaded.append(tuple(load_structure(tmp_path / f"{name}{i}.json") for name in "wv"))
+        return out + loaded
+
+    def test_projector_differences_match_contiguous_blocks(self, pairs):
+        # Each block is read as a column slice of the unit stack; the
+        # reference takes C-layout copies of the blocks, as the members hold.
+        def blocks(ff):
+            return [np.ascontiguousarray(b) for b in np.split(ff.unit_columns, np.cumsum(ff.ranks)[:-1], axis=1)]
+
+        for w, v in pairs:
+            expected = np.hstack([
+                a * (b @ b.T) - c * (d @ d.T)
+                for b, d, a, c in zip(blocks(w), blocks(v), w.weights.tolist(), v.weights.tolist())
+            ])
+            assert perturb._projector_differences(w, v).tobytes() == expected.tobytes()
+
+    def test_synthesis_product_matches_the_member_stack(self, pairs):
         # Loaded, drawn and generated fusion frames alike.
-        rng = np.random.default_rng(36)
-        frames = []
-        for i in range(10):
-            dim = int(rng.integers(2, 8))
-            drawn = random_fusion_frame(rng, dim, int(rng.integers(dim, 13)))
-            path = tmp_path / f"w{i}.json"
-            write_structure(path, drawn)
-            frames += [drawn, load_structure(path), generate_perturbed_fusion(drawn, 0.1, seed=i)[0]]
-        for ff in frames:
-            assert ff.synthesis_columns.tobytes() == member_stack(ff).tobytes()
+        for pair in pairs:
+            for ff in pair:
+                assert ff.synthesis_columns.tobytes() == member_stack(ff).tobytes()
 
 
 class TestSubspaceFromSpanning:

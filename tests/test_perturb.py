@@ -376,18 +376,24 @@ class TestGeneratePerturbedFusion:
         assert calls == []
 
     def test_generation_builds_one_subspace_per_member(self, monkeypatch):
-        # Landing steps measure raw geodesic bases; only the step the
-        # generator lands on becomes a FusionFrame, built from its stack
-        # by ``fusion._stacked`` through the unchecked constructor of
-        # bases orthonormal by construction.
+        # Landing steps measure raw geodesic bases, and the step the
+        # generator lands on becomes a FusionFrame of its stack alone
+        # (``fusion._stacked``).  Reading its members then builds one
+        # unchecked Subspace per member, a copy of its block.
         built = []
         make = fusion._orthonormal_subspace
         rng = np.random.default_rng(58)
         w = theorems.random_fusion_frame(rng, 6, 8)
         monkeypatch.setattr(fusion, "_orthonormal_subspace", lambda b: built.append(1) or make(b))
-        _, achieved = generate_perturbed_fusion(w, 0.3, seed=14)
+        v, achieved = generate_perturbed_fusion(w, 0.3, seed=14)
         assert abs(achieved - 0.3) <= 0.05 * 0.3
+        assert built == []
+        ends = np.cumsum(v.ranks)
+        for (s, _), end, rank in zip(v.members, ends, v.ranks):
+            assert s.basis.tobytes() == v.unit_columns[:, end - rank : end].tobytes()
+            assert s.basis.flags.c_contiguous and not s.basis.flags.writeable
         assert len(built) == 8
+        assert v.members is v.members and len(built) == 8
 
     def test_generated_instances_take_no_gram_check(self, monkeypatch):
         # QR factors and geodesic points are orthonormal by construction,

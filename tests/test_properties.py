@@ -35,7 +35,6 @@ from framekit import (
     subspace_from_spanning,
     vector_span,
 )
-from framekit import fusion
 from framekit.errors import FramekitError, GenerationError
 from framekit.fileio import FrameFileError, load_structure, structure_from_dict, write_structure
 from framekit.theorems import (
@@ -212,18 +211,17 @@ def spanning_sets(draw):
 @given(spanning_sets(), fusion_frames(), seeds)
 def test_unchecked_bases_pass_the_gram_check(v, ff, seed):
     # Every basis that skips the constructor's checks: the QR factor of a
-    # spanning set, the stacked draws of a random fusion frame and the
-    # landing bases of a generation, all made by ``fusion``.
-    bases = []
-    make = fusion._orthonormal_subspace
-    with mock.patch.object(
-        fusion, "_orthonormal_subspace", lambda b: bases.append(b) or make(b)
-    ):
-        subspace_from_spanning(v)
-        random_fusion_frame(np.random.default_rng(seed), ff.dim, ff.count + ff.dim)
-        with suppress(GenerationError):  # every member may be the whole space
-            generate_perturbed_fusion(ff, 0.1 * ff.weights.min(), seed)
-    assert bases
+    # spanning set, each block of the unit stacks of a random fusion frame
+    # and of a generation (both built by ``fusion._stacked``), and each
+    # member basis copied out of those stacks when read.
+    made = [random_fusion_frame(np.random.default_rng(seed), ff.dim, ff.count + ff.dim)]
+    with suppress(GenerationError):  # every member may be the whole space
+        made.append(generate_perturbed_fusion(ff, 0.1 * ff.weights.min(), seed)[0])
+    bases = [subspace_from_spanning(v).basis]
+    for f in made:
+        assert "members" not in vars(f)
+        bases += np.split(f.unit_columns, np.cumsum(f.ranks)[:-1], axis=1)
+        bases += [s.basis for s in f.subspaces]
     for b in bases:
         assert np.array_equal(Subspace(b).basis, b)
         assert np.max(np.abs(b.T @ b - np.eye(b.shape[1]))) <= 1e-12

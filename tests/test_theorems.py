@@ -37,7 +37,7 @@ from framekit import (
     verify_riesz_redundancy,
     vector_span,
 )
-from framekit import linalg, perturb
+from framekit import fusion, linalg, perturb
 from framekit.errors import DimensionError, PreconditionError
 from framekit.theorems import (
     MIN_LOWER,
@@ -565,6 +565,23 @@ class TestSuite:
             inputs.clear()
             replay_instance(config, index)
             assert len(inputs) == len(set(inputs)) > 0, index
+
+    def test_an_instance_builds_no_member_subspace(self, monkeypatch):
+        # Every fusion frame of an instance is its stack, ranks and
+        # weights: no member Subspace is made, checked or unchecked.  The
+        # only Subspaces are the two angle-sum references ``full_space(n)``.
+        unchecked, checked = [], []
+        make, check = fusion._orthonormal_subspace, Subspace.__post_init__
+        monkeypatch.setattr(fusion, "_orthonormal_subspace", lambda b: unchecked.append(b) or make(b))
+        monkeypatch.setattr(Subspace, "__post_init__", lambda s: checked.append(s) or check(s))
+        default = [(SuiteConfig(seed=905), i) for i in range(20)]
+        n50 = SuiteConfig(dim_range=(50, 50), count_range=(50, 50), seed=5)
+        for config, index in [*default, (n50, 0)]:
+            checked.clear()
+            replay_instance(config, index)
+            assert unchecked == []
+            assert len(checked) == 2
+            assert all(np.array_equal(s.basis, np.eye(len(s.basis))) for s in checked)
 
     def test_suite_and_replay_follow_registry_order(self):
         ids = tuple(t.id for t in THEOREMS)
