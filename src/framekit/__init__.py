@@ -29,7 +29,6 @@ from .fusion import (
     vector_span,
 )
 from .perturb import (
-    PerturbationReport,
     frame_perturbation_mu,
     fusion_perturbation_mu,
     generate_perturbed_frame,

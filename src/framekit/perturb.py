@@ -1,60 +1,47 @@
 """Measuring and constructing perturbations of frames and fusion frames.
 
-The perturbation constant reported here is always the exact least one:
-the operator norm of the synthesis-matrix difference for frames, and of
-the horizontal block concatenation of weighted-projector differences for
-fusion frames.  Theorem checks downstream consume these tight values, so
-they exercise the sharpest admissible hypotheses.
+The perturbation constant measured here is always the exact least one,
+one float per pair: the operator norm of the synthesis-matrix difference
+for frames, and of the horizontal block concatenation of weighted-projector
+differences for fusion frames.  Theorem checks downstream consume these
+tight values, so they exercise the sharpest admissible hypotheses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
-from .frames import Frame, _blocks, _nonzero, _pair_memo, _Record
+from .frames import Frame, _blocks, _nonzero, _pair_memo
 from .fusion import FusionFrame, _stacked
 
 # Relative window the geodesic generators must land in.
 TARGET_WINDOW = 0.05
 LAND_MAX_ITER = 100
-# Frame targets must lie below this: the per-vector difference norms are
-# roots of sums of squares, which overflow from sqrt(float max) ~ 1.34e154
-# up; 2^511, half of that, leaves room for the landing window and rounding.
+# Frame targets must lie below this: the per-vector difference norms that
+# ``framekit perturb`` prints are roots of sums of squares, which overflow
+# from sqrt(float max) ~ 1.34e154 up; 2^511, half of that, leaves room for
+# the landing window and rounding.
 MAX_FRAME_TARGET = 2.0**511
 
 
-@dataclass(frozen=True)
-class PerturbationReport(_Record):
-    """Least perturbation constant plus per-index difference norms."""
-
-    mu: float
-    per_index_norms: tuple[float, ...]
-
-
-def frame_perturbation_mu(phi: Frame, psi: Frame) -> PerturbationReport:
+def frame_perturbation_mu(phi: Frame, psi: Frame) -> float:
     """Least constant bounding ||sum c_i (phi_i - psi_i)|| / ||c||,
-    measured once per pair (see ``frames._pair_memo``).
-
-    The difference is formed C-ordered: the column norms are summed in
-    memory order, so the layout fixes the bits of ``per_index_norms``."""
-    return _pair_memo(phi, psi, "_frame_perturbation_mu", _frame_report)
+    measured once per pair (see ``frames._pair_memo``)."""
+    return _pair_memo(phi, psi, "_frame_perturbation_mu", _frame_constant)
 
 
-def _frame_report(phi: Frame, psi: Frame) -> PerturbationReport:
+def _frame_constant(phi: Frame, psi: Frame) -> float:
     if phi.dim != psi.dim or phi.count != psi.count:
         raise DimensionError(
             f"frames have shapes {(phi.count, phi.dim)} vs {(psi.count, psi.dim)}"
         )
     # The difference of two finite frames can overflow.
     diff = linalg._finite(np.subtract(phi.synthesis_columns, psi.synthesis_columns, order="C"))
-    mu = linalg._top_singular_value(diff)
-    per_index = tuple(float(x) for x in np.linalg.norm(diff, axis=0))
-    return PerturbationReport(mu=mu, per_index_norms=per_index)
+    return linalg._top_singular_value(diff)
 
 
 def _gram_norm(c: np.ndarray) -> float:
@@ -76,20 +63,11 @@ def _projector_differences(w: FusionFrame, v: FusionFrame) -> np.ndarray:
     return c
 
 
-def _fusion_constant(w: FusionFrame, v: FusionFrame) -> float:
-    """``fusion_perturbation_mu(w, v).mu``, measured once per pair."""
-    return _pair_memo(w, v, "_fusion_constant", lambda w, v: _gram_norm(_projector_differences(w, v)))
-
-
-def fusion_perturbation_mu(w: FusionFrame, v: FusionFrame) -> PerturbationReport:
+def fusion_perturbation_mu(w: FusionFrame, v: FusionFrame) -> float:
     """Least constant bounding the synthesis-operator difference of two
     fusion frames, taken on the product of ambient-space copies (the
-    blockwise weighted-projector difference)."""
-    c = _projector_differences(w, v)
-    # Checks c (an overflowed block overflows c c^T) unless this pair's c already was.
-    mu = _pair_memo(w, v, "_fusion_constant", lambda w, v: _gram_norm(c))
-    per_index = tuple(linalg._top_singular_value(block) for block in np.split(c, w.count, axis=1))
-    return PerturbationReport(mu=mu, per_index_norms=per_index)
+    blockwise weighted-projector difference), measured once per pair."""
+    return _pair_memo(w, v, "_fusion_perturbation_mu", lambda w, v: _gram_norm(_projector_differences(w, v)))
 
 
 def _horizontal(u: np.ndarray, starts: np.ndarray, member: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -207,7 +185,7 @@ def generate_perturbed_frame(
             raise GenerationError("degenerate zero offset draw")
         offset *= target_mu / base
         psi = Frame(phi.vectors + offset, labels=phi.labels)
-        return psi, frame_perturbation_mu(phi, psi).mu
+        return psi, frame_perturbation_mu(phi, psi)
 
     if phi.dim < 2:
         raise GenerationError("norm-preserving rotation needs ambient dimension >= 2")
@@ -227,7 +205,7 @@ def generate_perturbed_frame(
 
     def measure(t: float) -> float:
         built.append(Frame((path.columns(t) * lengths).T, labels=phi.labels))
-        return frame_perturbation_mu(phi, built[-1]).mu
+        return frame_perturbation_mu(phi, built[-1])
 
     slope = linalg._top_singular_value(q * (thetas * lengths))
     # At the end the vector with the largest angle has turned by pi, so
@@ -256,7 +234,7 @@ def generate_perturbed_fusion(
     above what the bracket reaches (possible above ``w_top``), or that
     every member is the whole space and nothing can move.  Steps take the
     closed form from its slope at 0; the landing step alone is moved and
-    remeasured as ``fusion_perturbation_mu`` does, with rounding (about
+    remeasured by ``fusion_perturbation_mu``, with rounding (about
     1e-15 times the largest weight) below which a target comes back
     outside the window.
     """
@@ -281,4 +259,4 @@ def generate_perturbed_fusion(
     slope = _gram_norm(path.g * (weights[path.owner] * path.angles))
     t, _ = _land(path.fusion_constant(weights), slope, np.pi / (2.0 * thetas[top]), target_mu)
     v = _stacked(path.columns(t), w.ranks, weights)
-    return v, _fusion_constant(w, v)
+    return v, fusion_perturbation_mu(w, v)

@@ -41,8 +41,8 @@ from .frames import (
 )
 from .fusion import FusionFrame, Subspace, _stacked, full_space, subspace_from_spanning
 from .perturb import (
-    _fusion_constant,
     frame_perturbation_mu,
+    fusion_perturbation_mu,
     generate_perturbed_frame,
     generate_perturbed_fusion,
 )
@@ -138,7 +138,7 @@ def _normalized_mu(phi: Frame, psi: Frame) -> float:
 def verify_perturbed_frame_bounds(phi: Frame, psi: Frame) -> TheoremVerdict:
     """Perturbing a frame by less than the root of its lower bound keeps
     it a frame, with bounds shrunk/grown by the measured constant."""
-    mu = frame_perturbation_mu(phi, psi).mu
+    mu = frame_perturbation_mu(phi, psi)
     base = optimal_frame_bounds(phi)
     if not (base.is_frame and mu < math.sqrt(base.lower)):
         return _gated(
@@ -162,7 +162,7 @@ def verify_normalized_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
     provable scaled bound, the original constant over the smallest
     vector norm.
     """
-    mu = frame_perturbation_mu(phi, psi).mu
+    mu = frame_perturbation_mu(phi, psi)
     worst = _norm_gap(phi, psi)
     if worst:
         return _gated(
@@ -195,7 +195,7 @@ def verify_redundancy_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
     the exact hypothesis under which the perturbation theorem applies to
     the normalized pair; the stated equalities are recorded as residuals.
     """
-    mu = frame_perturbation_mu(phi, psi).mu
+    mu = frame_perturbation_mu(phi, psi)
     norm_gap = _norm_gap(phi, psi)
     base = optimal_frame_bounds(phi)
     if norm_gap:
@@ -246,7 +246,7 @@ def verify_riesz_redundancy(phi: Frame) -> TheoremVerdict:
 def verify_fusion_perturbed_bounds(w: FusionFrame, v: FusionFrame) -> TheoremVerdict:
     """Perturbed fusion frames keep framehood with bounds adjusted by the
     measured constant times the square root of the member count."""
-    mu = _fusion_constant(w, v)
+    mu = fusion_perturbation_mu(w, v)
     base = optimal_frame_bounds(w)
     c = mu * math.sqrt(w.count)
     if not (base.is_frame and math.sqrt(base.lower) - c > 0):
@@ -264,7 +264,7 @@ def verify_fusion_redundancy_perturbation(w: FusionFrame, v: FusionFrame) -> The
     """Fusion redundancy of a perturbation, in inequality form.  The
     statement concerns the subspaces at unit weights, so the constant is
     measured between the unit-weight copies, whatever weights the pair holds."""
-    mu = _fusion_constant(w.with_unit_weights(), v.with_unit_weights())
+    mu = fusion_perturbation_mu(w.with_unit_weights(), v.with_unit_weights())
     r_w = redundancy_bounds(w)
     c = mu * math.sqrt(w.count)
     if not math.sqrt(r_w.lower) - c > 0:

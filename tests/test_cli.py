@@ -169,7 +169,7 @@ class TestPerturb:
         original = load_structure(onb_file)
         from framekit import frame_perturbation_mu
 
-        assert frame_perturbation_mu(original, perturbed).mu == pytest.approx(0.1, abs=1e-12)
+        assert frame_perturbation_mu(original, perturbed) == pytest.approx(0.1, abs=1e-12)
 
     def test_norm_preserving_keeps_norms(self, capsys, tmp_path):
         rng = np.random.default_rng(80)
@@ -296,6 +296,21 @@ class TestVerify:
                 continue  # angle sums report reference-subspace residuals
             for value in verdict["equality_residuals"].values():
                 assert value <= 1e-12
+
+    def test_pair_whose_difference_norms_overflow_exits_0_quietly(self, tmp_path, onb_file):
+        # Each vector differs from the original's by about 1.4e154, whose
+        # square overflows; no verifier takes per-vector difference norms,
+        # so no overflow warning reaches stderr.
+        perturbed = write_json(
+            tmp_path / "signs.json",
+            {"dim": 2, "kind": "frame", "vectors": [[1e154, 1e154], [1e154, -1e154]]},
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        run = subprocess.run([sys.executable, "-m", "framekit.cli", "verify", onb_file, perturbed],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                             timeout=120)
+        assert (run.returncode, run.stderr) == (0, "")
 
     def test_gated_pair_exits_0(self, capsys, tmp_path, onb_file):
         far = write_json(

@@ -36,54 +36,52 @@ def random_fusion(rng, dim, count):
 class TestFramePerturbationMu:
     def test_identical_frames(self):
         f = Frame([[1.0, 0.0], [0.0, 1.0]])
-        rep = frame_perturbation_mu(f, f)
-        assert rep.mu == 0.0
-        assert rep.per_index_norms == (0.0, 0.0)
+        assert frame_perturbation_mu(f, f) == 0.0
 
     def test_single_column_difference(self):
         phi = Frame([[1.0, 0.0], [0.0, 1.0]])
         psi = Frame([[1.0, 0.0], [1.0, 0.0]])
-        rep = frame_perturbation_mu(phi, psi)
-        assert rep.mu == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert frame_perturbation_mu(phi, psi) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
-    def test_mu_dominates_column_norms(self):
+    def test_mu_dominates_column_norms(self, tmp_path, capsys):
+        # The per-index norms framekit perturb prints are the columns of
+        # the difference, each below the constant.
         rng = np.random.default_rng(40)
-        for _ in range(20):
+        for seed in range(20):
             phi = Frame(rng.standard_normal((6, 3)))
-            psi = Frame(rng.standard_normal((6, 3)))
-            rep = frame_perturbation_mu(phi, psi)
-            assert rep.mu >= max(rep.per_index_norms) - 1e-9
+            results, psi = perturb_report(tmp_path, capsys, phi, 0.5, seed)
+            assert results["achieved_mu"] == frame_perturbation_mu(phi, psi)
+            assert results["achieved_mu"] >= max(results["per_index_norms"]) - 1e-9
 
     def test_symmetric(self):
         rng = np.random.default_rng(41)
         phi = Frame(rng.standard_normal((5, 3)))
         psi = Frame(rng.standard_normal((5, 3)))
-        a = frame_perturbation_mu(phi, psi)
-        b = frame_perturbation_mu(psi, phi)
-        assert abs(a.mu - b.mu) <= 1e-12
+        assert abs(frame_perturbation_mu(phi, psi) - frame_perturbation_mu(psi, phi)) <= 1e-12
 
     def test_constant_satisfies_the_definition(self):
         rng = np.random.default_rng(42)
         phi = Frame(rng.standard_normal((7, 4)))
         psi = Frame(rng.standard_normal((7, 4)))
-        mu = frame_perturbation_mu(phi, psi).mu
+        mu = frame_perturbation_mu(phi, psi)
+        assert type(mu) is float
         diff = phi.synthesis_columns - psi.synthesis_columns
         for _ in range(100):
             c = rng.standard_normal(7)
             assert np.linalg.norm(diff @ c) <= mu * np.linalg.norm(c) + 1e-9
 
-    def test_per_index_norms_are_the_column_norms_of_a_c_ordered_difference(self):
-        # np.linalg.norm(axis=0) sums in memory order, so an F-ordered
-        # difference moves the last digit of some column norms.
+    def test_per_index_norms_are_the_column_norms_of_a_c_ordered_difference(self, tmp_path, capsys):
+        # framekit perturb prints the column norms of the difference of its
+        # input and output.  np.linalg.norm(axis=0) sums in memory order,
+        # so an F-ordered difference moves the last digit of some of them.
         rng = np.random.default_rng(67)
         for n, count in [(3, 7), (8, 20), (20, 60), (30, 200)]:
             phi = Frame(rng.standard_normal((count, n)))
-            psi = Frame(rng.standard_normal((count, n)))
-            diff = phi.synthesis_columns.copy() - psi.synthesis_columns.copy()
+            results, psi = perturb_report(tmp_path, capsys, phi, 0.5, n)
+            diff = load_structure(tmp_path / "in.json").synthesis_columns.copy() - psi.synthesis_columns.copy()
             assert diff.flags.c_contiguous
             expected = np.linalg.norm(diff, axis=0)
-            got = np.array(frame_perturbation_mu(phi, psi).per_index_norms)
-            assert got.tobytes() == expected.tobytes()
+            assert np.array(results["per_index_norms"]).tobytes() == expected.tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -94,36 +92,54 @@ class TestFusionPerturbationMu:
     def test_identical(self):
         rng = np.random.default_rng(43)
         ff = random_fusion(rng, 3, 2)
-        assert fusion_perturbation_mu(ff, ff).mu == 0.0
+        assert fusion_perturbation_mu(ff, ff) == 0.0
 
     def test_orthogonal_lines(self):
         w = FusionFrame(((vector_span([1.0, 0.0]), 1.0),))
         v = FusionFrame(((vector_span([0.0, 1.0]), 1.0),))
-        rep = fusion_perturbation_mu(w, v)
         # the projector difference is diag(1, -1)
-        assert rep.mu == pytest.approx(1.0, abs=1e-12)
+        assert fusion_perturbation_mu(w, v) == pytest.approx(1.0, abs=1e-12)
 
-    def test_triangle_and_column_bounds(self):
+    def test_triangle_and_column_bounds(self, tmp_path, capsys):
+        # The constant of the printed member norms lies between their
+        # largest and their sum.
         rng = np.random.default_rng(44)
-        for _ in range(20):
+        for seed in range(20):
             w = random_fusion(rng, 4, 3)
-            v = random_fusion(rng, 4, 3)
-            rep = fusion_perturbation_mu(w, v)
-            assert rep.mu <= sum(rep.per_index_norms) + 1e-9
-            assert rep.mu >= max(rep.per_index_norms) - 1e-9
+            results, _ = perturb_report(tmp_path, capsys, w, 0.3, seed)
+            norms, mu = results["per_index_norms"], results["achieved_mu"]
+            assert mu <= sum(norms) + 1e-9
+            assert mu >= max(norms) - 1e-9
 
-    def test_per_index_norms_below_mu(self):
+    def test_per_index_norms_below_mu(self, tmp_path, capsys):
         rng = np.random.default_rng(45)
         w = random_fusion(rng, 5, 4)
-        v = random_fusion(rng, 5, 4)
-        rep = fusion_perturbation_mu(w, v)
-        assert all(norm <= rep.mu + 1e-9 for norm in rep.per_index_norms)
+        results, v = perturb_report(tmp_path, capsys, w, 0.4, 3)
+        mu = fusion_perturbation_mu(w, v)
+        assert all(norm <= mu + 1e-9 for norm in results["per_index_norms"])
+
+    def test_per_index_norms_are_the_member_difference_norms(self, tmp_path, capsys):
+        # framekit perturb prints, per member, the top singular value of
+        # a (B B^T) - b (C C^T) for the member bases and weights of its
+        # input and output.
+        rng = np.random.default_rng(47)
+        members = [
+            (subspace_from_spanning(rng.standard_normal((k, 6))), float(rng.uniform(0.5, 2.0)))
+            for k in (1, 3, 2, 5, 4)
+        ]
+        results, v = perturb_report(tmp_path, capsys, FusionFrame(tuple(members)), 0.3, 5)
+        w = load_structure(tmp_path / "in.json")
+        expected = [
+            np.linalg.svd(a * (s.basis @ s.basis.T) - b * (t.basis @ t.basis.T), compute_uv=False)[0]
+            for (s, a), (t, b) in zip(w.members, v.members)
+        ]
+        assert np.array(results["per_index_norms"]).tobytes() == np.array(expected).tobytes()
 
     def test_symmetric(self):
         rng = np.random.default_rng(46)
         w = random_fusion(rng, 4, 3)
         v = random_fusion(rng, 4, 3)
-        assert abs(fusion_perturbation_mu(w, v).mu - fusion_perturbation_mu(v, w).mu) <= 1e-12
+        assert abs(fusion_perturbation_mu(w, v) - fusion_perturbation_mu(v, w)) <= 1e-12
 
 
     def test_constant_matches_svd_of_concatenation(self):
@@ -143,8 +159,8 @@ class TestFusionPerturbationMu:
                 for (ws, ww), (vs, vw) in zip(w.members, v.members)
             ]
             reference = np.linalg.svd(np.hstack(blocks), compute_uv=False)[0]
-            mu = fusion_perturbation_mu(w, v).mu
-            assert mu == perturb._fusion_constant(w, v)
+            mu = fusion_perturbation_mu(w, v)
+            assert type(mu) is float
             assert abs(mu - reference) <= 1e-12 * reference
 
     def test_cli_achieved_mu_is_the_reported_constant(self, tmp_path, capsys):
@@ -156,7 +172,18 @@ class TestFusionPerturbationMu:
                 "--format", "json"]
         assert cli.main(argv) == 0
         achieved = json.loads(capsys.readouterr().out)["results"]["achieved_mu"]
-        assert achieved == fusion_perturbation_mu(w, load_structure(out)).mu
+        assert achieved == fusion_perturbation_mu(w, load_structure(out))
+
+
+def perturb_report(tmp_path, capsys, structure, mu, seed):
+    """The results of ``framekit perturb --format json`` on ``structure``
+    (written to in.json) and the structure it writes."""
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    write_structure(src, structure)
+    argv = ["perturb", str(src), "--mu", repr(mu), "--seed", str(seed), "--out", str(out),
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    return json.loads(capsys.readouterr().out)["results"], load_structure(out)
 
 
 def _frames(rng):
@@ -168,9 +195,9 @@ def _fusion_frames(rng):
 
 
 PAIR_MEASURES = {
-    "frame_mu": (_frames, lambda f: Frame(f.vectors), lambda a, b: frame_perturbation_mu(a, b).to_dict()),
+    "frame_mu": (_frames, lambda f: Frame(f.vectors), frame_perturbation_mu),
     "normalized_mu": (_frames, lambda f: Frame(f.vectors), lambda a, b: theorems._normalized_mu(a, b)),
-    "fusion_constant": (_fusion_frames, lambda f: FusionFrame(f.members), perturb._fusion_constant),
+    "fusion_constant": (_fusion_frames, lambda f: FusionFrame(f.members), fusion_perturbation_mu),
 }
 
 
@@ -210,24 +237,23 @@ class TestPairMemo:
         finally:
             gc.enable()
 
-    def test_fusion_report_reads_the_constant_memo(self, monkeypatch):
-        # fusion_perturbation_mu fills and reads _fusion_constant's memo,
-        # with the bits of a fresh _fusion_constant of an equal pair.
+    def test_fusion_constant_is_measured_once_per_pair(self, monkeypatch):
+        # fusion_perturbation_mu is the pair memo: one Gram spectrum per
+        # pair object, with the bits of a fresh measurement of an equal pair.
         w, _, v = _fusion_frames(np.random.default_rng(73))
-        fresh = perturb._fusion_constant(FusionFrame(w.members), FusionFrame(v.members))
-        assert fusion_perturbation_mu(w, v).mu == fresh
+        fresh = fusion_perturbation_mu(FusionFrame(w.members), FusionFrame(v.members))
         calls = []
         spectrum = linalg._gram_eigenvalues
         monkeypatch.setattr(linalg, "_gram_eigenvalues", lambda c: calls.append(1) or spectrum(c))
-        assert perturb._fusion_constant(w, v) == fresh
-        w2, v2 = FusionFrame(w.members), FusionFrame(v.members)
-        assert perturb._fusion_constant(w2, v2) == fresh
-        assert fusion_perturbation_mu(w2, v2).mu == fresh
-        assert len(calls) == 1
+        for pair in ((w, v), (FusionFrame(w.members), FusionFrame(v.members))):
+            del calls[:]
+            assert fusion_perturbation_mu(*pair) == fresh
+            assert fusion_perturbation_mu(*pair) == fresh
+            assert len(calls) == 1
 
     def test_fusion_perturb_takes_the_difference_spectrum_once(self, tmp_path, capsys, monkeypatch):
-        # The generator's landing remeasure and the per-member report share
-        # one Gram spectrum of the n-by-Nn projector differences.
+        # The generator's landing remeasure takes the one Gram spectrum of
+        # the n-by-Nn projector differences; the printed member norms take none.
         rng = np.random.default_rng(74)
         w = theorems.random_fusion_frame(rng, 6, 5)
         assert 2 * sum(w.ranks) != 6 * 5  # closed-form steps have another width
@@ -247,7 +273,7 @@ class TestGeneratePerturbedFrame:
         phi = Frame(rng.standard_normal((6, 3)))
         psi, achieved = generate_perturbed_frame(phi, 0.37, seed=5)
         assert achieved == pytest.approx(0.37, abs=1e-12)
-        assert frame_perturbation_mu(phi, psi).mu == pytest.approx(0.37, abs=1e-12)
+        assert frame_perturbation_mu(phi, psi) == pytest.approx(0.37, abs=1e-12)
 
     def test_norm_preserving_keeps_norms(self):
         rng = np.random.default_rng(50)
@@ -255,7 +281,7 @@ class TestGeneratePerturbedFrame:
         psi, achieved = generate_perturbed_frame(phi, 0.2, seed=6, norm_preserving=True)
         assert np.allclose(psi.norms(), phi.norms(), atol=1e-12)
         assert achieved <= 1.05 * 0.2
-        assert frame_perturbation_mu(phi, psi).mu == pytest.approx(achieved, abs=1e-12)
+        assert frame_perturbation_mu(phi, psi) == pytest.approx(achieved, abs=1e-12)
 
     def test_norm_preserving_small_target_stays_close(self):
         phi = Frame(np.eye(3))
@@ -320,7 +346,7 @@ class TestGeneratePerturbedFrame:
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        assert frame_perturbation_mu(phi, psi).mu == achieved
+        assert frame_perturbation_mu(phi, psi) == achieved
         assert calls == []
 
     def test_norm_preserving_needs_two_dimensions(self):
@@ -334,7 +360,7 @@ class TestGeneratePerturbedFusion:
         w = random_fusion(rng, 4, 3)
         v, achieved = generate_perturbed_fusion(w, 0.25, seed=8)
         assert abs(achieved - 0.25) <= 0.05 * 0.25
-        assert fusion_perturbation_mu(w, v).mu == pytest.approx(achieved, abs=1e-12)
+        assert fusion_perturbation_mu(w, v) == pytest.approx(achieved, abs=1e-12)
 
     def test_ranks_and_weights_preserved(self):
         rng = np.random.default_rng(52)
@@ -443,7 +469,7 @@ class TestGeneratePerturbedFusion:
         target = 0.99 * 2.0
         v, achieved = generate_perturbed_fusion(w, target, seed=12)
         assert abs(achieved - target) <= 0.05 * target
-        assert fusion_perturbation_mu(w, v).mu == pytest.approx(achieved, abs=1e-12)
+        assert fusion_perturbation_mu(w, v) == pytest.approx(achieved, abs=1e-12)
 
     def test_targets_up_to_the_heaviest_movable_weight_land(self):
         # The bracket end turns the heaviest movable member by pi/2, where
@@ -627,5 +653,5 @@ class TestGeodesic:
             moved = np.split(path.columns(t), np.cumsum([u.shape[1] for u in bases])[:-1], axis=1)
             assert np.array_equal(moved[5], bases[5])
             v = FusionFrame(tuple((Subspace(u), wt) for u, wt in zip(moved, weights)))
-            measured = perturb._fusion_constant(w, v)
+            measured = fusion_perturbation_mu(w, v)
             assert abs(closed(t) - measured) <= 1e-13 * max(measured, 1e-3)

@@ -12,7 +12,6 @@ from framekit import (
     BoundsReport,
     Frame,
     FusionFrame,
-    PerturbationReport,
     RedundancyProfile,
     Subspace,
     SuiteConfig,
@@ -152,13 +151,12 @@ class TestNormalizedPerturbation:
 
     def test_overflowed_norm_gates(self):
         # The first vector's norm is summed in its largest entry's binade,
-        # with no overflow, so the true norm difference gates; the warning
-        # left comes from the frame constant's per-index difference norms.
+        # with no overflow, so the true norm difference gates, and the
+        # frame constant takes no difference norms that could overflow.
         phi = Frame([[1e154, 1e154], [0.0, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert phi.norms()[0] == pytest.approx(math.sqrt(2) * 1e154, rel=1e-15)
-        with pytest.warns(RuntimeWarning, match="overflow"):
             verdict = verify_normalized_perturbation(phi, Frame(np.eye(2)))
         assert verdict.notes == (
             "gate failed: vector norms differ by 1.414e+154; the lemma needs equal norms"
@@ -661,9 +659,9 @@ def _band_cases():
     # Unequal vector norms: the normalized constant 2 reaches sqrt(2), the
     # root of the lower redundancy, so only the upper side is asserted.
     tall, flipped = Frame([[10.0], [1.0]]), Frame([[10.0], [-1.0]])
-    mu = frame_perturbation_mu(phi, psi).mu
-    mu_n = frame_perturbation_mu(Frame(phi.unit_columns.T), Frame(psi.unit_columns.T)).mu
-    fusion_c = fusion_perturbation_mu(w, v).mu * math.sqrt(5)
+    mu = frame_perturbation_mu(phi, psi)
+    mu_n = frame_perturbation_mu(Frame(phi.unit_columns.T), Frame(psi.unit_columns.T))
+    fusion_c = fusion_perturbation_mu(w, v) * math.sqrt(5)
     both = ("lower", "upper")
     return [
         (verify_perturbed_frame_bounds, phi, psi, mu, optimal_frame_bounds, ["mu"], both),
@@ -707,7 +705,6 @@ def test_perturbation_band(case):
             {"lower": 0.5, "upper": 2.5, "uniform": False, "mean": 1.5},
         ),
         (AngleReport(0.6, 1.0, 0.9, 0.8), {"r": 0.6, "s": 1.0, "theta": 0.9, "gap": 0.8}),
-        (PerturbationReport(0.3, (0.1, 0.2)), {"mu": 0.3, "per_index_norms": [0.1, 0.2]}),
         (
             TheoremVerdict("t", True, {"mu": 0.1, "upper": 4.0}, {"lower": 1.0}, False, {"upper": 0.5}, "n", -0.5),
             {
