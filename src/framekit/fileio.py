@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .frames import Frame
+from .frames import Frame, _blocks
 from .fusion import FusionFrame, Subspace, subspace_from_spanning
 
 
@@ -136,7 +136,8 @@ def structure_to_dict(obj: Frame | FusionFrame) -> dict:
         return {
             "dim": obj.dim,
             "kind": "fusion",
-            "subspaces": [{"weight": float(w), "basis": s.basis.T.tolist()} for s, w in obj.members],
+            "subspaces": [{"weight": w, "basis": b.T.tolist()}
+                          for b, w in zip(_blocks(obj), obj.weights.tolist())],
         }
     raise TypeError(f"expected Frame or FusionFrame, got {type(obj)}")
 

@@ -7,7 +7,9 @@ weighted by their norms.  Both kinds hold the same n-by-K column stacks:
 block widths ``ranks`` (1 per vector).  The optimal bounds (the extreme
 eigenvalues of the operator ``T T^T``) and the redundancy (those of
 ``U U^T``) are written once against them.  Both kinds are immutable and
-measure each stack and its spectrum once, read-only.
+measure each stack and its spectrum once, read-only.  ``Frame(vectors)``
+checks what it is given; the frames framekit makes itself (draws,
+perturbations, rescaled copies) are built unchecked by ``_frame``.
 """
 
 from __future__ import annotations
@@ -138,6 +140,13 @@ class Frame(_Spectra):
     @property
     def ranks(self) -> tuple[int, ...]:
         return (1,) * self.count
+
+
+def _frame(vectors: np.ndarray, labels: tuple[str, ...] | None = None) -> Frame:
+    """Frame of a fresh, finite array framekit made, unchecked: read-only, copied only if not C-ordered."""
+    f = object.__new__(Frame)
+    f.__dict__.update(vectors=_read_only(np.ascontiguousarray(vectors)), labels=labels)
+    return f
 
 
 class _Record:

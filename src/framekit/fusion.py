@@ -8,7 +8,9 @@ take either kind.  Fusion redundancy sums bare projections and ignores
 the weights: it is read off the stacked bases ``[U_1 ... U_N]``; the
 synthesis stack is that stack times each column's weight.  That stack,
 its ranks and the weights are a fusion frame's state (``_stacked``);
-its members are copied out of the stack when first read.
+its members are copied out of the stack when first read.  Bases are
+Gram-checked where they enter (``Subspace(basis)``, file loading), not
+where framekit makes them (QR factors, geodesics, ``full_space``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ BASIS_TOL = 1e-10
 class Subspace:
     """A k-dimensional subspace of R^n held as an n-by-k orthonormal basis.
     The constructor checks shape, finiteness and Gram defect; the bases
-    framekit makes orthonormal (QR factors, geodesic points) skip it."""
+    framekit makes orthonormal (QR factors, geodesics, identities) skip it."""
 
     basis: np.ndarray
 
@@ -140,8 +142,9 @@ def subspace_from_spanning(vectors) -> Subspace:
 
 
 def full_space(n: int) -> Subspace:
-    """The whole ambient space as a subspace."""
-    return Subspace(np.eye(n))
+    """The whole ambient space, its identity basis unchecked (``Subspace`` rejects n = 0)."""
+    basis = np.eye(n)
+    return _orthonormal_subspace(basis) if n > 0 else Subspace(basis)
 
 
 def vector_span(vec) -> Subspace:

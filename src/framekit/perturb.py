@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, GenerationError, PreconditionError
-from .frames import Frame, _blocks, _nonzero, _pair_memo
+from .frames import Frame, _blocks, _frame, _nonzero, _pair_memo
 from .fusion import FusionFrame, _stacked
 
 # Relative window the geodesic generators must land in.
@@ -184,7 +184,7 @@ def generate_perturbed_frame(
         if base == 0.0:
             raise GenerationError("degenerate zero offset draw")
         offset *= target_mu / base
-        psi = Frame(phi.vectors + offset, labels=phi.labels)
+        psi = _frame(phi.vectors + offset, labels=phi.labels)
         return psi, frame_perturbation_mu(phi, psi)
 
     if phi.dim < 2:
@@ -204,7 +204,7 @@ def generate_perturbed_frame(
     built = []
 
     def measure(t: float) -> float:
-        built.append(Frame((path.columns(t) * lengths).T, labels=phi.labels))
+        built.append(_frame((path.columns(t) * lengths).T, labels=phi.labels))
         return frame_perturbation_mu(phi, built[-1])
 
     slope = linalg._top_singular_value(q * (thetas * lengths))

@@ -33,6 +33,7 @@ from .errors import DegenerateInputError, DimensionError, GenerationError, Preco
 from .frames import (
     Frame,
     _blocks,
+    _frame,
     _pair_memo,
     _Record,
     optimal_frame_bounds,
@@ -503,7 +504,7 @@ class SuiteReport:
 def random_frame(rng, dim: int, count: int) -> Frame:
     """Gaussian frame with optimal lower bound at least ``MIN_LOWER``."""
     for _ in range(MAX_TRIES):
-        f = Frame(rng.standard_normal((count, dim)))
+        f = _frame(rng.standard_normal((count, dim)))
         if optimal_frame_bounds(f).lower >= MIN_LOWER:
             return f
     raise GenerationError(
@@ -521,7 +522,7 @@ def random_orthogonal_basis(rng, dim: int) -> Frame:
     """
     q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     scales = rng.uniform(0.5, 2.0, size=dim)
-    return Frame(q.T * scales[:, None])
+    return _frame(q.T * scales[:, None])
 
 
 def random_fusion_frame(
@@ -583,7 +584,7 @@ def replay_instance(config: SuiteConfig, index: int) -> dict[str, TheoremVerdict
     # Equal-norms pair: perturb a rescaled unit-norm copy inside its own
     # spheres so every hypothesis gate holds by construction.
     scale = float(rng.uniform(0.5, 2.0))
-    phi_eq = Frame(scale * phi.unit_columns.T)
+    phi_eq = _frame(scale * phi.unit_columns.T)
     target_eq = frac * scale * math.sqrt(redundancy_bounds(phi).lower)
     psi_eq, _ = generate_perturbed_frame(
         phi_eq, target_eq, seed=child_seed(), norm_preserving=True

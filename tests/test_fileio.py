@@ -7,7 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from framekit import Frame, FusionFrame, Subspace, fileio, subspace_from_spanning
+from framekit import (
+    Frame,
+    FusionFrame,
+    Subspace,
+    fileio,
+    generate_perturbed_fusion,
+    subspace_from_spanning,
+)
 from framekit.errors import NumericError
 from framekit.fileio import (
     FrameFileError,
@@ -16,6 +23,7 @@ from framekit.fileio import (
     structure_to_dict,
     write_structure,
 )
+from framekit.theorems import random_fusion_frame
 
 
 def random_frame(rng):
@@ -59,6 +67,25 @@ class TestRoundTrip:
             assert np.array_equal(back.weights, ff.weights)
             for a, b in zip(back.subspaces, ff.subspaces):
                 assert np.array_equal(a.basis, b.basis)
+
+    def test_writing_a_drawn_fusion_frame_builds_no_member(self, tmp_path):
+        # The writer reads the stack and the weights, so a drawn or
+        # generated frame (``fusion._stacked``) is written without members,
+        # in the bytes its members would give, and loads back bit for bit.
+        rng = np.random.default_rng(72)
+        for i in range(10):
+            w = random_fusion_frame(rng, int(rng.integers(2, 7)), int(rng.integers(2, 9)))
+            v, _ = generate_perturbed_fusion(w, 0.05, seed=i)
+            for ff in (w, v, w.with_unit_weights()):
+                doc = structure_to_dict(ff)
+                write_structure(tmp_path / "ff.json", ff)
+                assert "members" not in vars(ff)
+                assert doc["subspaces"] == [
+                    {"weight": wt, "basis": s.basis.T.tolist()} for s, wt in ff.members
+                ]
+                back = load_structure(tmp_path / "ff.json")
+                assert back.unit_columns.tobytes() == ff.unit_columns.tobytes()
+                assert back.weights.tobytes() == ff.weights.tobytes()
 
     def test_spanning_sets_are_orthonormalized_on_load(self):
         doc = {

@@ -13,12 +13,14 @@ import pytest
 import framekit
 from framekit import (
     Frame,
+    frame_perturbation_mu,
     is_riesz_basis,
     optimal_frame_bounds,
     redundancy_at,
     redundancy_bounds,
 )
 from framekit.errors import DegenerateInputError, DimensionError, PreconditionError
+from framekit.frames import _frame
 from references import redundancy_oracle
 
 
@@ -52,6 +54,49 @@ class TestFrameType:
         with pytest.raises(ValueError):
             f.vectors.flags.writeable = True
         assert not f.vectors.flags.writeable
+
+
+class TestUncheckedFrame:
+    """``frames._frame`` builds a frame from an array framekit made itself:
+    the same frame as the public constructor's, bit for bit, stored in C
+    order and read-only."""
+
+    def inputs(self):
+        rng = np.random.default_rng(41)
+        for dim in range(1, 7):
+            count = int(rng.integers(dim, 13))
+            q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            columns = rng.standard_normal((dim, count))
+            yield rng.standard_normal((count, dim))
+            yield q.T * rng.uniform(0.5, 2.0, size=dim)[:, None]
+            yield (columns * rng.uniform(0.5, 2.0, size=count)).T
+
+    def test_equals_the_public_constructor(self):
+        layouts = set()
+        for x in self.inputs():
+            layouts.add(x.flags.c_contiguous)
+            labels = tuple(f"v{i}" for i in range(len(x)))
+            public = Frame(x, labels=labels)
+            other = Frame(x + 0.25)
+            unchecked = _frame(x, labels=labels)
+            v = unchecked.vectors
+            assert v.flags.c_contiguous and not v.flags.writeable
+            assert v.tobytes() == public.vectors.tobytes()
+            assert unchecked.labels is labels
+            assert unchecked.norms().tobytes() == public.norms().tobytes()
+            for name in ("_operator_eigenvalues", "_unit_eigenvalues"):
+                assert getattr(unchecked, name).tobytes() == getattr(public, name).tobytes(), name
+            assert frame_perturbation_mu(unchecked, other) == frame_perturbation_mu(public, other)
+            assert frame_perturbation_mu(other, unchecked) == frame_perturbation_mu(other, public)
+        assert layouts == {True, False}
+
+    def test_copies_only_an_input_not_in_c_order(self):
+        for x in self.inputs():
+            held = x.flags.c_contiguous
+            v = _frame(x).vectors
+            assert np.shares_memory(v, x) == held
+            assert x.flags.writeable != held
+        assert _frame(np.eye(2)).labels is None
 
 
 def fresh_frame_values(f):

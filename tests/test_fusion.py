@@ -51,9 +51,22 @@ class TestSubspaceType:
             Subspace(np.eye(2, 3))
 
     def test_empty_full_space_rejected(self):
-        # full_space builds its basis through the checked constructor.
+        # full_space builds its identity basis unchecked, and hands only an
+        # empty one to the checked constructor.
         with pytest.raises(DimensionError, match=r"^subspace dimension 0 must lie in \[1, 0\]$"):
             full_space(0)
+
+    def test_negative_full_space_raises_numpy_error(self):
+        # numpy's own error for the identity of negative order comes first.
+        with pytest.raises(ValueError, match="negative dimensions") as info:
+            full_space(-1)
+        assert type(info.value) is ValueError
+
+    def test_full_space_is_the_identity(self):
+        for n in range(1, 6):
+            s = full_space(n)
+            assert s.basis.tobytes() == Subspace(np.eye(n)).basis.tobytes()
+            assert s.basis.flags.c_contiguous and not s.basis.flags.writeable
 
     def test_rejects_non_positive_weight(self):
         with pytest.raises(PreconditionError):

@@ -564,22 +564,39 @@ class TestSuite:
             replay_instance(config, index)
             assert len(inputs) == len(set(inputs)) > 0, index
 
+    GUARD_INSTANCES = [*((SuiteConfig(seed=905), i) for i in range(20)),
+                       (SuiteConfig(dim_range=(50, 50), count_range=(50, 50), seed=5), 0)]
+
     def test_an_instance_builds_no_member_subspace(self, monkeypatch):
         # Every fusion frame of an instance is its stack, ranks and
         # weights: no member Subspace is made, checked or unchecked.  The
-        # only Subspaces are the two angle-sum references ``full_space(n)``.
+        # only Subspaces are the two angle-sum references ``full_space(n)``,
+        # identity bases built unchecked.
         unchecked, checked = [], []
         make, check = fusion._orthonormal_subspace, Subspace.__post_init__
         monkeypatch.setattr(fusion, "_orthonormal_subspace", lambda b: unchecked.append(b) or make(b))
         monkeypatch.setattr(Subspace, "__post_init__", lambda s: checked.append(s) or check(s))
-        default = [(SuiteConfig(seed=905), i) for i in range(20)]
-        n50 = SuiteConfig(dim_range=(50, 50), count_range=(50, 50), seed=5)
-        for config, index in [*default, (n50, 0)]:
-            checked.clear()
+        for config, index in self.GUARD_INSTANCES:
+            unchecked.clear()
             replay_instance(config, index)
-            assert unchecked == []
-            assert len(checked) == 2
-            assert all(np.array_equal(s.basis, np.eye(len(s.basis))) for s in checked)
+            assert checked == []
+            assert len(unchecked) == 2
+            assert all(np.array_equal(b, np.eye(len(b))) for b in unchecked)
+
+    def test_an_instance_runs_no_boundary_check(self, monkeypatch):
+        # The frames an instance draws and generates are built unchecked
+        # (``frames._frame``): no Frame constructor check and no
+        # ``linalg.as_matrix`` runs.
+        calls = []
+        check, as_matrix = Frame.__post_init__, linalg.as_matrix
+        monkeypatch.setattr(Frame, "__post_init__", lambda f: calls.append("Frame") or check(f))
+        monkeypatch.setattr(linalg, "as_matrix", lambda m: calls.append("as_matrix") or as_matrix(m))
+        Frame([[1.0, 0.0]])
+        assert calls == ["Frame", "as_matrix"]
+        for config, index in self.GUARD_INSTANCES:
+            calls.clear()
+            replay_instance(config, index)
+            assert calls == [], (config.seed, index)
 
     def test_suite_and_replay_follow_registry_order(self):
         ids = tuple(t.id for t in THEOREMS)
