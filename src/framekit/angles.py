@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionError
 from .frames import _pair_memo, _Record
 from .fusion import Subspace
@@ -45,7 +46,7 @@ def _inf_sup_cos(vbasis: np.ndarray, wbasis: np.ndarray) -> tuple[float, float]:
     kernel, meet = p > k, p + k > n
     if kernel and meet:
         return 0.0, 1.0
-    sv = np.linalg.svd(wbasis.T @ vbasis, compute_uv=False)
+    sv = linalg._svdvals(wbasis.T @ vbasis)
     inf = 0.0 if kernel else min(1.0, max(0.0, float(sv[-1])))
     sup = 1.0 if meet else min(1.0, float(sv[0]))
     return inf, sup
@@ -61,7 +62,7 @@ def _gap(vbasis: np.ndarray, wbasis: np.ndarray) -> float:
     if k == n:
         return 0.0
     residual_map = vbasis - wbasis @ (wbasis.T @ vbasis)
-    return min(1.0, float(np.linalg.svd(residual_map, compute_uv=False)[0]))
+    return min(1.0, float(linalg._svdvals(residual_map)[0]))
 
 
 def _check_pair(v: Subspace, w: Subspace) -> None:
@@ -73,8 +74,7 @@ def _check_pair(v: Subspace, w: Subspace) -> None:
 
 def orthogonal_complement(s: Subspace) -> np.ndarray:
     """Orthonormal basis of the complement (possibly with zero columns)."""
-    u = np.linalg.svd(s.basis, full_matrices=True)[0]
-    return u[:, s.dim :]
+    return linalg._svd_u(s.basis)[:, s.dim :]
 
 
 def _cosines(v: Subspace, w: Subspace) -> tuple[float, float]:

@@ -134,9 +134,9 @@ def cmd_perturb(args, command: str) -> int:
         perturbed, achieved = generate_perturbed_frame(
             obj, args.mu, seed=args.seed, norm_preserving=args.norm_preserving
         )
-        # norm(axis=0) sums in memory order, so the C-ordered layout fixes the bits.
+        # The norms sum in memory order, so the C-ordered layout fixes the bits.
         diff = np.subtract(obj.synthesis_columns, perturbed.synthesis_columns, order="C")
-        norms = [float(x) for x in np.linalg.norm(diff, axis=0)]
+        norms = [float(x) for x in linalg._norms(diff, 0)]
     elif args.norm_preserving:
         raise _UsageError("--norm-preserving applies only to frame inputs")
     else:

@@ -39,7 +39,7 @@ UNIT_NORM_TOL = 1e-9
 
 def _nonzero(norms: np.ndarray) -> np.ndarray:
     """Mask of the norms above ZERO_VECTOR_TOL times the largest one."""
-    return norms > ZERO_VECTOR_TOL * np.max(norms)
+    return norms > ZERO_VECTOR_TOL * norms.max()
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -67,8 +67,9 @@ def _pair_memo(a, b, name: str, compute):
 
 
 class _Spectra:
-    """The Gram spectra of the two column stacks, ascending, read-only and
-    kept in the instance ``__dict__`` (a failed measurement is not kept)."""
+    """The Gram spectra of the two column stacks, ascending and read-only,
+    and the one report built from each, kept in the instance ``__dict__``
+    (a failed measurement is not kept)."""
 
     @cached_property
     def _operator_eigenvalues(self) -> np.ndarray:
@@ -77,6 +78,19 @@ class _Spectra:
     @cached_property
     def _unit_eigenvalues(self) -> np.ndarray:
         return _read_only(linalg._gram_eigenvalues(self.unit_columns))
+
+    @cached_property
+    def _bounds(self) -> BoundsReport:
+        eigs = self._operator_eigenvalues
+        return bounds_from_extremes(eigs[0], eigs[-1])
+
+    @cached_property
+    def _redundancy(self) -> RedundancyProfile:
+        eigs = self._unit_eigenvalues
+        b = bounds_from_extremes(eigs[0], eigs[-1])
+        return RedundancyProfile(
+            lower=b.lower, upper=b.upper, uniform=b.is_tight, mean=self.unit_columns.shape[1] / self.dim
+        )
 
 
 @dataclass(frozen=True)
@@ -118,7 +132,7 @@ class Frame(_Spectra):
     @cached_property
     def _norms(self) -> np.ndarray:
         e = math.frexp(np.abs(self.vectors).max())[1]
-        return _read_only(np.ldexp(np.linalg.norm(np.ldexp(self.vectors, -e), axis=1), e))
+        return _read_only(np.ldexp(linalg._norms(np.ldexp(self.vectors, -e), 1), e))
 
     @property
     def synthesis_columns(self) -> np.ndarray:
@@ -203,9 +217,9 @@ def bounds_from_extremes(low: float, high: float) -> BoundsReport:
 
 
 def optimal_frame_bounds(f: Frame | FusionFrame) -> BoundsReport:
-    """Optimal bounds: the extreme eigenvalues of the operator."""
-    eigs = f._operator_eigenvalues
-    return bounds_from_extremes(eigs[0], eigs[-1])
+    """Optimal bounds: the extreme eigenvalues of the operator, built
+    once per structure."""
+    return f._bounds
 
 
 def is_riesz_basis(f: Frame) -> bool:
@@ -228,9 +242,5 @@ def redundancy_at(f: Frame | FusionFrame, x) -> float:
 
 def redundancy_bounds(f: Frame | FusionFrame) -> RedundancyProfile:
     """Lower/upper redundancy: the extreme eigenvalues of ``U U^T`` for the
-    unit columns ``U``, with mean ``K / n``."""
-    eigs = f._unit_eigenvalues
-    b = bounds_from_extremes(eigs[0], eigs[-1])
-    return RedundancyProfile(
-        lower=b.lower, upper=b.upper, uniform=b.is_tight, mean=f.unit_columns.shape[1] / f.dim
-    )
+    unit columns ``U``, with mean ``K / n``, built once per structure."""
+    return f._redundancy

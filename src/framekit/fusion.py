@@ -41,7 +41,7 @@ class Subspace:
         n, k = b.shape
         if k < 1 or k > n:
             raise DimensionError(f"subspace dimension {k} must lie in [1, {n}]")
-        defect = np.max(np.abs(b.T @ b - np.eye(k)))
+        defect = np.abs(b.T @ b - np.eye(k)).max()
         if defect > BASIS_TOL:
             raise PreconditionError(
                 f"basis columns are not orthonormal (defect {defect:.3e})"
@@ -110,7 +110,7 @@ class FusionFrame(_Spectra):
     def synthesis_columns(self) -> np.ndarray:
         """``[w_1 U_1 ... w_N U_N]``: n-by-K, K the sum of the ranks, as
         one product of the unit stack with each column's weight."""
-        return _read_only(self.unit_columns * np.repeat(self.weights, self.ranks))
+        return _read_only(self.unit_columns * self.weights.repeat(self.ranks))
 
 
 def _orthonormal_subspace(basis: np.ndarray) -> Subspace:

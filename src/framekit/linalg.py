@@ -8,17 +8,25 @@ Its cutoff and column signs are set in ``_qr_stack`` alone, which
 ``orthonormalize`` calls on its one set and the random fusion draws on
 all blocks of one rank.
 
-Validators guard the public boundary; inside it, numpy takes the
-spectra, and the result is checked wherever a product can overflow.  The
-two kernels take matrices framekit forms and check only what they
-return; numpy forms ``c c^T`` exactly symmetric.  The SVDs of
-``angles`` take orthonormal input, which cannot overflow, and call
-``np.linalg`` directly.
+Validators guard the public boundary.  Inside it, every LAPACK call goes
+through ``_eigvalsh``, ``_svdvals``, ``_svd_u`` or ``_qr``.  They call
+the gufuncs of ``numpy.linalg`` as ``np.linalg`` does, on the same
+arrays, and so give its bits without its per-call wrapper or its input
+checks; a spectrum that overflows or does not converge comes back
+non-finite and raises NumericError.  The gufunc names are private to
+numpy and bound at import, so a numpy that renames them fails there.
+LAPACK never sees a non-finite matrix: ``_gram_eigenvalues`` and
+``_top_singular_value``, whose product or input can overflow, check it
+first (numpy forms ``c c^T`` exactly symmetric); the QRs take validated
+or drawn input, and ``angles`` orthonormal bases.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg._umath_linalg import (
+    eigvalsh_lo as _eigvalsh_lo, qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced, svd as _svd, svd_f as _svd_f,
+)
 
 from .errors import DimensionError, NumericError
 
@@ -57,23 +65,48 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of symmetric ``m`` (or a stack), ascending, from its
+    lower triangle; NumericError when one is not finite."""
+    return _finite(_eigvalsh_lo(m, signature="d->d"))
+
+
+def _svdvals(m: np.ndarray) -> np.ndarray:
+    """Singular values of ``m`` (or a stack), descending; NumericError
+    when one is not finite."""
+    return _finite(_svd(m, signature="d->d"))
+
+
+def _svd_u(m: np.ndarray) -> np.ndarray:
+    """The square left factor U of the full SVD of ``m``; NumericError
+    when an entry is not finite."""
+    return _finite(_svd_f(m, signature="d->ddd")[0])
+
+
+def _qr(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced Householder QR of ``cols`` (or a stack): Q and the diagonal
+    of R, factored in a float copy; R itself is never formed."""
+    a = cols.astype(float, copy=True)
+    tau = _qr_r_raw(a, signature="d->d")
+    return _qr_reduced(a, tau, signature="dd->d"), a.diagonal(axis1=-2, axis2=-1)
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms along ``axis``: the root of the sum of squares that
+    numpy's ``norm`` takes for real input, summed in memory order."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
+
 def _gram_eigenvalues(c: np.ndarray) -> np.ndarray:
     """All eigenvalues of ``c c^T`` for a column stack ``c``, ascending.
-    An overflowed product gives NaN eigenvalues or a LAPACK error; both
-    raise NumericError."""
-    try:
-        return _finite(np.linalg.eigvalsh(c @ c.T))
-    except np.linalg.LinAlgError:
-        raise NumericError("matrix contains non-finite entries") from None
+    An overflowed product or spectrum raises NumericError."""
+    return _eigvalsh(_finite(c @ c.T))
 
 
 def _top_singular_value(m: np.ndarray) -> float:
     """The spectral norm of a non-empty matrix: its largest singular value.
-    An overflowed matrix gives NaN or a LAPACK error; both raise NumericError."""
-    try:
-        return float(_finite(np.linalg.svd(m, compute_uv=False))[0])
-    except np.linalg.LinAlgError:
-        raise NumericError("matrix contains non-finite entries") from None
+    A non-finite matrix or an overflowed norm raises NumericError."""
+    return float(_svdvals(_finite(m))[0])
 
 
 def _rank_pass(scaled: np.ndarray, q: np.ndarray, cutoff: float) -> list[int]:
@@ -95,7 +128,7 @@ def _rank_pass(scaled: np.ndarray, q: np.ndarray, cutoff: float) -> list[int]:
         rest = rest - q @ (q.T @ rest)
     i = 0  # the first column of ``rest`` not yet decided
     while len(keep) < n:
-        norms = np.linalg.norm(rest[:, i:], axis=0)
+        norms = _norms(rest[:, i:], 0)
         above = np.flatnonzero(norms > cutoff)
         if not above.size:
             return keep
@@ -111,16 +144,15 @@ def _rank_pass(scaled: np.ndarray, q: np.ndarray, cutoff: float) -> list[int]:
 
 def _qr_stack(cols: np.ndarray):
     """The rank rule's one factorization of an n-by-m column set, or of a
-    stack of them in one ``np.linalg.qr``, which factors each set with
-    the bits of its own QR.  Per set: Q signed so that ``diag R > 0``,
-    the exponent ``e`` of the largest |entry|, the cutoff (``RANK_TOL``
-    times the largest column norm in units of ``2^e``) and the mask of
-    the diagonal entries of R at or below it in those units."""
+    stack of them in one ``_qr``, which factors each set with the bits of
+    its own QR.  Per set: Q signed so that ``diag R > 0``, the exponent
+    ``e`` of the largest |entry|, the cutoff (``RANK_TOL`` times the
+    largest column norm in units of ``2^e``) and the mask of the diagonal
+    entries of R at or below it in those units."""
     e = np.frexp(np.abs(cols).max(axis=(-2, -1), initial=0.0))[1]
     scaled = np.ldexp(cols, -e[..., None, None])
-    cutoff = RANK_TOL * np.linalg.norm(scaled, axis=-2).max(axis=-1, initial=0.0)
-    q, r = np.linalg.qr(cols)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    cutoff = RANK_TOL * _norms(scaled, -2).max(axis=-1, initial=0.0)
+    q, d = _qr(cols)
     short = np.abs(np.ldexp(d, -e[..., None])) <= cutoff[..., None]
     return q * np.sign(d)[..., None, :], e, cutoff, short
 

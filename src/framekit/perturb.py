@@ -76,7 +76,7 @@ def _horizontal(u: np.ndarray, starts: np.ndarray, member: np.ndarray, g: np.nda
     ``starts``, ``member`` owns each column of ``u``); the second pass
     leaves a residual at rounding level."""
     for _ in range(2):
-        g = g - np.add.reduceat(u * np.sum(u * g[:, member], axis=0), starts, axis=1)
+        g = g - np.add.reduceat(u * (u * g[:, member]).sum(axis=0), starts, axis=1)
     return g
 
 
@@ -98,7 +98,7 @@ class _GeodesicPath:
 
     def __init__(self, u, ranks, v, q, thetas):
         starts = np.cumsum(ranks) - ranks
-        self._member = np.repeat(np.arange(len(thetas)), ranks)
+        self._member = np.arange(len(thetas)).repeat(ranks)
         self._u, self._v, self.thetas = u, v, thetas
         self.g = np.concatenate([np.add.reduceat(u * v, starts, axis=1), q], axis=1)
         self.angles = np.concatenate([thetas, thetas])
@@ -197,7 +197,7 @@ def generate_perturbed_frame(
     each = np.arange(np.count_nonzero(movable))
     g = _horizontal(units[:, movable], each, each, rng.standard_normal((each.size, phi.dim)).T)
     q = np.zeros_like(units)
-    q[:, movable] = g / np.linalg.norm(g, axis=0)
+    q[:, movable] = g / linalg._norms(g, 0)
     thetas = np.where(movable, angles, 0.0)
     path = _GeodesicPath(units, (1,) * phi.count, np.ones(phi.count), q, thetas)
 
@@ -243,16 +243,16 @@ def generate_perturbed_fusion(
     rng = np.random.default_rng(seed)
     u, ranks, weights = w.unit_columns, np.asarray(w.ranks), w.weights
     starts = np.cumsum(ranks) - ranks
-    member = np.repeat(np.arange(w.count), ranks)
+    member = np.arange(w.count).repeat(ranks)
     coords = rng.standard_normal(member.size)
     coords /= np.sqrt(np.add.reduceat(coords * coords, starts))[member]
     h = _horizontal(u, starts, member, rng.standard_normal((w.dim, w.count)))
     # A full-space member has no horizontal direction; theta = 0 keeps it
     # fixed instead of moving it by rounding.
-    thetas = np.where(ranks < w.dim, np.linalg.norm(h, axis=0), 0.0)
+    thetas = np.where(ranks < w.dim, linalg._norms(h, 0), 0.0)
     if not thetas.any():
         raise GenerationError("no member can move: every subspace is the whole space")
-    top = np.argmax(np.where(thetas > 0, weights, 0.0))
+    top = np.where(thetas > 0, weights, 0.0).argmax()
     path = _GeodesicPath(u, ranks, coords, h / np.where(thetas > 0, thetas, 1.0), thetas)
     # sin(t angles) replaced by angles; as sin^2 x <= x^2, no step
     # overshoots t * slope.

@@ -123,7 +123,7 @@ def _norm_gap(phi: Frame, psi: Frame) -> float:
     the equal-norms hypothesis (see EQUAL_NORMS_TOL), else 0.  A norm
     that overflowed to infinity breaks it too."""
     a, b = phi.norms(), psi.norms()
-    worst = float(np.max(np.abs(a - b)))
+    worst = float(np.abs(a - b).max())
     broken = worst > EQUAL_NORMS_TOL * max(a.max(), b.max()) or worst == math.inf
     return worst if broken else 0.0
 
@@ -171,7 +171,7 @@ def verify_normalized_perturbation(phi: Frame, psi: Frame) -> TheoremVerdict:
             f"gate failed: vector norms differ by {worst:.3e}; the lemma needs equal norms",
         )
     mu_normalized = _normalized_mu(phi, psi)
-    min_norm = float(np.min(phi.norms()))
+    min_norm = float(phi.norms().min())
     scaled_bound = mu / min_norm
     margin = scaled_bound - mu_normalized
     return TheoremVerdict(
@@ -231,7 +231,7 @@ def verify_riesz_redundancy(phi: Frame) -> TheoremVerdict:
     worst = max(residuals.values())
     unit = phi.unit_columns
     gram = unit.T @ unit
-    ortho_defect = float(np.max(np.abs(gram - np.eye(phi.count))))
+    ortho_defect = float(np.abs(gram - np.eye(phi.count)).max())
     return TheoremVerdict(
         theorem_id="riesz_redundancy",
         hypotheses_met=True,
@@ -468,11 +468,12 @@ class TheoremTally:
     def to_dict(self) -> dict:
         histograms = {}
         for name, values in sorted(self.residuals.items()):
-            counts, edges = np.histogram(np.asarray(values), bins=12)
+            values = np.asarray(values)
+            counts, edges = np.histogram(values, bins=12)
             histograms[name] = {
                 "counts": [int(c) for c in counts],
                 "edges": [float(e) for e in edges],
-                "max": float(np.max(values)),
+                "max": float(values.max()),
             }
         return {
             "theorem_id": self.theorem_id,
@@ -520,7 +521,7 @@ def random_orthogonal_basis(rng, dim: int) -> Frame:
     Riesz bases actually holds; oblique bases falsify it (see the
     theorem tests for a counterexample).
     """
-    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    q = linalg._qr(rng.standard_normal((dim, dim)))[0]
     scales = rng.uniform(0.5, 2.0, size=dim)
     return _frame(q.T * scales[:, None])
 

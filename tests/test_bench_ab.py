@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_ab.py"
 
@@ -25,10 +27,17 @@ def test_a_a_run_in_both_orders(tmp_path):
     runs = doc["comparisons"]["A/A control"]
     assert list(doc["comparisons"]) == ["A/A control"]
     assert list(runs) == ["change imported first", "change_copy imported first"]
-    for run in runs.values():
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for line, run in zip(lines, runs.values()):
         r = run["change_copy_over_change"]
         assert r["ratio"] > 0 and 0 < r["ci95"][0] <= r["ci95"][1]
         assert run["mismatched_instances"] == []
+        # Each side's mean per instance, in ms, is the JSON sum over 10.
+        means = line.split("mean ms per instance ")[1].split(", ")[:2]
+        for text, side in zip(means, ("change", "change_copy")):
+            name, ms = text.split()
+            assert name == side and float(ms) == pytest.approx(100 * run["seconds"][side], abs=1e-3)
 
 
 def test_differing_verdicts_exit_non_zero(tmp_path):

@@ -12,15 +12,18 @@ import pytest
 
 import framekit
 from framekit import (
+    BoundsReport,
     Frame,
+    RedundancyProfile,
     frame_perturbation_mu,
     is_riesz_basis,
     optimal_frame_bounds,
     redundancy_at,
     redundancy_bounds,
 )
-from framekit.errors import DegenerateInputError, DimensionError, PreconditionError
-from framekit.frames import _frame
+from framekit.errors import DegenerateInputError, DimensionError, NumericError, PreconditionError
+from framekit.frames import _frame, bounds_from_extremes
+from framekit.theorems import random_fusion_frame
 from references import redundancy_oracle
 
 
@@ -151,6 +154,47 @@ class TestCachedValues:
         assert "_unit_eigenvalues" in vars(f) and "_unit_eigenvalues" not in vars(g)
         assert [fl.name for fl in dataclasses.fields(f)] == ["vectors", "labels"]
         assert repr(f) == repr(g)
+
+
+class TestReportMemo:
+    """Each structure builds one bounds report and one redundancy profile,
+    from its spectra, and keeps them only once measured."""
+
+    @staticmethod
+    def structures():
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            dim = int(rng.integers(2, 7))
+            yield Frame(rng.standard_normal((int(rng.integers(dim, 13)), dim)))
+            yield random_fusion_frame(rng, dim, int(rng.integers(2, 9)))
+
+    def test_repeated_calls_return_the_same_report(self):
+        for f in self.structures():
+            assert optimal_frame_bounds(f) is optimal_frame_bounds(f)
+            assert redundancy_bounds(f) is redundancy_bounds(f)
+
+    def test_fields_equal_fresh_reports(self):
+        for f in self.structures():
+            c, u = np.array(f.synthesis_columns), np.array(f.unit_columns)
+            ops, units = np.linalg.eigvalsh(c @ c.T), np.linalg.eigvalsh(u @ u.T)
+            bounds = optimal_frame_bounds(f)
+            assert type(bounds) is BoundsReport
+            assert bounds == bounds_from_extremes(ops[0], ops[-1])
+            b = bounds_from_extremes(units[0], units[-1])
+            fresh = RedundancyProfile(b.lower, b.upper, b.is_tight, u.shape[1] / u.shape[0])
+            assert redundancy_bounds(f) == fresh
+
+    def test_failed_measurement_caches_nothing(self):
+        overflowed = Frame([[1e200, 1e200, 1.0], [1e200, -1e200, 2.0], [1.0, 1e200, 1e200]])
+        zero = Frame([[1.0, 0.0], [0.0, 0.0]])
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                with pytest.raises(NumericError):
+                    optimal_frame_bounds(overflowed)
+            with pytest.raises(DegenerateInputError):
+                redundancy_bounds(zero)
+        assert not {"_bounds", "_operator_eigenvalues"} & set(vars(overflowed))
+        assert not {"_redundancy", "_unit_eigenvalues"} & set(vars(zero))
 
 
 class TestSynthesisAnalysis:

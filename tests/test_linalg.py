@@ -252,14 +252,12 @@ class TestRankPass:
 
     @staticmethod
     def count_qr(monkeypatch):
+        """Count every QR: the kernel's and those of ``np.linalg.qr``,
+        which the reference drop loop takes."""
         calls = []
-        qr = np.linalg.qr
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return qr(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", counted)
+        for module, name in ((linalg, "_qr"), (np.linalg, "qr")):
+            qr = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=qr, **k: calls.append(1) or _f(*a, **k))
         return calls
 
     @pytest.mark.parametrize("case", PASS_CASES)
@@ -415,3 +413,80 @@ class TestQrStack:
         calls.clear()
         linalg.orthonormalize([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert calls == [(3, 3), (3, 2)] and len(qrs) == 3
+
+
+def kernel_inputs():
+    """Matrices and stacks the kernels must take as ``np.linalg`` does:
+    square, tall and wide, n = 1, rank-deficient, 3-D stacks and
+    ``swapaxes`` views of them."""
+    rng = np.random.default_rng(75)
+    shapes = [(5, 5), (6, 3), (3, 6), (1, 1), (1, 4), (4, 1), (12, 12), (50, 20)]
+    cases = {f"{m}x{n}": rng.standard_normal((m, n)) for m, n in shapes}
+    low = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 5))
+    cases["rank-2 7x5"] = low
+    cases["rank-2 5x7"] = low.T
+    cases["repeated column"] = np.hstack([low[:, :3], low[:, :1]])
+    cases["zero"] = np.zeros((3, 4))
+    cases["scaled 2^-900"] = np.ldexp(rng.standard_normal((4, 3)), -900)
+    stack = rng.standard_normal((4, 3, 6))
+    cases["stack 4x3x6"] = stack
+    cases["stack swapaxes 4x6x3"] = stack.swapaxes(1, 2)
+    cases["stack 5x4x4"] = rng.standard_normal((5, 4, 4))
+    cases["transposed view"] = rng.standard_normal((6, 4)).T
+    return cases
+
+
+class TestGufuncKernels:
+    """The kernels give the bits of the ``np.linalg`` calls they replace,
+    on every layout, so a numpy whose private gufuncs change shows here."""
+
+    @pytest.mark.parametrize("case", sorted(kernel_inputs()))
+    def test_bit_equal_to_numpy_linalg(self, case):
+        m = kernel_inputs()[case]
+        gram = m @ m.swapaxes(-2, -1)
+        for a in (gram, gram.swapaxes(-2, -1)):
+            assert linalg._eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+        assert linalg._svdvals(m).tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
+        q, d = linalg._qr(m)
+        q_ref, r_ref = np.linalg.qr(m)
+        assert q.tobytes() == q_ref.tobytes()
+        assert d.tobytes() == np.diagonal(r_ref, axis1=-2, axis2=-1).tobytes()
+        for axis in range(-m.ndim, m.ndim):
+            assert linalg._norms(m, axis).tobytes() == np.linalg.norm(m, axis=axis).tobytes()
+        if m.ndim == 2:
+            u = np.linalg.svd(m, full_matrices=True)[0]
+            assert linalg._svd_u(m).tobytes() == u.tobytes()
+
+    def test_qr_leaves_its_input_unchanged(self):
+        m = np.random.default_rng(76).standard_normal((6, 3))
+        before = m.copy()
+        linalg._qr(m)
+        assert m.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("m", [
+        np.array([[1.0, np.nan, 0.0], [2.0, 1.0, 1.0]]),
+        np.diag([np.inf, 1.0, 2.0]),
+        np.diag([-np.inf, 1.0, 2.0]),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_input_never_reaches_lapack(self, m, recwarn):
+        # Only the product may warn (numpy's matmul); the gufuncs, which
+        # would warn "invalid value encountered in svd", see nothing.
+        with pytest.raises(NumericError, match="non-finite"):
+            linalg._gram_eigenvalues(m)
+        with pytest.raises(NumericError, match="non-finite"):
+            linalg._top_singular_value(m)
+        assert all(str(w.message).endswith("in matmul") for w in recwarn)
+
+    def test_overflowed_product_never_reaches_lapack(self, recwarn, capfd):
+        # On this product LAPACK warns "divide by zero encountered in
+        # eigvalsh_lo" and prints an illegal-argument message of its own.
+        vecs = np.array([[1e200, 1e200, 1.0], [1e200, -1e200, 2.0], [1.0, 1e200, 1e200]])
+        with pytest.raises(NumericError, match="non-finite"):
+            linalg._gram_eigenvalues(vecs.T)
+        assert [str(w.message) for w in recwarn] == ["overflow encountered in matmul"]
+        assert capfd.readouterr().err == ""
+
+    def test_overflowed_spectrum_rejected(self):
+        # Finite entries whose largest singular value exceeds float max.
+        with pytest.raises(NumericError, match="non-finite"):
+            linalg._top_singular_value(np.full((3, 3), 1e308))

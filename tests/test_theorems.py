@@ -420,8 +420,8 @@ class TestRandomFusionFrame:
     def test_one_qr_per_distinct_rank(self, monkeypatch):
         # The Gaussian blocks of one rank are factored in one stacked QR.
         calls = []
-        qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda a, *args: calls.append(a.shape) or qr(a, *args))
+        qr = linalg._qr
+        monkeypatch.setattr(linalg, "_qr", lambda a: calls.append(a.shape) or qr(a))
         ff = random_fusion_frame(np.random.default_rng(74), 5, 12)
         ranks = sorted(set(ff.ranks))
         assert len(ranks) > 1
@@ -551,18 +551,30 @@ class TestSuite:
         # Every generator returns the constant its pair's memo holds, so a
         # verifier reading it again decomposes nothing twice.
         inputs = []
-        svd = np.linalg.svd
+        svd = linalg._svdvals
 
-        def record(a, *args, **kwargs):
-            inputs.append((np.shape(a), np.asarray(a).tobytes()))
-            return svd(a, *args, **kwargs)
+        def record(a):
+            inputs.append((a.shape, a.tobytes()))
+            return svd(a)
 
-        monkeypatch.setattr(np.linalg, "svd", record)
+        monkeypatch.setattr(linalg, "_svdvals", record)
         config = SuiteConfig(seed=905)
         for index in range(50):
             inputs.clear()
             replay_instance(config, index)
             assert len(inputs) == len(set(inputs)) > 0, index
+
+    def test_an_instance_calls_no_numpy_linalg_wrapper(self, monkeypatch):
+        # Every LAPACK call and column norm goes through the ``linalg``
+        # kernels, which call numpy's gufuncs without its wrappers.
+        def wrapper(*args, **kwargs):
+            raise AssertionError("np.linalg wrapper called")
+
+        for name in ("eigvalsh", "svd", "qr", "norm"):
+            monkeypatch.setattr(np.linalg, name, wrapper)
+        config = SuiteConfig()
+        for index in range(50):
+            replay_instance(config, index)
 
     GUARD_INSTANCES = [*((SuiteConfig(seed=905), i) for i in range(20)),
                        (SuiteConfig(dim_range=(50, 50), count_range=(50, 50), seed=5), 0)]
