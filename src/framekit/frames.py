@@ -6,8 +6,9 @@ weighted by their norms.  Both kinds hold the same n-by-K column stacks:
 ``unit_columns`` (the normalized vectors, or ``[U_1 ... U_N]``) and the
 block widths ``ranks`` (1 per vector).  The optimal bounds (the extreme
 eigenvalues of the operator ``T T^T``) and the redundancy (those of
-``U U^T``) are written once against them.  Both kinds are immutable and
-measure each stack and its spectrum once, read-only.  ``Frame(vectors)``
+``U U^T``) are written once against them.  Both kinds are immutable,
+measure each stack once, read-only, and keep only the one report built
+from the extremes of each stack's spectrum.  ``Frame(vectors)``
 checks what it is given; the frames framekit makes itself (draws,
 perturbations, rescaled copies) are built unchecked by ``_frame``.
 """
@@ -66,27 +67,19 @@ def _pair_memo(a, b, name: str, compute):
     return held[1]
 
 
-class _Spectra:
-    """The Gram spectra of the two column stacks, ascending and read-only,
-    and the one report built from each, kept in the instance ``__dict__``
-    (a failed measurement is not kept)."""
-
-    @cached_property
-    def _operator_eigenvalues(self) -> np.ndarray:
-        return _read_only(linalg._gram_eigenvalues(self.synthesis_columns))
-
-    @cached_property
-    def _unit_eigenvalues(self) -> np.ndarray:
-        return _read_only(linalg._gram_eigenvalues(self.unit_columns))
+class _Reports:
+    """The one report built from the extreme Gram eigenvalues of each
+    column stack, kept in the instance ``__dict__`` (a failed measurement
+    is not kept)."""
 
     @cached_property
     def _bounds(self) -> BoundsReport:
-        eigs = self._operator_eigenvalues
+        eigs = linalg._gram_eigenvalues(self.synthesis_columns)
         return bounds_from_extremes(eigs[0], eigs[-1])
 
     @cached_property
     def _redundancy(self) -> RedundancyProfile:
-        eigs = self._unit_eigenvalues
+        eigs = linalg._gram_eigenvalues(self.unit_columns)
         b = bounds_from_extremes(eigs[0], eigs[-1])
         return RedundancyProfile(
             lower=b.lower, upper=b.upper, uniform=b.is_tight, mean=self.unit_columns.shape[1] / self.dim
@@ -94,7 +87,7 @@ class _Spectra:
 
 
 @dataclass(frozen=True)
-class Frame(_Spectra):
+class Frame(_Reports):
     """Ordered list of N vectors in R^n, stored as the rows of an (N, n) array."""
 
     vectors: np.ndarray

@@ -7,10 +7,11 @@ operator, bounds and redundancy are the functions of ``frames``, which
 take either kind.  Fusion redundancy sums bare projections and ignores
 the weights: it is read off the stacked bases ``[U_1 ... U_N]``; the
 synthesis stack is that stack times each column's weight.  That stack,
-its ranks and the weights are a fusion frame's state (``_stacked``);
-its members are copied out of the stack when first read.  Bases are
-Gram-checked where they enter (``Subspace(basis)``, file loading), not
-where framekit makes them (QR factors, geodesics, ``full_space``).
+its ranks and the weights are a fusion frame's state (``_stacked``),
+however it was built; its members are copied out of the stack when
+first read.  Bases are Gram-checked where they enter (``Subspace(basis)``,
+file loading), not where framekit makes them (QR factors, geodesics,
+``full_space``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegenerateInputError, DimensionError, PreconditionError
-from .frames import _blocks, _read_only, _Spectra
+from .frames import _blocks, _read_only, _Reports
 
 # Orthonormality defect admitted in a stored basis.
 BASIS_TOL = 1e-10
@@ -58,10 +59,10 @@ class Subspace:
 
 
 @dataclass(frozen=True, init=False)
-class FusionFrame(_Spectra):
+class FusionFrame(_Reports):
     """Ordered list of (subspace, positive weight) pairs in a common R^n,
     held as its stack ``[U_1 ... U_N]``, ranks and read-only weights.  The
-    constructor checks the members it is given, keeps them and stacks them."""
+    constructor checks the members it is given and keeps only their stack."""
 
     unit_columns: np.ndarray
     ranks: tuple[int, ...]
@@ -79,7 +80,7 @@ class FusionFrame(_Spectra):
                 raise PreconditionError(f"weight {i} must be positive, got {w}")
         subspaces, weights = zip(*members)
         stacked = _stacked(np.hstack([s.basis for s in subspaces]), [s.dim for s in subspaces], weights)
-        self.__dict__.update(vars(stacked), members=members)
+        self.__dict__.update(vars(stacked))
 
     @property
     def dim(self) -> int:

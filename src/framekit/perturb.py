@@ -39,9 +39,7 @@ def _frame_constant(phi: Frame, psi: Frame) -> float:
         raise DimensionError(
             f"frames have shapes {(phi.count, phi.dim)} vs {(psi.count, psi.dim)}"
         )
-    # The difference of two finite frames can overflow.
-    diff = linalg._finite(np.subtract(phi.synthesis_columns, psi.synthesis_columns, order="C"))
-    return linalg._top_singular_value(diff)
+    return linalg._top_singular_value(phi.synthesis_columns - psi.synthesis_columns)
 
 
 def _gram_norm(c: np.ndarray) -> float:

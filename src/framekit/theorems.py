@@ -10,8 +10,9 @@ them.  A hypothesis that fails on well-formed input yields a gated
 verdict, never an exception, and so does a zero vector that a registry
 row cannot measure; only mismatched shapes raise.  ``THEOREMS``
 lists every statement once, in report order, and is the only list the
-suite, ``replay_instance`` and ``framekit verify`` read; a row hands its
-pair to the verifier unchanged.  The fusion-redundancy statement
+suite, ``replay_instance`` and ``framekit verify`` read; a row names the
+suite pair it runs on, which ``replay_instance`` builds once, and hands
+that pair to the verifier unchanged.  The fusion-redundancy statement
 concerns unit weights, and its verifier takes the unit-weight copies.
 ``run_random_suite`` drives all checks over seeded random instances;
 every instance is reproducible bit-for-bit from the suite seed and its
@@ -339,12 +340,14 @@ def verify_angle_sums(frame_or_fusion: Frame | FusionFrame, wprime: Subspace) ->
 
 class Theorem(NamedTuple):
     """One checked statement: ``check(a, b)`` verifies it on an
-    (original, perturbed) pair of ``kind``, as given.  A degenerate input
-    the check cannot measure (a zero vector, whose span is undefined)
-    gives a gated verdict naming it."""
+    (original, perturbed) pair of ``kind``, as given; ``pair`` names the
+    suite pair it runs on.  A degenerate input the check cannot measure
+    (a zero vector, whose span is undefined) gives a gated verdict
+    naming it."""
 
     id: str
     kind: type
+    pair: str
     check: Callable[[object, object], TheoremVerdict]
 
     def run(self, a, b) -> TheoremVerdict:
@@ -357,18 +360,19 @@ class Theorem(NamedTuple):
 # Report order.  Each check looks its verifier up by module name when
 # called, so a wrapper installed on that name (a tracer, say) sees the call.
 THEOREMS = (
-    Theorem("perturbed_frame_bounds", Frame, lambda a, b: verify_perturbed_frame_bounds(a, b)),
-    Theorem("normalized_perturbation", Frame, lambda a, b: verify_normalized_perturbation(a, b)),
-    Theorem("redundancy_perturbation", Frame, lambda a, b: verify_redundancy_perturbation(a, b)),
-    Theorem("riesz_redundancy", Frame, lambda a, b: verify_riesz_redundancy(a)),
-    Theorem("fusion_perturbed_bounds", FusionFrame, lambda a, b: verify_fusion_perturbed_bounds(a, b)),
+    Theorem("perturbed_frame_bounds", Frame, "frame", lambda a, b: verify_perturbed_frame_bounds(a, b)),
+    Theorem("normalized_perturbation", Frame, "equal_norms", lambda a, b: verify_normalized_perturbation(a, b)),
+    Theorem("redundancy_perturbation", Frame, "equal_norms", lambda a, b: verify_redundancy_perturbation(a, b)),
+    Theorem("riesz_redundancy", Frame, "basis", lambda a, b: verify_riesz_redundancy(a)),
+    Theorem("fusion_perturbed_bounds", FusionFrame, "weighted", lambda a, b: verify_fusion_perturbed_bounds(a, b)),
     Theorem(
         "fusion_redundancy_perturbation",
         FusionFrame,
+        "unit",
         lambda a, b: verify_fusion_redundancy_perturbation(a, b),
     ),
-    Theorem("angle_sum_frames", Frame, lambda a, b: verify_angle_sums(a, full_space(a.dim))),
-    Theorem("angle_sum_fusion", FusionFrame, lambda a, b: verify_angle_sums(a, full_space(a.dim))),
+    Theorem("angle_sum_frames", Frame, "frame", lambda a, b: verify_angle_sums(a, full_space(a.dim))),
+    Theorem("angle_sum_fusion", FusionFrame, "unit", lambda a, b: verify_angle_sums(a, full_space(a.dim))),
 )
 THEOREM_IDS = tuple(t.id for t in THEOREMS)
 
@@ -603,16 +607,13 @@ def replay_instance(config: SuiteConfig, index: int) -> dict[str, TheoremVerdict
     perturbed_u, _ = generate_perturbed_fusion(unit, target_u, seed=child_seed())
 
     pairs = {
-        "perturbed_frame_bounds": (phi, psi),
-        "normalized_perturbation": (phi_eq, psi_eq),
-        "redundancy_perturbation": (phi_eq, psi_eq),
-        "riesz_redundancy": (basis, basis),
-        "fusion_perturbed_bounds": (weighted, perturbed_f),
-        "fusion_redundancy_perturbation": (unit, perturbed_u),
-        "angle_sum_frames": (phi, psi),
-        "angle_sum_fusion": (unit, perturbed_u),
+        "frame": (phi, psi),
+        "equal_norms": (phi_eq, psi_eq),
+        "basis": (basis, basis),
+        "weighted": (weighted, perturbed_f),
+        "unit": (unit, perturbed_u),
     }
-    return {t.id: t.run(*pairs[t.id]) for t in THEOREMS}
+    return {t.id: t.run(*pairs[t.pair]) for t in THEOREMS}
 
 
 def run_random_suite(config: SuiteConfig) -> SuiteReport:

@@ -14,16 +14,22 @@ import framekit
 from framekit import (
     BoundsReport,
     Frame,
+    FusionFrame,
     RedundancyProfile,
     frame_perturbation_mu,
+    generate_perturbed_frame,
+    generate_perturbed_fusion,
     is_riesz_basis,
     optimal_frame_bounds,
     redundancy_at,
     redundancy_bounds,
+    subspace_from_spanning,
 )
+from framekit import fusion, linalg
 from framekit.errors import DegenerateInputError, DimensionError, NumericError, PreconditionError
+from framekit.fileio import load_structure, write_structure
 from framekit.frames import _frame, bounds_from_extremes
-from framekit.theorems import random_fusion_frame
+from framekit.theorems import random_frame, random_fusion_frame
 from references import redundancy_oracle
 
 
@@ -87,8 +93,9 @@ class TestUncheckedFrame:
             assert v.tobytes() == public.vectors.tobytes()
             assert unchecked.labels is labels
             assert unchecked.norms().tobytes() == public.norms().tobytes()
-            for name in ("_operator_eigenvalues", "_unit_eigenvalues"):
-                assert getattr(unchecked, name).tobytes() == getattr(public, name).tobytes(), name
+            for name in ("synthesis_columns", "unit_columns"):
+                spectra = [linalg._gram_eigenvalues(getattr(f, name)).tobytes() for f in (unchecked, public)]
+                assert spectra[0] == spectra[1], name
             assert frame_perturbation_mu(unchecked, other) == frame_perturbation_mu(public, other)
             assert frame_perturbation_mu(other, unchecked) == frame_perturbation_mu(other, public)
         assert layouts == {True, False}
@@ -103,15 +110,13 @@ class TestUncheckedFrame:
 
 
 def fresh_frame_values(f):
-    """The cached stacks and spectra of ``f``, recomputed from a writeable
-    copy of its vectors by the same operations."""
+    """The cached stacks of ``f``, each with its Gram spectrum, recomputed
+    from a writeable copy of its vectors by the same operations."""
     v = np.array(f.vectors)
     unit = (v / np.linalg.norm(v, axis=1)[:, None]).T
     return {
-        "synthesis_columns": v.T,
-        "unit_columns": unit,
-        "_operator_eigenvalues": np.linalg.eigvalsh(v.T @ v),
-        "_unit_eigenvalues": np.linalg.eigvalsh(unit @ unit.T),
+        "synthesis_columns": (v.T, np.linalg.eigvalsh(v.T @ v)),
+        "unit_columns": (unit, np.linalg.eigvalsh(unit @ unit.T)),
     }
 
 
@@ -124,9 +129,10 @@ class TestCachedValues:
             optimal_frame_bounds(f)
             redundancy_bounds(f)
             assert f.unit_columns is f.unit_columns
-            for name, expected in fresh_frame_values(f).items():
+            for name, (expected, spectrum) in fresh_frame_values(f).items():
                 cached = getattr(f, name)
                 assert cached.tobytes() == expected.tobytes(), name
+                assert linalg._gram_eigenvalues(cached).tobytes() == spectrum.tobytes(), name
                 with pytest.raises(ValueError):
                     cached.flags.writeable = True
 
@@ -151,7 +157,7 @@ class TestCachedValues:
         f = Frame([[1.0, 0.0], [0.0, 2.0]], labels=("a", "b"))
         g = Frame([[1.0, 0.0], [0.0, 2.0]], labels=("a", "b"))
         redundancy_bounds(f)
-        assert "_unit_eigenvalues" in vars(f) and "_unit_eigenvalues" not in vars(g)
+        assert "_redundancy" in vars(f) and "_redundancy" not in vars(g)
         assert [fl.name for fl in dataclasses.fields(f)] == ["vectors", "labels"]
         assert repr(f) == repr(g)
 
@@ -197,6 +203,61 @@ class TestReportMemo:
         assert not {"_redundancy", "_unit_eigenvalues"} & set(vars(zero))
 
 
+class TestEachValueHeldOnce:
+    """A structure keeps its two reports, not the spectra they are read
+    from, and a fusion frame holds only its stack, ranks and weights
+    until its members are read, however either was built."""
+
+    @staticmethod
+    def structures(tmp_path):
+        rng = np.random.default_rng(38)
+        for dim in range(2, 7):
+            count = int(rng.integers(dim, 10))
+            phi = random_frame(rng, dim, count)
+            w = random_fusion_frame(rng, dim, count)
+            public = FusionFrame([(subspace_from_spanning(rng.standard_normal((int(rng.integers(1, dim)), dim))),
+                                   float(rng.uniform(0.5, 2.0))) for _ in range(count)])
+            built = {
+                "drawn frame": phi,
+                "generated frame": generate_perturbed_frame(phi, 0.1, seed=dim)[0],
+                "public frame": Frame(rng.standard_normal((count, dim))),
+                "drawn fusion": w,
+                "generated fusion": generate_perturbed_fusion(w, 0.1, seed=dim)[0],
+                "unit-weight fusion": public.with_unit_weights(),
+                "public fusion": public,
+            }
+            for name in ("drawn frame", "public fusion"):
+                path = tmp_path / f"{name.replace(' ', '-')}-{dim}.json"
+                write_structure(path, built[name])
+                built[f"loaded {name}"] = load_structure(path)
+            for name, f in built.items():
+                yield f"{name} in R^{dim}", f
+
+    def test_no_spectrum_is_kept(self, tmp_path):
+        for label, f in self.structures(tmp_path):
+            optimal_frame_bounds(f)
+            redundancy_bounds(f)
+            spectra = {linalg._gram_eigenvalues(c).tobytes() for c in (f.synthesis_columns, f.unit_columns)}
+            held = [k for k, v in vars(f).items() if isinstance(v, np.ndarray) and v.tobytes() in spectra]
+            assert not held, label
+            assert not {"_operator_eigenvalues", "_unit_eigenvalues"} & set(vars(f)), label
+
+    def test_fusion_state_is_the_stack_until_members_are_read(self, tmp_path):
+        def state(ff):
+            return {k for k in vars(ff) if not k.startswith("_")} - {"synthesis_columns"}
+
+        given = [(subspace_from_spanning(np.eye(4)[:k]), 1.5) for k in range(1, 5)]
+        assert set(vars(FusionFrame(given))) == {"unit_columns", "ranks", "weights"}
+        for label, ff in self.structures(tmp_path):
+            if isinstance(ff, Frame):
+                continue
+            optimal_frame_bounds(ff)
+            redundancy_bounds(ff)
+            assert state(ff) == set(vars(fusion._stacked(ff.unit_columns, ff.ranks, ff.weights))), label
+            ff.subspaces
+            assert state(ff) == {"unit_columns", "ranks", "weights", "members"}, label
+
+
 class TestSynthesisAnalysis:
     def test_onb_synthesis_is_identity(self):
         assert np.array_equal(ONB2.synthesis_columns, np.eye(2))
@@ -240,7 +301,8 @@ class TestFrameOperator:
             op = f.synthesis_columns @ f.synthesis_columns.T
             assert np.allclose(op, op.T, atol=1e-12)
             assert np.linalg.eigvalsh(op).min() >= -1e-10
-            assert np.allclose(f._operator_eigenvalues, np.linalg.eigvalsh(op), rtol=0, atol=1e-12)
+            spectrum = linalg._gram_eigenvalues(f.synthesis_columns)
+            assert np.allclose(spectrum, np.linalg.eigvalsh(op), rtol=0, atol=1e-12)
 
 
 class TestOptimalBounds:

@@ -15,7 +15,7 @@ from framekit import (
     subspace_from_spanning,
     vector_span,
 )
-from framekit import fusion, generate_perturbed_fusion, perturb
+from framekit import fusion, generate_perturbed_fusion, linalg, perturb
 from framekit.errors import DegenerateInputError, DimensionError, PreconditionError
 from framekit.fileio import load_structure, write_structure
 from framekit.theorems import random_fusion_frame
@@ -88,16 +88,14 @@ class TestSubspaceType:
 
 
 def fresh_fusion_values(ff):
-    """The cached stacks and spectra of ``ff``, recomputed from writeable
-    copies of its member bases by the same operations."""
+    """The cached stacks of ``ff``, each with its Gram spectrum, recomputed
+    from writeable copies of its member bases by the same operations."""
     bases = [np.array(s.basis) for s in ff.subspaces]
     synthesis = np.hstack([w * b for b, w in zip(bases, ff.weights)])
     unit = np.hstack(bases)
     return {
-        "synthesis_columns": synthesis,
-        "unit_columns": unit,
-        "_operator_eigenvalues": np.linalg.eigvalsh(synthesis @ synthesis.T),
-        "_unit_eigenvalues": np.linalg.eigvalsh(unit @ unit.T),
+        "synthesis_columns": (synthesis, np.linalg.eigvalsh(synthesis @ synthesis.T)),
+        "unit_columns": (unit, np.linalg.eigvalsh(unit @ unit.T)),
     }
 
 
@@ -111,10 +109,11 @@ class TestCachedValues:
             ff = random_fusion(rng, dim, count, weights=weights)
             optimal_frame_bounds(ff)
             redundancy_bounds(ff)
-            for name, expected in fresh_fusion_values(ff).items():
+            for name, (expected, spectrum) in fresh_fusion_values(ff).items():
                 cached = getattr(ff, name)
                 assert cached is getattr(ff, name), name
                 assert cached.tobytes() == expected.tobytes(), name
+                assert linalg._gram_eigenvalues(cached).tobytes() == spectrum.tobytes(), name
                 with pytest.raises(ValueError):
                     cached.flags.writeable = True
 
@@ -147,7 +146,10 @@ class TestStacked:
             given = [(subspace_from_spanning(rng.standard_normal((int(rng.integers(1, dim)), dim))),
                       float(rng.uniform(0.5, 2.0))) for _ in range(count)]
             public = FusionFrame(given)
-            assert all(public.members[i][0] is s for i, (s, _) in enumerate(given))
+            assert "members" not in vars(public)
+            for (a, wa), (b, wb) in zip(public.members, given):
+                assert a.basis.flags.c_contiguous and not a.basis.flags.writeable
+                assert a.basis.tobytes() == b.basis.tobytes() and wa == wb
             cols = np.hstack([s.basis for s, _ in given])
             stacked = fusion._stacked(cols, [s.dim for s, _ in given], [w for _, w in given])
             assert "members" not in vars(stacked)
@@ -160,9 +162,10 @@ class TestStacked:
                 assert a.basis.flags.c_contiguous and not a.basis.flags.writeable
                 assert a.basis.tobytes() == b.basis.tobytes()
             assert stacked.members is stacked.members
-            for name in ("synthesis_columns", "unit_columns", "_operator_eigenvalues",
-                         "_unit_eigenvalues"):
-                assert getattr(stacked, name).tobytes() == getattr(public, name).tobytes(), name
+            for name in ("synthesis_columns", "unit_columns"):
+                a, b = getattr(stacked, name), getattr(public, name)
+                assert a.tobytes() == b.tobytes(), name
+                assert linalg._gram_eigenvalues(a).tobytes() == linalg._gram_eigenvalues(b).tobytes(), name
 
     @pytest.fixture(scope="class")
     def pairs(self, tmp_path_factory):
@@ -301,7 +304,8 @@ class TestFusionOperator:
             ff = random_fusion(rng, 5, 4, weights=list(rng.uniform(0.5, 2.0, 4)))
             loop = sum(w * w * (s.basis @ s.basis.T) for s, w in ff.members)
             assert np.allclose(operator(ff), loop, rtol=0.0, atol=1e-12)
-            assert np.allclose(ff._operator_eigenvalues, np.linalg.eigvalsh(loop), rtol=0, atol=1e-12)
+            spectrum = linalg._gram_eigenvalues(ff.synthesis_columns)
+            assert np.allclose(spectrum, np.linalg.eigvalsh(loop), rtol=0, atol=1e-12)
 
     def test_column_stacks(self):
         ff = FusionFrame(((full_space(2), 2.0), (axis_span(2, 1), 0.5)))
