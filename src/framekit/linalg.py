@@ -4,9 +4,9 @@ Matrices are plain float64 numpy arrays. Everything here is pure and
 deterministic.  ``RANK_TOL`` is the one relative rank tolerance: the
 rank-deciding ``orthonormalize`` applies it, and so does the framehood
 rule of ``frames.bounds_from_extremes``; neither takes another value.
-Its cutoff and column signs are set in ``_qr_stack`` alone, which
-``orthonormalize`` calls on its one set and the random fusion draws on
-all blocks of one rank.
+Its cutoff is set in ``orthonormalize`` alone.  Column signs are set in
+``_signed_qr`` alone, which ``orthonormalize`` and the random fusion
+draws (one call per member) factor through.
 
 Validators guard the public boundary.  Inside it, every LAPACK call goes
 through ``_eigvalsh``, ``_svdvals``, ``_svd_u`` or ``_qr``.  They call
@@ -99,8 +99,10 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
 
 def _gram_eigenvalues(c: np.ndarray) -> np.ndarray:
     """All eigenvalues of ``c c^T`` for a column stack ``c``, ascending.
-    An overflowed product or spectrum raises NumericError."""
-    return _eigvalsh(_finite(c @ c.T))
+    An overflowed product or spectrum raises NumericError; the product
+    warns of its overflow alone, whichever BLAS kernel forms it."""
+    with np.errstate(invalid="ignore"):
+        return _eigvalsh(_finite(c @ c.T))
 
 
 def _top_singular_value(m: np.ndarray) -> float:
@@ -142,19 +144,11 @@ def _rank_pass(scaled: np.ndarray, q: np.ndarray, cutoff: float) -> list[int]:
     return keep + list(range(j + 1 + i, m))
 
 
-def _qr_stack(cols: np.ndarray):
-    """The rank rule's one factorization of an n-by-m column set, or of a
-    stack of them in one ``_qr``, which factors each set with the bits of
-    its own QR.  Per set: Q signed so that ``diag R > 0``, the exponent
-    ``e`` of the largest |entry|, the cutoff (``RANK_TOL`` times the
-    largest column norm in units of ``2^e``) and the mask of the diagonal
-    entries of R at or below it in those units."""
-    e = np.frexp(np.abs(cols).max(axis=(-2, -1), initial=0.0))[1]
-    scaled = np.ldexp(cols, -e[..., None, None])
-    cutoff = RANK_TOL * _norms(scaled, -2).max(axis=-1, initial=0.0)
+def _signed_qr(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR of an n-by-m column set: Q signed so that
+    ``diag R >= 0``, and the diagonal of R before signing."""
     q, d = _qr(cols)
-    short = np.abs(np.ldexp(d, -e[..., None])) <= cutoff[..., None]
-    return q * np.sign(d)[..., None, :], e, cutoff, short
+    return q * np.copysign(1.0, d), d
 
 
 def orthonormalize(vectors) -> tuple[np.ndarray, int]:
@@ -168,7 +162,7 @@ def orthonormalize(vectors) -> tuple[np.ndarray, int]:
     the rank does not change when the input is rescaled.
 
     The residual is ``|R_jj|`` in the QR factorization of the columns
-    (``_qr_stack``), so full-rank input takes one QR.  At the first short
+    (``_signed_qr``), so full-rank input takes one QR.  At the first short
     entry, one decision pass (``_rank_pass``) settles every later column
     once, and the kept columns are factored once more: no input takes
     more than two QRs.  Ranks and bases are those of dropping one vector
@@ -193,10 +187,12 @@ def orthonormalize(vectors) -> tuple[np.ndarray, int]:
     except ValueError as exc:
         raise DimensionError(f"vectors must have equal lengths ({exc})") from None
     cols = as_matrix(rows).T
-    q, e, cutoff, short = _qr_stack(cols)
-    short = np.flatnonzero(short)
+    e = np.frexp(np.abs(cols).max(initial=0.0))[1]
+    scaled = np.ldexp(cols, -e)
+    cutoff = RANK_TOL * _norms(scaled, 0).max(initial=0.0)
+    q, d = _signed_qr(cols)
+    short = np.flatnonzero(np.abs(np.ldexp(d, -e)) <= cutoff)
     if short.size:
         # Negating a column of Q leaves every projection's bits unchanged.
-        keep = _rank_pass(np.ldexp(cols, -e), q[:, : short[0]], cutoff)
-        q = _qr_stack(cols[:, keep])[0]
+        q = _signed_qr(cols[:, _rank_pass(scaled, q[:, : short[0]], cutoff)])[0]
     return q, q.shape[1]

@@ -41,7 +41,7 @@ from .frames import (
     is_riesz_basis,
     redundancy_bounds,
 )
-from .fusion import FusionFrame, Subspace, _stacked, full_space, subspace_from_spanning
+from .fusion import FusionFrame, Subspace, _stacked, full_space
 from .perturb import (
     frame_perturbation_mu,
     fusion_perturbation_mu,
@@ -539,23 +539,18 @@ def random_fusion_frame(
 ) -> FusionFrame:
     """Random spanning fusion frame with subspace ranks in [1, dim-1]:
     per member, in order, a rank, a Gaussian block of that many vectors
-    and a weight.  The blocks of one rank take one stacked QR
-    (``linalg._qr_stack``), with the bits of one QR each; a block with a
-    short diagonal entry is spanned by ``subspace_from_spanning``."""
+    and a weight.  A member's basis is its block's own Householder factor
+    (``linalg._signed_qr``), which is orthonormal whatever the block's
+    rank, so a member keeps the rank drawn for it."""
     if dim < 2:
         raise GenerationError("random fusion frames need ambient dimension >= 2")
     cap = dim - 1 if max_rank is None else max(1, min(max_rank, dim - 1))
     for _ in range(MAX_TRIES):
-        blocks, weights, groups = [], [], {}
-        for i in range(count):
-            blocks.append(rng.standard_normal((int(rng.integers(1, cap + 1)), dim)))
-            groups.setdefault(len(blocks[-1]), []).append(i)
+        bases, weights = [], []
+        for _ in range(count):
+            block = rng.standard_normal((int(rng.integers(1, cap + 1)), dim))
+            bases.append(linalg._signed_qr(block.T)[0])
             weights.append(1.0 if unit_weights else float(rng.uniform(0.5, 2.0)))
-        bases = [None] * count
-        for group in groups.values():
-            q, _, _, short = linalg._qr_stack(np.stack([blocks[i] for i in group]).swapaxes(1, 2))
-            for i, basis, fallback in zip(group, q, short.any(axis=1).tolist()):
-                bases[i] = subspace_from_spanning(blocks[i]).basis if fallback else basis
         ff = _stacked(np.hstack(bases), [b.shape[1] for b in bases], weights)
         if optimal_frame_bounds(ff).lower >= MIN_LOWER:
             return ff

@@ -364,48 +364,23 @@ class TestScaleFreeRank:
         assert linalg.orthonormalize([[1e200, 0.0], [0.0, 1e195]])[1] == 2
 
 
-class TestQrStack:
-    """``_qr_stack`` is the one rank rule's factorization: a set factored
-    in a stack has the bits of its own ``orthonormalize``."""
+class TestSignedQr:
+    """``_signed_qr`` is the one sign rule: numpy's Householder Q with each
+    column signed so that ``diag R >= 0`` (``TestRankPass`` compares its
+    bits with the drop loop's), and R's unsigned diagonal."""
 
-    @pytest.mark.parametrize("scale", [0, 600, -600])
-    def test_stacked_sets_match_orthonormalize_bit_for_bit(self, scale):
-        rng = np.random.default_rng(71)
-        fallbacks = 0
-        for n in range(2, 13):
-            for k in range(1, n):
-                blocks = np.ldexp(rng.standard_normal((4, k, n)), scale)
-                if k > 1:
-                    blocks[1, -1] = blocks[1, 0]  # a repeated row
-                blocks[2, int(rng.integers(k))] = 0.0  # a zero row
-                q, e, cutoff, short = linalg._qr_stack(blocks.swapaxes(1, 2))
-                assert q.shape == (4, n, k) and short.shape == (4, k)
-                for j, block in enumerate(blocks):
-                    basis, rank = linalg.orthonormalize(block)
-                    # A short set takes the fallback; every other set
-                    # keeps its bits and its full rank.
-                    assert short[j].any() == (rank < k)
-                    if short[j].any():
-                        fallbacks += 1
-                    else:
-                        assert np.array_equal(q[j], basis)
-        assert fallbacks == sum(2 if k > 1 else 1 for n in range(2, 13) for k in range(1, n))
+    def test_zero_diagonal_entry_keeps_an_orthonormal_column(self):
+        for cols in (np.zeros((3, 2)), np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])):
+            q, d = linalg._signed_qr(cols)
+            assert d[-1] == 0.0
+            assert np.abs(q.T @ q - np.eye(2)).max() <= 1e-15
 
-    def test_exponent_and_cutoff_are_scale_free(self):
-        rng = np.random.default_rng(72)
-        blocks = rng.standard_normal((3, 4, 9)).swapaxes(1, 2)
-        _, e, cutoff, short = linalg._qr_stack(blocks)
-        for k in (-700, 700):
-            _, e_k, cutoff_k, short_k = linalg._qr_stack(np.ldexp(blocks, k))
-            assert np.array_equal(e_k, e + k)
-            assert np.array_equal(cutoff_k, cutoff) and np.array_equal(short_k, short)
-
-    def test_orthonormalize_factors_through_the_kernel(self, monkeypatch):
-        # Full-rank input takes one kernel call; a short one takes a second
-        # for the kept columns, and no QR runs outside the kernel.
+    def test_orthonormalize_factors_through_the_sign_rule(self, monkeypatch):
+        # Full-rank input takes one signed QR; a dependent one takes a
+        # second for the kept columns, and no QR runs outside the rule.
         calls = []
-        kernel = linalg._qr_stack
-        monkeypatch.setattr(linalg, "_qr_stack", lambda c: calls.append(c.shape) or kernel(c))
+        rule = linalg._signed_qr
+        monkeypatch.setattr(linalg, "_signed_qr", lambda c: calls.append(c.shape) or rule(c))
         qrs = TestRankPass.count_qr(monkeypatch)
         rng = np.random.default_rng(73)
         linalg.orthonormalize(rng.standard_normal((3, 5)))

@@ -417,16 +417,16 @@ class TestAngleSums:
 
 
 class TestRandomFusionFrame:
-    def test_one_qr_per_distinct_rank(self, monkeypatch):
-        # The Gaussian blocks of one rank are factored in one stacked QR.
+    def test_one_signed_qr_per_member(self, monkeypatch):
+        # Each member's block takes one QR of its own, and no block goes
+        # through the rank rule.
         calls = []
         qr = linalg._qr
         monkeypatch.setattr(linalg, "_qr", lambda a: calls.append(a.shape) or qr(a))
+        monkeypatch.setattr(linalg, "orthonormalize", lambda v: pytest.fail("rank rule called"))
         ff = random_fusion_frame(np.random.default_rng(74), 5, 12)
-        ranks = sorted(set(ff.ranks))
-        assert len(ranks) > 1
-        assert sorted(shape[2] for shape in calls) == ranks
-        assert sum(shape[0] for shape in calls) == ff.count
+        assert len(set(ff.ranks)) > 1
+        assert calls == [(5, k) for k in ff.ranks]
 
     def test_draws_keep_the_bits_of_one_span_per_member(self):
         # The reference draws rank, block and weight per member, in order,
@@ -451,9 +451,9 @@ class TestRandomFusionFrame:
 
 
     def test_a_short_block_is_spanned_on_its_own(self):
-        # Blocks whose last row repeats their first have a short diagonal
-        # entry: those members leave the stack for subspace_from_spanning
-        # and come out one rank lower, with its bits.
+        # Blocks whose last row repeats their first are rank-deficient.
+        # Each member still takes its own block's Householder factor, so it
+        # keeps the rank drawn for it, an orthonormal basis and its block.
         class RepeatingRows:
             def __init__(self, seed):
                 self.rng = np.random.default_rng(seed)
@@ -472,10 +472,12 @@ class TestRandomFusionFrame:
         for _ in range(10):
             blocks.append(rng.standard_normal((int(rng.integers(1, 6)), 6)))
             rng.uniform(0.5, 2.0)
-        assert ff.ranks == tuple(max(1, len(b) - 1) for b in blocks)
+        assert ff.ranks == tuple(len(b) for b in blocks)
         assert any(len(b) > 1 for b in blocks)
         for sub, block in zip(ff.subspaces, blocks):
-            assert sub.basis.tobytes() == subspace_from_spanning(block).basis.tobytes()
+            basis = sub.basis
+            assert np.abs(basis.T @ basis - np.eye(len(block))).max() <= fusion.BASIS_TOL
+            assert np.allclose(block @ basis @ basis.T, block, rtol=0, atol=1e-12)
 
 
 class TestSuite:

@@ -5,14 +5,15 @@ Run it on the parent tree and on the changed tree, then diff the two:
 
     python3 tools/identity_digest.py > digests.txt
     python3 tools/identity_digest.py --dump out/   # also keep the raw outputs
+    python3 tools/identity_digest.py --verdicts    # hash the decisions only
 
 framekit is imported from the ``src/`` next to this directory.  One
 ``<sha256>  <label>`` line is printed per item:
 
 - the suite reports of the default config (text and JSON), of
   ``--dim-min 8 --dim-max 12 --count-min 8 --count-max 20 --seed 3`` and
-  of 20 instances at n = N = 50 (``--seed 5``), whose fusion draws fill
-  about 32 rank groups each, so a change to the bits of the stacked
+  of 20 instances at n = N = 50 (``--seed 5``), whose fusion draws take
+  50 member QRs each, so a change to the bits of the draw's
   factorization shows in its digest;
 - per CLI run (``analyze``, ``verify``, ``angles`` and ``perturb``): its
   stdout, stderr, exit code and written file.  The inputs are the
@@ -46,6 +47,14 @@ its last traceback line.  Work and source directories are replaced by
 ``<work>`` and ``<src>``, so trees in different places give equal digests,
 and the line number of a warning's source location is dropped (the text
 and the quoted source line stay), so code that only moves keeps them.
+
+With ``--verdicts`` each line hashes only the run's decisions: its exit
+code and, from JSON output, each suite row's passed, failed and gated
+counts, each ``verify`` verdict's ``hypotheses_met`` and
+``inequality_pass``, and the boolean flags and ranks of ``analyze``.
+Those should not depend on the BLAS kernel, whose choice moves rounding
+bits; compare runs under ``OPENBLAS_CORETYPE=Haswell`` (or
+``Sandybridge``, ``Prescott``) with the default kernel's.
 """
 
 from __future__ import annotations
@@ -250,6 +259,34 @@ class Runner:
         }, indent=1).encode()
 
 
+def decisions(argv, blob: bytes) -> bytes:
+    """The decisions of one run, as ``--verdicts`` hashes them."""
+    record = json.loads(blob)
+    kept = {"exit": record["exit"]}
+    try:
+        results = json.loads(record["stdout"])["results"]
+    except ValueError:  # text output, or an error message
+        return json.dumps(kept).encode()
+    if argv[0] == "suite":
+        kept["rows"] = {tid: [t["passed"], t["failed"], t["gated"]]
+                        for tid, t in results["tallies"].items()}
+    elif argv[0] == "verify":
+        kept["verdicts"] = [[v["theorem_id"], v["hypotheses_met"], v["inequality_pass"]]
+                            for v in results["verdicts"]]
+    elif argv[0] == "analyze":
+        kept["flags"] = flags = {}
+
+        def walk(node, path):
+            for key, value in node.items():
+                if isinstance(value, dict):
+                    walk(value, f"{path}{key}.")
+                elif isinstance(value, bool) or key == "ranks":
+                    flags[path + key] = value
+
+        walk(results, "")
+    return json.dumps(kept).encode()
+
+
 def cli_runs(files: dict[str, Path], prefix: str, out: Path):
     """``(label, argv, out_file)`` of every CLI run on one input set."""
     names = sorted(files)
@@ -270,6 +307,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", type=Path, default=None,
                         help="also write each raw output, one numbered file per digest line")
+    parser.add_argument("--verdicts", action="store_true",
+                        help="hash only each run's exit code and decisions")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryFile() as native:
         # Native output of the runs lands in ``native``; the digests go to
@@ -292,6 +331,8 @@ def main() -> int:
                 args.dump.mkdir(parents=True, exist_ok=True)
             for i, (label, argv, out_file) in enumerate(jobs):
                 blob = run(argv, out_file)
+                if args.verdicts:
+                    blob = decisions(argv, blob)
                 if args.dump is not None:
                     (args.dump / f"{i:05d}.json").write_bytes(blob)
                 print(f"{hashlib.sha256(blob).hexdigest()}  {label}", file=report, flush=True)
